@@ -2,34 +2,14 @@
 signal beams, with erasable (rotation) and inerasable (idler transmission)
 which-path marking, plus simulated tomography of the result."""
 
-from .elements import (
-    attenuator,
-    beam_splitter,
-    polarization_rotation,
-    polarizer_jones,
-    waveplate_jones,
-)
+from .elements import polarizer_jones, waveplate_jones
 from .errors import (
     ConfigError,
     ConfigRangeError,
     IllPosedError,
     ParameterError,
     PolsimError,
-    RegistryError,
     ZeroTraceError,
-)
-from .fock import (
-    FockState,
-    ModeExpr,
-    ModeId,
-    ModeRegistry,
-    apply_annihilation,
-    apply_creation,
-    apply_expr,
-    inner_product,
-    pair_expectation,
-    unit_expr,
-    vacuum,
 )
 from .gedanken import (
     GedankenConfig,
@@ -61,14 +41,16 @@ from .zwm import (
     analytic_p_general,
     analytic_p_special,
     beta,
-    build_state,
+    check_coherence,
+    coherence_grid,
     coherence_matrix,
     config_with,
     degree_of_polarization,
+    degree_of_polarization_grid,
+    field_map,
     numeric_degree_of_polarization,
-    output_fields,
+    signal_amplitudes,
     stokes_parameters,
-    zwm_registry,
 )
 
 __version__ = "0.1.0"

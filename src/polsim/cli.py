@@ -116,7 +116,7 @@ def _selftest_checks():
     )
     yield ("closed-form bridge, 101x91 grid", worst_bridge, 1e-15)
 
-    # full Fock pipeline against the general closed form; the grid corner
+    # biphoton-matrix pipeline against the general closed form; the grid corner
     # |T| = 1, gamma = 0, beta = pi has zero output intensity, where both
     # sides must agree that P is undefined
     worst_pipe = 0.0

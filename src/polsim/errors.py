@@ -9,10 +9,6 @@ class ParameterError(PolsimError, ValueError):
     """A physical parameter is outside its allowed range or ill-typed."""
 
 
-class RegistryError(PolsimError, ValueError):
-    """An operation referenced a mode that is not in the state's registry."""
-
-
 class IllPosedError(PolsimError, ValueError):
     """A reconstruction problem is under-determined (degenerate projector set)."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigRangeError, ParameterError
+from .errors import ConfigRangeError, ParameterError, ZeroTraceError
 from .gedanken import GedankenConfig, degree_of_polarization_gedanken, monte_carlo_detection
 from .tomography import (
     DEFAULT_SETTINGS,
@@ -24,11 +24,10 @@ from .zwm import (
     CoherenceMatrix,
     ZwmConfig,
     analytic_p_general,
-    build_state,
+    coherence_grid,
     coherence_matrix,
     config_with,
-    numeric_degree_of_polarization,
-    output_fields,
+    degree_of_polarization_grid,
 )
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
@@ -52,6 +51,8 @@ class SweepSpec:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.gammas_deg or not self.t_values:
             raise ConfigRangeError("gamma and t lists must be non-empty")
+        if not all(map(math.isfinite, (*self.gammas_deg, *self.t_values))):
+            raise ConfigRangeError("gamma and t values must be finite")
         for g in self.gammas_deg:
             if math.cos(math.radians(g)) < -1e-12:
                 raise ConfigRangeError(f"gamma = {g} deg violates cos(gamma) >= 0")
@@ -92,8 +93,9 @@ def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
 
 
 def _tomography_p_estimate(cfg: ZwmConfig, detector: DetectorModel, seed_seq) -> float:
-    g = coherence_matrix(build_state(cfg), output_fields(cfg),
-                         cfg.imperfections.mu_overlap)
+    g = coherence_matrix(cfg)
+    if g.trace <= 0.0:
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     normalized = CoherenceMatrix(g.matrix / g.trace)
     raw = simulate_counts(normalized, DEFAULT_SETTINGS, detector, seed_seq)
@@ -103,6 +105,12 @@ def _tomography_p_estimate(cfg: ZwmConfig, detector: DetectorModel, seed_seq) ->
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
     """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
     (gamma, t, replicate)."""
+    if spec.mode == "numeric":
+        p = degree_of_polarization_grid(coherence_grid(
+            cfg, np.radians(spec.gammas_deg), spec.t_values))
+        return [(gamma_deg, t_abs, spec.mode, float(p[ig, it]), 0.0)
+                for ig, gamma_deg in enumerate(spec.gammas_deg)
+                for it, t_abs in enumerate(spec.t_values)]
     rows = []
     stochastic = spec.mode in ("tomography", "montecarlo")
     replicates = spec.replicates if stochastic else 1
@@ -111,9 +119,6 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
             for rep in range(replicates):
                 if spec.mode == "analytic":
                     p, se = analytic_p_general(_with_point(cfg, gamma_deg, t_abs)), 0.0
-                elif spec.mode == "numeric":
-                    p, se = numeric_degree_of_polarization(
-                        _with_point(cfg, gamma_deg, t_abs)), 0.0
                 elif spec.mode == "gedanken":
                     p, se = degree_of_polarization_gedanken(
                         math.radians(gamma_deg), t_abs), 0.0

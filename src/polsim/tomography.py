@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from . import kernels
 from .elements import polarizer_jones, waveplate_jones
-from .errors import ConfigError, IllPosedError, ParameterError
+from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .zwm import CoherenceMatrix, degree_of_polarization
 
 _MU_FLOOR_REL = 1e-12
@@ -272,6 +272,8 @@ def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]
             count = int(count_s)
         except ValueError:
             raise ConfigError(f"malformed row {parts}", line=line_no) from None
+        if not (math.isfinite(qwp) and math.isfinite(pol)):
+            raise ConfigRangeError(f"non-finite angle in row {parts}", line=line_no)
         if count < 0:
             raise ConfigError(f"negative count {count}", line=line_no)
         settings.append(

@@ -8,6 +8,14 @@ first signal arm makes the path information erasable; the superposed signal
 beams are analyzed through a balanced splitter and their 2x2 coherence
 matrix gives the degree of polarization.
 
+To first order in the gains the post-selected state is a 4x2 biphoton
+amplitude matrix A: rows are the signal modes (S1x, S1y, S2x, S2y), columns
+the idler modes (I1 and the attenuator's vacuum port VAC0).  The signal
+moments are M = conj(A) A^T, the detector fields a 2x4 map F of the signal
+modes, and G = conj(F) M F^T: the reduced-signal-state picture of induced
+coherence (Zou, Wang & Mandel, PRL 67, 318, 1991).  A depends on |T| only
+and F on gamma only, so a whole (gamma, |T|) grid is one array expression.
+
 The splitter's reflection phase is folded into the second arm's phase
 reference, so the interferometric phase of every cross term is exactly
 ``beta(cfg)`` and an all-zero-phase configuration sits at beta = 0.
@@ -21,34 +29,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elements import attenuator, beam_splitter, polarization_rotation
 from .errors import ParameterError, ZeroTraceError
-from .fock import (
-    FockState,
-    ModeExpr,
-    ModeId,
-    ModeRegistry,
-    apply_creation,
-    pair_expectation,
-    unit_expr,
-    vacuum,
-)
 
 _COS_TOL = 1e-12
-
-S1X = ModeId("S1", "x")
-S1Y = ModeId("S1", "y")
-S2X = ModeId("S2", "x")
-S2Y = ModeId("S2", "y")
-I1XP = ModeId("I1", "xp")
-VAC0XP = ModeId("VAC0", "xp")
-
-_ZWM_MODES = (S1X, S1Y, S2X, S2Y, I1XP, VAC0XP)
-
-
-def zwm_registry() -> ModeRegistry:
-    """The six-mode registry of the interferometer."""
-    return ModeRegistry(_ZWM_MODES)
+_CANCEL_TOL = 1e-13
 
 
 def _check_unit_interval(value: float, name: str) -> None:
@@ -115,45 +99,118 @@ class ZwmConfig:
         return complex(self.t) * self.imperfections.eta_idler
 
 
-def build_state(cfg: ZwmConfig) -> FockState:
-    """Post-selected two-photon state to first order in the gains.
+def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
+    """Biphoton amplitudes A[..., signal, idler] at transmissions |T| = t_abs.
 
-    |vac> + g1 |S1x, I1> + g2 e^{-i phi_i} conj(T_eff) |S2x, I1>
-          + g2 e^{-i phi_i} R_eff |S2x, VAC0>,   R_eff = sqrt(1 - |T_eff|^2).
-
+    The state is |vac> + sum A[s, i] |s, i> with
+      A[S1x, I1]   = g1
+      A[S2x, I1]   = g2 conj(T_eff e^{i phi_i})
+      A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt(1 - |T_eff|^2).
     The second source's idler operator is the attenuator output, so the
-    creation amplitudes are the conjugated attenuator coefficients.
+    creation amplitudes are the conjugated attenuator coefficients.  T keeps
+    the configured phase; only its magnitude is replaced by t_abs.
     """
-    reg = zwm_registry()
-    vac = vacuum(reg, truncation_order=2)
-    state = vac + cfg.g1 * apply_creation(apply_creation(vac, I1XP), S1X)
-    idler_out = attenuator(cfg.t_eff, unit_expr(I1XP), VAC0XP, cfg.phi_i)
-    for mode, coef in idler_out.terms.items():
-        pair = apply_creation(apply_creation(vac, mode), S2X)
-        state = state + (cfg.g2 * coef.conjugate()) * pair
-    return state
+    t_abs = np.asarray(t_abs, dtype=float)
+    t = complex(cfg.t)
+    phase = t / abs(t) if t != 0 else 1.0
+    t_eff = (t_abs * phase) * cfg.imperfections.eta_idler
+    r_eff = np.sqrt(np.maximum(0.0, 1.0 - np.abs(t_eff) ** 2))
+    idler_out = np.stack([t_eff, r_eff], axis=-1) * cmath.exp(1j * cfg.phi_i)
+    a = np.zeros(t_abs.shape + (4, 2), dtype=complex)
+    a[..., 0, 0] = cfg.g1
+    a[..., 2, :] = cfg.g2 * np.conj(idler_out)
+    return a
 
 
-def output_fields(cfg: ZwmConfig) -> tuple[ModeExpr, ModeExpr]:
-    """Detector-port field operators (Ex, Ey).
+def _with_overlap(a: np.ndarray, mu: float) -> np.ndarray:
+    """Amplitudes A' (..., 4, 6) whose moments conj(A') A'^T equal those of A
+    with the S1-S2 blocks scaled by mu.
 
-    The first arm is rotated by gamma and enters through the splitter's
-    transmission; the second arm enters through the reflection, whose i is
-    absorbed into the arm phase so the cross-term phase equals beta(cfg).
-    Per polarization p the second-arm coupling is bs_tp/sqrt(2) and the
-    first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
+    Each signal beam is sqrt(mu) parts a mode it shares with the other beam
+    and sqrt(1 - mu) parts a mode of its own; the own modes are extra,
+    mutually orthogonal columns.
     """
+    own1, own2 = a.copy(), a.copy()
+    own1[..., 2:, :] = 0.0
+    own2[..., :2, :] = 0.0
+    rest = math.sqrt(1.0 - mu)
+    return np.concatenate([math.sqrt(mu) * a, rest * own1, rest * own2], axis=-1)
+
+
+def field_map(cfg: ZwmConfig, gammas) -> np.ndarray:
+    """Detector-port fields F[..., p, m]: E_p = sum_m F[p, m] a_m.
+
+    The first arm is rotated by gamma, (x, y) -> (c x - s y, s x + c y), and
+    enters through the splitter's transmission; the second arm enters
+    through the reflection, whose i is absorbed into the arm phase
+    (i e^{i (phi_s2 - pi/2)} = e^{i phi_s2}) so the cross-term phase equals
+    beta(cfg).  Per polarization p the second-arm coupling is bs_tp/sqrt(2)
+    and the first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    c, s = np.cos(gammas), np.sin(gammas)
     imp = cfg.imperfections
-    rot_x, rot_y = polarization_rotation(cfg.gamma, unit_expr(S1X), unit_expr(S1Y))
     arm1 = cmath.exp(1j * cfg.phi_s1)
-    arm2 = cmath.exp(1j * (cfg.phi_s2 - math.pi / 2.0))
-    fields = []
-    for rot, s2_mode, bs_t in ((rot_x, S2X, imp.bs_tx), (rot_y, S2Y, imp.bs_ty)):
+    arm2 = cmath.exp(1j * cfg.phi_s2)
+    f = np.zeros(gammas.shape + (2, 4), dtype=complex)
+    for p, (bs_t, rot) in enumerate(((imp.bs_tx, (c, -s)), (imp.bs_ty, (s, c)))):
         r = bs_t / math.sqrt(2.0)
         t = math.sqrt(1.0 - r * r)
-        out, _ = beam_splitter(t, r, arm1 * rot, arm2 * unit_expr(s2_mode))
-        fields.append(out)
-    return fields[0], fields[1]
+        f[..., p, 0] = (t * arm1) * rot[0]
+        f[..., p, 1] = (t * arm1) * rot[1]
+        f[..., p, 2 + p] = r * arm2
+    return f
+
+
+def check_coherence(m: np.ndarray) -> None:
+    """Raise ParameterError unless every (..., 2, 2) matrix in m is finite,
+    Hermitian with a real diagonal and positive semidefinite, up to rounding
+    relative to its largest entry."""
+    if m.ndim < 2 or m.shape[-2:] != (2, 2):
+        raise ParameterError(f"coherence matrix must be 2x2, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ParameterError("coherence matrix entries must be finite")
+    gxx, gxy, gyx, gyy = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    scale = np.abs(m).max(axis=(-2, -1))
+    tol = 1e-9 * scale
+    if np.any(np.abs(gyx - np.conj(gxy)) > tol):
+        raise ParameterError("coherence matrix is not Hermitian")
+    if np.any(np.maximum(np.abs(gxx.imag), np.abs(gyy.imag)) > tol):
+        raise ParameterError("coherence matrix diagonal must be real")
+    # smaller eigenvalue of the Hermitian part
+    trace = gxx.real + gyy.real
+    lowest = trace / 2.0 - np.hypot((gxx.real - gyy.real) / 2.0,
+                                    np.abs(gxy + np.conj(gyx)) / 2.0)
+    if np.any(lowest < -1e-9 * np.maximum(trace, scale)):
+        raise ParameterError("coherence matrix is not positive semidefinite")
+
+
+def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
+    """G[i, j] = <E_p^dagger E_q> at (gammas[i], t_abs[j]), shape (n_g, n_t, 2, 2).
+
+    Every other setting (gains, phases, the phase of T, imperfections) is
+    taken from cfg.  Per grid point G = conj(F) M F^T with the signal
+    moments M = conj(A') A'^T, evaluated as the Gram matrix conj(B) B^T of
+    B = F A', which is Hermitian with a non-negative diagonal by
+    construction.
+    """
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    t_abs = np.asarray(t_abs, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(gammas)) and np.all(np.cos(gammas) >= -_COS_TOL)):
+        raise ParameterError("every gamma must be finite with cos(gamma) >= 0")
+    if not np.all((t_abs >= 0.0) & (t_abs <= 1.0)):
+        raise ParameterError("every |T| must lie in [0, 1]")
+    f = field_map(cfg, gammas)
+    a = _with_overlap(signal_amplitudes(cfg, t_abs), cfg.imperfections.mu_overlap)
+    # detector amplitudes B = F A': E_p |psi> = sum_k B[p, k] |k>
+    b = np.einsum("gpm,tmk->gtpk", f, a)
+    # an amplitude that cancels to the rounding of its parts (a few 1e-16 of
+    # their magnitudes) is zero, so a dark fringe has exactly zero intensity
+    parts = np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a))
+    b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
+    g = np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
+    check_coherence(g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -166,17 +223,7 @@ class CoherenceMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ParameterError(f"coherence matrix must be 2x2, got {m.shape}")
-        scale = float(np.abs(m).max())
-        if scale > 0.0:
-            tol = 1e-9 * scale
-            if abs(m[1, 0] - m[0, 1].conjugate()) > tol:
-                raise ParameterError("coherence matrix is not Hermitian")
-            if abs(m[0, 0].imag) > tol or abs(m[1, 1].imag) > tol:
-                raise ParameterError("coherence matrix diagonal must be real")
-            if min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -1e-9 * max(
-                m[0, 0].real + m[1, 1].real, scale
-            ):
-                raise ParameterError("coherence matrix is not positive semidefinite")
+        check_coherence(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -201,52 +248,31 @@ class CoherenceMatrix:
         return float(self.matrix[0, 0].real + self.matrix[1, 1].real)
 
 
-def coherence_matrix(
-    state: FockState, fields: tuple[ModeExpr, ModeExpr], mu_overlap: float = 1.0
-) -> CoherenceMatrix:
-    """Assemble G from mode-pair expectations of the field operators.
+def coherence_matrix(cfg: ZwmConfig) -> CoherenceMatrix:
+    """G at the operating point of cfg (a 1x1 coherence_grid)."""
+    return CoherenceMatrix(coherence_grid(cfg, cfg.gamma, abs(complex(cfg.t)))[0, 0])
 
-    Coherences between first-source and second-source modes are scaled by
-    mu_overlap (partial beam overlap); mu_overlap = 1 reduces exactly to
-    pair_expectation(state, E_p, E_q) by bilinearity.
+
+def degree_of_polarization_grid(g: np.ndarray) -> np.ndarray:
+    """P of every (..., 2, 2) coherence matrix in g.
+
+    P = sqrt(1 - 4 det G / (tr G)^2), i.e. (l1 - l2)/(l1 + l2), evaluated in
+    the cancellation-free eigenvalue-gap form
+    sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2) / tr G, which is the same quantity
+    since tr^2 - 4 det = (Gxx - Gyy)^2 + 4 |Gxy|^2 exactly.  Raises
+    ZeroTraceError if any matrix has tr G <= 0.
     """
-    _check_unit_interval(mu_overlap, "mu_overlap")
-    ex, ey = fields
-    modes: list[ModeId] = []
-    for f in (ex, ey):
-        for m in f.terms:
-            if m not in modes:
-                modes.append(m)
-    moments: dict[tuple[ModeId, ModeId], complex] = {}
-    for m in modes:
-        for n in modes:
-            val = pair_expectation(state, unit_expr(m), unit_expr(n))
-            if {m.label, n.label} == {"S1", "S2"}:
-                val *= mu_overlap
-            moments[m, n] = val
-    g = np.zeros((2, 2), dtype=complex)
-    for p, fp in enumerate((ex, ey)):
-        for q, fq in enumerate((ex, ey)):
-            g[p, q] = sum(
-                cp.conjugate() * fq.terms[n] * moments[m, n]
-                for m, cp in fp.terms.items()
-                for n in fq.terms
-            )
-    return CoherenceMatrix(g)
+    gxx, gyy = g[..., 0, 0].real, g[..., 1, 1].real
+    tr = gxx + gyy
+    if np.any(tr <= 0.0):
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
+    gap = np.hypot(gxx - gyy, 2.0 * np.abs(g[..., 0, 1]))
+    return np.minimum(gap / tr, 1.0)
 
 
 def degree_of_polarization(g: CoherenceMatrix) -> float:
-    """P = sqrt(1 - 4 det G / (tr G)^2), i.e. (l1 - l2)/(l1 + l2).
-
-    Evaluated in the cancellation-free eigenvalue-gap form
-    sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2) / tr G, which is the same quantity
-    since tr^2 - 4 det = (Gxx - Gyy)^2 + 4 |Gxy|^2 exactly.
-    """
-    tr = g.trace
-    if tr <= 0.0:
-        raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    gap = math.hypot(g.gxx.real - g.gyy.real, 2.0 * abs(g.gxy))
-    return min(gap / tr, 1.0)
+    """P of one coherence matrix; see degree_of_polarization_grid."""
+    return float(degree_of_polarization_grid(g.matrix))
 
 
 def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
@@ -317,11 +343,8 @@ def analytic_p_special(t_abs: float, gamma: float) -> float:
 
 
 def numeric_degree_of_polarization(cfg: ZwmConfig) -> float:
-    """Full Fock-space pipeline: state -> fields -> G -> P."""
-    g = coherence_matrix(
-        build_state(cfg), output_fields(cfg), cfg.imperfections.mu_overlap
-    )
-    return degree_of_polarization(g)
+    """Biphoton-matrix pipeline at one operating point: A, F -> G -> P."""
+    return degree_of_polarization(coherence_matrix(cfg))
 
 
 def config_with(cfg: ZwmConfig, **changes) -> ZwmConfig:

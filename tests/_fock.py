@@ -1,19 +1,28 @@
-"""Sparse multi-mode bosonic Fock states.
+"""Sparse multi-mode bosonic Fock states and the mode-operator transforms
+of passive optics: a reference implementation of the interferometer physics
+that the tests check the biphoton-matrix pipeline against.
 
 States are finite superpositions of occupation-number vectors over a fixed
 mode registry, truncated at a maximum total photon number.  With pair sources
 driven at small gain only a handful of terms ever carry weight, so amplitudes
 are stored in a dict keyed by the occupation tuple.  All values are immutable;
-operations return new states.
+operations return new states.  Optical elements (attenuator, polarization
+rotator, beam splitter) act on `ModeExpr` values.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ParameterError, RegistryError
+from polsim.errors import ParameterError, PolsimError
+
+
+class RegistryError(PolsimError, ValueError):
+    """An operation referenced a mode that is not in the state's registry."""
+
 
 BEAM_LABELS = ("S1", "S2", "I1", "VAC0")
 SIGNAL_POLS = ("x", "y")
@@ -276,3 +285,66 @@ def pair_expectation(state: FockState, p: ModeExpr, q: ModeExpr) -> complex:
     two annihilated states, which makes conjugate symmetry automatic.
     """
     return inner_product(apply_expr(p, state), apply_expr(q, state))
+
+
+# ---------------------------------------------------------------------------
+# Passive optics on mode operators
+# ---------------------------------------------------------------------------
+
+UNITARY_TOL = 1e-12
+
+
+def attenuator(
+    t: complex, input_expr: ModeExpr, vac_port: ModeId, phi: float = 0.0
+) -> ModeExpr:
+    """Lossy channel modeled as a beam splitter onto a vacuum port.
+
+    Returns (t * input + r * a_vac) * exp(i*phi) with r = sqrt(1 - |t|^2)
+    chosen real and non-negative, so the coefficient map is an isometry.
+    """
+    t = complex(t)
+    if abs(t) > 1.0 + UNITARY_TOL:
+        raise ParameterError(f"attenuator transmission |t| = {abs(t)} exceeds 1")
+    if vac_port in input_expr.terms:
+        raise ParameterError("input expression already uses the vacuum port")
+    r = math.sqrt(max(0.0, 1.0 - abs(t) ** 2))
+    phase = cmath.exp(1j * phi)
+    return (t * input_expr + r * unit_expr(vac_port)) * phase
+
+
+def _reduced_cos_sin(gamma: float) -> tuple[float, float]:
+    gamma = math.remainder(gamma, 2.0 * math.pi)
+    c, s = math.cos(gamma), math.sin(gamma)
+    if c < -UNITARY_TOL:
+        raise ParameterError(
+            f"rotation angle {gamma} rad has cos < 0; rotate the frame instead"
+        )
+    return c, s
+
+
+def polarization_rotation(
+    gamma: float, ax: ModeExpr, ay: ModeExpr
+) -> tuple[ModeExpr, ModeExpr]:
+    """Rotate a polarization mode pair by gamma.
+
+    Returns (cos(g)*ax - sin(g)*ay, sin(g)*ax + cos(g)*ay).  Angles with
+    cos(gamma) < 0 are rejected rather than remapped.
+    """
+    c, s = _reduced_cos_sin(gamma)
+    return c * ax - s * ay, s * ax + c * ay
+
+
+def beam_splitter(
+    t: complex, r: complex, a1: ModeExpr, a2: ModeExpr
+) -> tuple[ModeExpr, ModeExpr]:
+    """Two-port splitter with the symmetric convention [[t, i*r], [i*r, t]].
+
+    Output 1 is t*a1 + i*r*a2; output 2 is i*r*a1 + t*a2.  The coefficient
+    matrix must be unitary: |t|^2 + |r|^2 = 1 and t*conj(r) real.
+    """
+    t, r = complex(t), complex(r)
+    if abs(abs(t) ** 2 + abs(r) ** 2 - 1.0) > UNITARY_TOL:
+        raise ParameterError("beam splitter coefficients violate |t|^2 + |r|^2 = 1")
+    if abs((r * t.conjugate()).imag) > UNITARY_TOL:
+        raise ParameterError("beam splitter t and r must share a common phase")
+    return t * a1 + (1j * r) * a2, (1j * r) * a1 + t * a2

@@ -1,15 +1,35 @@
-"""Independent dense-vector oracle for the sparse Fock implementation.
+"""Reference implementations the package is checked against.
 
-Enumerates the full truncated occupation basis and represents operators as
-explicit matrices, so every sparse-state operation can be checked against
-plain linear algebra.  Creation silently drops components that would leave
-the truncated space, matching the sparse contract (the adjoint of the
-in-space annihilation matrix does exactly that).
+DenseFock enumerates the full truncated occupation basis and represents
+operators as explicit matrices, so every sparse-state operation in _fock.py
+can be checked against plain linear algebra.  Creation silently drops
+components that would leave the truncated space, matching the sparse
+contract (the adjoint of the in-space annihilation matrix does exactly that).
+
+build_state, output_fields and sparse_coherence_matrix assemble the
+interferometer in the sparse Fock algebra, term by term from the optical
+elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
+
+from _fock import (
+    FockState,
+    ModeExpr,
+    ModeId,
+    ModeRegistry,
+    apply_creation,
+    attenuator,
+    beam_splitter,
+    pair_expectation,
+    polarization_rotation,
+    unit_expr,
+    vacuum,
+)
 
 
 class DenseFock:
@@ -52,22 +72,33 @@ class DenseFock:
             m += coef * self.annihilation(mode)
         return m
 
-    def coherence(self, state, fields) -> np.ndarray:
-        """2x2 matrix of <E_p^dagger E_q> evaluated densely."""
+    def coherence(self, state, fields, mu_overlap=1.0) -> np.ndarray:
+        """2x2 matrix of <E_p^dagger E_q> evaluated densely.
+
+        Each field is split into its first-source (S1) and second-source
+        (S2) parts; the cross-source correlations are scaled by mu_overlap.
+        """
         v = self.vector(state)
-        ops = [self.expr_matrix(f) for f in fields]
+        ops = [
+            [self.expr_matrix(ModeExpr(
+                {m: c for m, c in f.terms.items() if m.label == label}))
+             for label in ("S1", "S2")]
+            for f in fields
+        ]
         g = np.empty((2, 2), dtype=complex)
         for p in range(2):
             for q in range(2):
-                g[p, q] = v.conj() @ (ops[p].conj().T @ ops[q] @ v)
+                g[p, q] = sum(
+                    (1.0 if i == j else mu_overlap)
+                    * (v.conj() @ (ops[p][i].conj().T @ ops[q][j] @ v))
+                    for i in range(2) for j in range(2)
+                )
         return g
 
 
 def random_state(registry, rng, truncation_order=2, n_terms=5):
     """Random sparse state over the full truncated basis (for linearity and
     oracle-equivalence checks)."""
-    from polsim.fock import FockState
-
     n = len(registry)
     basis = [
         occ
@@ -79,3 +110,97 @@ def random_state(registry, rng, truncation_order=2, n_terms=5):
         basis[int(k)]: complex(rng.normal(), rng.normal()) for k in picks
     }
     return FockState(registry, terms, truncation_order)
+
+
+# ---------------------------------------------------------------------------
+# The interferometer in the sparse Fock algebra
+# ---------------------------------------------------------------------------
+
+S1X = ModeId("S1", "x")
+S1Y = ModeId("S1", "y")
+S2X = ModeId("S2", "x")
+S2Y = ModeId("S2", "y")
+I1XP = ModeId("I1", "xp")
+VAC0XP = ModeId("VAC0", "xp")
+
+# signal modes in the row order of polsim.zwm's A (and column order of F),
+# then the idler modes in the column order of A
+SIGNAL_MODES = (S1X, S1Y, S2X, S2Y)
+IDLER_MODES = (I1XP, VAC0XP)
+
+
+def zwm_registry() -> ModeRegistry:
+    """The six-mode registry of the interferometer."""
+    return ModeRegistry(SIGNAL_MODES + IDLER_MODES)
+
+
+def build_state(cfg) -> FockState:
+    """Post-selected two-photon state to first order in the gains.
+
+    |vac> + g1 |S1x, I1> + g2 e^{-i phi_i} conj(T_eff) |S2x, I1>
+          + g2 e^{-i phi_i} R_eff |S2x, VAC0>,   R_eff = sqrt(1 - |T_eff|^2).
+
+    The second source's idler operator is the attenuator output, so the
+    creation amplitudes are the conjugated attenuator coefficients.
+    """
+    reg = zwm_registry()
+    vac = vacuum(reg, truncation_order=2)
+    state = vac + cfg.g1 * apply_creation(apply_creation(vac, I1XP), S1X)
+    idler_out = attenuator(cfg.t_eff, unit_expr(I1XP), VAC0XP, cfg.phi_i)
+    for mode, coef in idler_out.terms.items():
+        pair = apply_creation(apply_creation(vac, mode), S2X)
+        state = state + (cfg.g2 * coef.conjugate()) * pair
+    return state
+
+
+def output_fields(cfg):
+    """Detector-port field operators (Ex, Ey) as ModeExpr values.
+
+    The first arm is rotated by gamma and enters through the splitter's
+    transmission; the second arm enters through the reflection, whose i is
+    absorbed into the arm phase so the cross-term phase equals beta(cfg).
+    Per polarization p the second-arm coupling is bs_tp/sqrt(2) and the
+    first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
+    """
+    imp = cfg.imperfections
+    rot_x, rot_y = polarization_rotation(cfg.gamma, unit_expr(S1X), unit_expr(S1Y))
+    arm1 = cmath.exp(1j * cfg.phi_s1)
+    arm2 = cmath.exp(1j * (cfg.phi_s2 - math.pi / 2.0))
+    fields = []
+    for rot, s2_mode, bs_t in ((rot_x, S2X, imp.bs_tx), (rot_y, S2Y, imp.bs_ty)):
+        r = bs_t / math.sqrt(2.0)
+        t = math.sqrt(1.0 - r * r)
+        out, _ = beam_splitter(t, r, arm1 * rot, arm2 * unit_expr(s2_mode))
+        fields.append(out)
+    return fields[0], fields[1]
+
+
+def sparse_coherence_matrix(state, fields, mu_overlap=1.0) -> np.ndarray:
+    """G_pq = <E_p^dagger E_q> from mode-pair expectations of the fields.
+
+    Coherences between first-source and second-source modes are scaled by
+    mu_overlap (partial beam overlap); mu_overlap = 1 reduces exactly to
+    pair_expectation(state, E_p, E_q) by bilinearity.
+    """
+    ex, ey = fields
+    modes = []
+    for f in (ex, ey):
+        for m in f.terms:
+            if m not in modes:
+                modes.append(m)
+    moments = {}
+    for m in modes:
+        for n in modes:
+            val = pair_expectation(state, unit_expr(m), unit_expr(n))
+            if {m.label, n.label} == {"S1", "S2"}:
+                val *= mu_overlap
+            moments[m, n] = val
+    g = np.zeros((2, 2), dtype=complex)
+    for p, fp in enumerate((ex, ey)):
+        for q, fq in enumerate((ex, ey)):
+            g[p, q] = sum(
+                cp.conjugate() * fq.terms[n] * moments[m, n]
+                for m, cp in fp.terms.items()
+                for n in fq.terms
+            )
+    return g

@@ -1,6 +1,6 @@
-"""Acceptance gate: eight checks covering the closed forms, the Fock
-pipeline, the Monte-Carlo and tomography estimators, imperfection behaviour
-and CLI determinism.
+"""Acceptance gate: eight checks covering the closed forms, the
+biphoton-matrix pipeline, the Monte-Carlo and tomography estimators,
+imperfection behaviour and CLI determinism.
 
 Each test appends one PASS/FAIL summary line to conftest.ACCEPTANCE_REPORT;
 the terminal hook prints the collected lines after the run.
@@ -87,7 +87,7 @@ def test_acceptance_2_pipeline_matches_general_closed_form():
     ok = worst <= 1e-10 and elapsed < 2.0
     record(
         2, ok,
-        f"Fock pipeline vs general closed form on 11x7x3 grid "
+        f"biphoton-matrix pipeline vs general closed form on 11x7x3 grid "
         f"({matched_singular} matched dark-fringe point): "
         f"max |delta| = {worst:.2e} (tol 1e-10), {elapsed:.2f} s (budget 2 s)",
     )

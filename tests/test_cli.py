@@ -102,6 +102,32 @@ def test_out_of_range_gamma_argument_exits_3(capsys):
     assert "range error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["numeric", "analytic"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("axis", ["--gamma", "--t"])
+def test_non_finite_grid_argument_exits_3(tmp_path, capsys, mode, value, axis):
+    grid = {"--gamma": "0,30", "--t": "0.5"}
+    grid[axis] += "," + value
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--mode", mode, "--gamma", grid["--gamma"],
+                   "--t", grid["--t"], "--out", str(out)) == 3
+    assert "range error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
+def test_dark_fringe_in_grid_exits_2_without_output(tmp_path, capsys, mode):
+    """phi_s2 = pi puts the gamma = 0, |T| = 1 corner at zero intensity:
+    P is undefined there, so the whole sweep fails before writing."""
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(f"phi_s2_rad = {math.pi!r}\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
+                   "--gamma", "0,45", "--t", "0.5,1", "--out", str(out)) == 2
+    assert "zero intensity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
@@ -175,6 +201,16 @@ def test_tomo_malformed_table_exits_2(tmp_path, capsys):
     assert run_cli("tomo", "--counts", str(path),
                    "--out", str(tmp_path / "x.csv")) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_tomo_non_finite_angle_exits_3(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    "H 0 0 49821\nV 0 90 17\nD nan 45 25006\nR 0 45 24980\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == 3
+    assert "line 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tomo_missing_counts_file_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Passive optics: attenuator, rotator, beam splitter, Jones matrices."""
+"""Passive optics: the mode-operator attenuator, rotator and beam splitter
+of the sparse Fock reference (tests/_fock.py), and the Jones matrices."""
 
 import cmath
 import math
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 
 from polsim.errors import ParameterError
-from polsim.elements import (
+from polsim.elements import polarizer_jones, waveplate_jones
+from _fock import (
+    ModeExpr,
+    ModeId,
     attenuator,
     beam_splitter,
     polarization_rotation,
-    polarizer_jones,
-    waveplate_jones,
+    unit_expr,
 )
-from polsim.fock import ModeExpr, ModeId, unit_expr
 
 AX = unit_expr(ModeId("S1", "x"))
 AY = unit_expr(ModeId("S1", "y"))

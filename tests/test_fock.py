@@ -1,16 +1,18 @@
-"""Sparse Fock-state layer: algebra, ladder operators, dense-oracle parity."""
+"""Sparse Fock reference (tests/_fock.py): algebra, ladder operators,
+dense-oracle parity."""
 
 import math
 
 import numpy as np
 import pytest
 
-from polsim.errors import ParameterError, RegistryError
-from polsim.fock import (
+from polsim.errors import ParameterError
+from _fock import (
     FockState,
     ModeExpr,
     ModeId,
     ModeRegistry,
+    RegistryError,
     apply_annihilation,
     apply_creation,
     apply_expr,
@@ -19,7 +21,6 @@ from polsim.fock import (
     unit_expr,
     vacuum,
 )
-
 from _oracles import DenseFock, random_state
 
 S1X = ModeId("S1", "x")

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from polsim.errors import ConfigError, IllPosedError, ParameterError, ZeroTraceError
+from polsim.errors import (
+    ConfigError,
+    ConfigRangeError,
+    IllPosedError,
+    ParameterError,
+    ZeroTraceError,
+)
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
@@ -23,10 +29,8 @@ from polsim.tomography import (
 from polsim.zwm import (
     CoherenceMatrix,
     ZwmConfig,
-    build_state,
     coherence_matrix,
     degree_of_polarization,
-    output_fields,
 )
 
 NO_DARK = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
@@ -153,7 +157,7 @@ def test_mle_noiseless_unpolarized():
 def test_mle_noiseless_interferometer_point():
     """End to end: the |T| = 0.5, gamma = 60 deg operating point has P = 0.8."""
     cfg = ZwmConfig(t=0.5, gamma=math.pi / 3)
-    g = coherence_matrix(build_state(cfg), output_fields(cfg))
+    g = coherence_matrix(cfg)
     scaled = CoherenceMatrix(g.matrix * (5e4 / g.trace))
     counts = noiseless_counts(scaled.matrix)
     rec = mle_reconstruct(counts, DEFAULT_SETTINGS)
@@ -323,6 +327,16 @@ def test_counts_table_rejects_malformed_input(tmp_path, text, line):
         read_counts_table(path)
     if line is not None:
         assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["V nan 90 5", "V 0 inf 5", "V -inf 90 5"])
+def test_counts_table_rejects_non_finite_angles(tmp_path, row):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    f"H 0 0 5\n{row}\n")
+    with pytest.raises(ConfigRangeError) as err:
+        read_counts_table(path)
+    assert "line 3" in str(err.value)
 
 
 def test_counts_table_missing_file_is_a_config_error(tmp_path):

@@ -1,4 +1,9 @@
-"""Two-crystal interferometer: state, fields, coherence matrix, closed forms."""
+"""Two-crystal interferometer: biphoton amplitudes, fields, coherence
+matrix, closed forms.
+
+The matrix pipeline (A, F -> G) is checked against the sparse Fock builder
+and the dense-matrix simulator in tests/_oracles.py.
+"""
 
 import cmath
 import math
@@ -7,32 +12,71 @@ import numpy as np
 import pytest
 
 from polsim.errors import ParameterError, ZeroTraceError
-from polsim.fock import inner_product
 from polsim.zwm import (
-    I1XP,
-    IDEAL,
-    S1X,
-    S1Y,
-    S2X,
-    S2Y,
-    VAC0XP,
     CoherenceMatrix,
     ImperfectionConfig,
     ZwmConfig,
     analytic_p_general,
     analytic_p_special,
     beta,
-    build_state,
+    check_coherence,
+    coherence_grid,
     coherence_matrix,
     config_with,
     degree_of_polarization,
+    degree_of_polarization_grid,
+    field_map,
     numeric_degree_of_polarization,
-    output_fields,
+    signal_amplitudes,
     stokes_parameters,
+)
+
+from _fock import inner_product
+from _oracles import (
+    I1XP,
+    IDLER_MODES,
+    S1X,
+    S1Y,
+    S2X,
+    S2Y,
+    SIGNAL_MODES,
+    VAC0XP,
+    DenseFock,
+    build_state,
+    output_fields,
+    sparse_coherence_matrix,
     zwm_registry,
 )
 
-from _oracles import DenseFock
+# row/column indices of A (signal x idler) and columns of F
+S1x, S1y, S2x, S2y = range(4)
+I1, VAC0 = range(2)
+
+
+def amplitudes(cfg):
+    """A at the operating point of cfg, shape (4, 2)."""
+    return signal_amplitudes(cfg, abs(complex(cfg.t)))
+
+
+def fields(cfg):
+    """F at the operating point of cfg, shape (2, 4)."""
+    return field_map(cfg, cfg.gamma)
+
+
+def random_config(rng):
+    """Complex gains, random phases and all four imperfections."""
+    return ZwmConfig(
+        g1=rng.uniform(0.001, 0.1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        g2=rng.uniform(0.001, 0.1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        t=rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        gamma=rng.uniform(0, math.pi / 2),
+        phi_s1=rng.uniform(0, 2 * math.pi),
+        phi_s2=rng.uniform(0, 2 * math.pi),
+        phi_i=rng.uniform(0, 2 * math.pi),
+        imperfections=ImperfectionConfig(
+            eta_idler=rng.uniform(0.5, 1), bs_tx=rng.uniform(0.5, 1),
+            bs_ty=rng.uniform(0.5, 1), mu_overlap=rng.uniform(0, 1)),
+    )
 
 
 def occ(**kw):
@@ -62,6 +106,14 @@ def test_config_validation():
         ImperfectionConfig(mu_overlap=-0.1)
 
 
+def test_coherence_grid_rejects_points_outside_the_config_ranges():
+    cfg = ZwmConfig()
+    for gammas, ts in (([0.0, math.pi], [0.5]), ([math.nan], [0.5]),
+                       ([0.0], [0.5, 1.5]), ([0.0], [-0.1]), ([0.0], [math.nan])):
+        with pytest.raises(ParameterError):
+            coherence_grid(cfg, gammas, ts)
+
+
 def test_t_eff_folds_idler_loss():
     cfg = ZwmConfig(t=0.5j, imperfections=ImperfectionConfig(eta_idler=0.8))
     assert cfg.t_eff == pytest.approx(0.4j, rel=1e-15)
@@ -76,39 +128,47 @@ def test_config_with_replaces_and_revalidates():
 
 
 def test_registry_layout():
-    reg = zwm_registry()
-    assert tuple(reg) == (S1X, S1Y, S2X, S2Y, I1XP, VAC0XP)
+    """The reference registry lists the signal modes in the row order of A
+    and the column order of F, then the idler modes in the column order of A."""
+    assert tuple(zwm_registry()) == (S1X, S1Y, S2X, S2Y, I1XP, VAC0XP)
+    assert SIGNAL_MODES + IDLER_MODES == tuple(zwm_registry())
+    assert amplitudes(ZwmConfig()).shape == (len(SIGNAL_MODES), len(IDLER_MODES))
+    assert fields(ZwmConfig()).shape == (2, len(SIGNAL_MODES))
 
 
 # ---------------------------------------------------------------------------
-# source state
+# biphoton amplitudes A
 # ---------------------------------------------------------------------------
 
 def test_state_with_full_transmission_has_no_vacuum_port_term():
-    state = build_state(ZwmConfig(t=1.0))
-    assert state.amplitude(occ(s2x=1, vac0=1)) == 0.0
-    assert state.amplitude(occ(s2x=1, i1=1)) == pytest.approx(0.01, rel=1e-15)
+    a = amplitudes(ZwmConfig(t=1.0))
+    assert a[S2x, VAC0] == 0.0
+    assert a[S2x, I1] == pytest.approx(0.01, rel=1e-15)
 
 
 def test_state_with_blocked_idler_couples_s2_to_vacuum_port_only():
-    state = build_state(ZwmConfig(t=0.0))
-    assert state.amplitude(occ(s2x=1, i1=1)) == 0.0
-    assert abs(state.amplitude(occ(s2x=1, vac0=1))) == pytest.approx(0.01, rel=1e-15)
+    a = amplitudes(ZwmConfig(t=0.0))
+    assert a[S2x, I1] == 0.0
+    assert abs(a[S2x, VAC0]) == pytest.approx(0.01, rel=1e-15)
 
 
 def test_state_partial_transmission_amplitude():
-    state = build_state(ZwmConfig(g1=0.01, g2=0.01, t=0.6, phi_i=0.0))
-    assert state.amplitude(occ(s2x=1, vac0=1)) == pytest.approx(0.008, rel=1e-12)
-    assert state.amplitude(occ(s2x=1, i1=1)) == pytest.approx(0.006, rel=1e-12)
-    assert state.amplitude(occ(s1x=1, i1=1)) == pytest.approx(0.01, rel=1e-15)
-    assert state.amplitude(occ()) == 1.0
+    a = amplitudes(ZwmConfig(g1=0.01, g2=0.01, t=0.6, phi_i=0.0))
+    assert a[S2x, VAC0] == pytest.approx(0.008, rel=1e-12)
+    assert a[S2x, I1] == pytest.approx(0.006, rel=1e-12)
+    assert a[S1x, I1] == pytest.approx(0.01, rel=1e-15)
+    # only S1x and S2x are ever created
+    assert not a[[S1y, S2y]].any()
 
 
 def test_state_norm_is_transmission_independent():
     """<psi|psi> = 1 + 2 g^2 regardless of |T| (the lost amplitude moves to
     the vacuum port, it does not disappear)."""
     for t in (0.0, 0.3, 0.7, 1.0):
-        state = build_state(ZwmConfig(t=t))
+        cfg = ZwmConfig(t=t)
+        assert 1.0 + np.sum(np.abs(amplitudes(cfg)) ** 2) == pytest.approx(
+            1.0 + 2e-4, rel=1e-12)
+        state = build_state(cfg)
         norm = inner_product(state, state)
         assert norm.imag == pytest.approx(0.0, abs=1e-18)
         assert norm.real == pytest.approx(1.0 + 2e-4, rel=1e-12)
@@ -116,53 +176,93 @@ def test_state_norm_is_transmission_independent():
 
 def test_state_phase_conventions():
     cfg = ZwmConfig(g1=0.01j, g2=0.01, t=0.5, phi_i=0.4)
-    state = build_state(cfg)
-    assert state.amplitude(occ(s1x=1, i1=1)) == pytest.approx(0.01j, rel=1e-15)
+    a = amplitudes(cfg)
+    assert a[S1x, I1] == pytest.approx(0.01j, rel=1e-15)
     want = 0.01 * (0.5 * cmath.exp(0.4j)).conjugate()
-    assert state.amplitude(occ(s2x=1, i1=1)) == pytest.approx(want, rel=1e-13)
+    assert a[S2x, I1] == pytest.approx(want, rel=1e-13)
+
+
+def test_amplitudes_match_sparse_and_dense_fock_states():
+    """|vac> + sum A[s, i] a_s^dagger a_i^dagger |vac>, built densely from A,
+    is the sparse Fock builder's state; its signal moments are conj(A) A^T."""
+    rng = np.random.default_rng(41)
+    reg = zwm_registry()
+    dense = DenseFock(reg, 2)
+    vac = np.zeros(dense.dim, dtype=complex)
+    vac[dense.index[(0,) * len(reg)]] = 1.0
+    create = {m: dense.creation(m) for m in reg}
+    annihilate = {m: dense.annihilation(m) for m in reg}
+    for _ in range(20):
+        cfg = random_config(rng)
+        a = amplitudes(cfg)
+        state = build_state(cfg)
+        want = dense.vector(state)
+        got = vac + sum(a[k, j] * (create[s] @ create[i] @ vac)
+                        for k, s in enumerate(SIGNAL_MODES)
+                        for j, i in enumerate(IDLER_MODES))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(a).max())
+        for k, s in enumerate(SIGNAL_MODES):
+            for j, i in enumerate(IDLER_MODES):
+                assert a[k, j] == pytest.approx(
+                    state.amplitude(occ(**{s.label.lower() + s.pol: 1,
+                                           i.label.lower(): 1})),
+                    rel=1e-12, abs=1e-12 * np.abs(a).max())
+        moments = np.array([[want.conj() @ (annihilate[m].conj().T @ annihilate[n] @ want)
+                             for n in SIGNAL_MODES] for m in SIGNAL_MODES])
+        np.testing.assert_allclose(np.conj(a) @ a.T, moments, rtol=0,
+                                   atol=1e-12 * np.abs(moments).max())
 
 
 # ---------------------------------------------------------------------------
-# output fields
+# output fields F
 # ---------------------------------------------------------------------------
 
 def test_fields_without_rotation_keep_polarizations_separate():
-    ex, ey = output_fields(ZwmConfig(gamma=0.0))
-    assert ex.coefficient(S1Y) == 0.0
-    assert ex.coefficient(S2Y) == 0.0
-    assert ey.coefficient(S1X) == 0.0
-    assert ey.coefficient(S2X) == 0.0
+    f = fields(ZwmConfig(gamma=0.0))
+    assert f[0, S1y] == 0.0
+    assert f[0, S2y] == 0.0
+    assert f[1, S1x] == 0.0
+    assert f[1, S2x] == 0.0
 
 
 def test_fields_at_quarter_turn():
     phi1, phi2 = 0.3, 1.1
-    ex, ey = output_fields(ZwmConfig(gamma=math.pi / 2, phi_s1=phi1, phi_s2=phi2))
+    f = fields(ZwmConfig(gamma=math.pi / 2, phi_s1=phi1, phi_s2=phi2))
     s = 1 / math.sqrt(2)
-    assert ex.coefficient(S1Y) == pytest.approx(-cmath.exp(1j * phi1) * s, rel=1e-12)
-    assert ex.coefficient(S2X) == pytest.approx(cmath.exp(1j * phi2) * s, rel=1e-12)
-    assert abs(ex.coefficient(S1X)) < 1e-15
-    assert ey.coefficient(S1X) == pytest.approx(cmath.exp(1j * phi1) * s, rel=1e-12)
-    assert ey.coefficient(S2Y) == pytest.approx(cmath.exp(1j * phi2) * s, rel=1e-12)
+    assert f[0, S1y] == pytest.approx(-cmath.exp(1j * phi1) * s, rel=1e-12)
+    assert f[0, S2x] == pytest.approx(cmath.exp(1j * phi2) * s, rel=1e-12)
+    assert abs(f[0, S1x]) < 1e-15
+    assert f[1, S1x] == pytest.approx(cmath.exp(1j * phi1) * s, rel=1e-12)
+    assert f[1, S2y] == pytest.approx(cmath.exp(1j * phi2) * s, rel=1e-12)
 
 
 def test_fields_with_polarizing_splitter():
     imp = ImperfectionConfig(bs_tx=0.9, bs_ty=1.0)
-    ex, ey = output_fields(ZwmConfig(gamma=0.0, imperfections=imp))
+    f = fields(ZwmConfig(gamma=0.0, imperfections=imp))
     ideal = 1 / math.sqrt(2)
-    assert abs(ex.coefficient(S2X)) == pytest.approx(0.9 * ideal, rel=1e-12)
-    assert abs(ey.coefficient(S2Y)) == pytest.approx(ideal, rel=1e-12)
+    assert abs(f[0, S2x]) == pytest.approx(0.9 * ideal, rel=1e-12)
+    assert abs(f[1, S2y]) == pytest.approx(ideal, rel=1e-12)
     # unitary completion keeps each polarization channel lossless
-    assert ex.coefficient_norm_sq() == pytest.approx(1.0, abs=1e-12)
-    assert ey.coefficient_norm_sq() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(np.sum(np.abs(f) ** 2, axis=-1), 1.0, atol=1e-12)
 
 
 def test_fields_are_normalized_for_any_rotation():
     rng = np.random.default_rng(8)
     for _ in range(10):
         imp = ImperfectionConfig(bs_tx=rng.uniform(0, 1), bs_ty=rng.uniform(0, 1))
-        cfg = ZwmConfig(gamma=rng.uniform(0, math.pi / 2), imperfections=imp)
-        for f in output_fields(cfg):
-            assert f.coefficient_norm_sq() == pytest.approx(1.0, abs=1e-12)
+        cfg = ZwmConfig(imperfections=imp)
+        f = field_map(cfg, rng.uniform(0, math.pi / 2, size=7))
+        assert f.shape == (7, 2, 4)
+        np.testing.assert_allclose(np.sum(np.abs(f) ** 2, axis=-1), 1.0, atol=1e-12)
+
+
+def test_field_map_matches_sparse_fock_fields():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        cfg = random_config(rng)
+        want = np.array([[e.coefficient(m) for m in SIGNAL_MODES]
+                         for e in output_fields(cfg)])
+        np.testing.assert_allclose(fields(cfg), want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +276,25 @@ def test_coherence_matrix_guards():
         CoherenceMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
     with pytest.raises(ParameterError):
         CoherenceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
+    with pytest.raises(ParameterError):
+        CoherenceMatrix(np.array([[1.0 + 0.1j, 0.0], [0.0, 1.0]]))  # complex diagonal
     g = CoherenceMatrix(np.zeros((2, 2)))  # exactly zero is allowed
     assert g.trace == 0.0
     with pytest.raises(ValueError):
         CoherenceMatrix(np.eye(2)).matrix[0, 0] = 5.0  # read-only view
+
+
+def test_check_coherence_on_stacked_matrices():
+    good = np.stack([np.eye(2), np.zeros((2, 2)), [[0.5, 0.25j], [-0.25j, 0.5]]])
+    check_coherence(good.astype(complex).reshape(3, 1, 2, 2))
+    for bad in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                [[1.0 + 0.1j, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ParameterError):
+            check_coherence(np.concatenate([good, [bad]]).astype(complex))
+    with pytest.raises(ParameterError):
+        check_coherence(np.zeros((4, 3, 3)))
+    with pytest.raises(ParameterError):
+        CoherenceMatrix(np.full((2, 2), np.nan))
 
 
 def test_coherence_matrix_accessors():
@@ -190,15 +305,13 @@ def test_coherence_matrix_accessors():
 
 
 def test_no_rotation_leaves_y_channel_empty():
-    cfg = ZwmConfig(gamma=0.0, t=0.7)
-    g = coherence_matrix(build_state(cfg), output_fields(cfg))
+    g = coherence_matrix(ZwmConfig(gamma=0.0, t=0.7))
     assert g.gyy == 0.0
     assert g.gxy == 0.0
 
 
 def test_blocked_idler_at_quarter_turn_is_unpolarized():
-    cfg = ZwmConfig(gamma=math.pi / 2, t=0.0)
-    g = coherence_matrix(build_state(cfg), output_fields(cfg))
+    g = coherence_matrix(ZwmConfig(gamma=math.pi / 2, t=0.0))
     gsq = 1e-4
     np.testing.assert_allclose(g.matrix, (gsq / 2) * np.eye(2), atol=1e-18)
     assert degree_of_polarization(g) == pytest.approx(0.0, abs=1e-12)
@@ -207,55 +320,62 @@ def test_blocked_idler_at_quarter_turn_is_unpolarized():
 def test_partial_transmission_eigenvalue_ratio():
     cfg = ZwmConfig(gamma=math.pi / 2, t=0.5)
     assert beta(cfg) == 0.0
-    g = coherence_matrix(build_state(cfg), output_fields(cfg))
-    lo, hi = np.linalg.eigvalsh(g.matrix)
+    lo, hi = np.linalg.eigvalsh(coherence_matrix(cfg).matrix)
     assert hi / lo == pytest.approx(3.0, rel=1e-10)
 
 
 def test_pipeline_matrices_satisfy_strict_invariants():
+    """G is a Gram matrix: exactly Hermitian with a real diagonal, PSD."""
     rng = np.random.default_rng(17)
     for _ in range(12):
-        cfg = ZwmConfig(
-            t=rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
-            gamma=rng.uniform(0, math.pi / 2),
-            phi_s1=rng.uniform(0, 2 * math.pi),
-            phi_s2=rng.uniform(0, 2 * math.pi),
-            phi_i=rng.uniform(0, 2 * math.pi),
-        )
-        g = coherence_matrix(build_state(cfg), output_fields(cfg))
-        m = g.matrix
-        assert abs(m[1, 0] - m[0, 1].conjugate()) <= 1e-12 * g.trace
-        assert min(np.linalg.eigvalsh(m)) >= -1e-12 * g.trace
-        assert g.trace > 0.0
+        cfg = random_config(rng)
+        g = coherence_grid(cfg, rng.uniform(0, math.pi / 2, size=5),
+                           rng.uniform(0, 1, size=4))
+        trace = g[..., 0, 0].real + g[..., 1, 1].real
+        assert np.array_equal(g[..., 1, 0], np.conj(g[..., 0, 1]))
+        assert not g[..., 0, 0].imag.any() and not g[..., 1, 1].imag.any()
+        assert np.all(np.linalg.eigvalsh(g)[..., 0] >= -1e-12 * trace)
+        assert np.all(trace > 0.0)
 
 
 def test_dense_oracle_reproduces_coherence_matrix():
-    """Sparse pipeline vs explicit dense matrices on random operating points."""
+    """Matrix pipeline vs the sparse Fock builder and explicit dense matrices
+    on random operating points with every imperfection switched on."""
     rng = np.random.default_rng(31)
-    for _ in range(8):
-        imp = ImperfectionConfig(bs_tx=rng.uniform(0.5, 1), bs_ty=rng.uniform(0.5, 1))
-        cfg = ZwmConfig(
-            g1=0.01 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
-            g2=0.02,
-            t=rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
-            gamma=rng.uniform(0, math.pi / 2),
-            phi_s1=rng.uniform(0, 2 * math.pi),
-            phi_s2=rng.uniform(0, 2 * math.pi),
-            phi_i=rng.uniform(0, 2 * math.pi),
-            imperfections=imp,
-        )
-        state = build_state(cfg)
-        fields = output_fields(cfg)
-        got = coherence_matrix(state, fields).matrix
-        want = DenseFock(zwm_registry(), 2).coherence(state, fields)
-        np.testing.assert_allclose(got, want, atol=1e-12 * np.abs(want).max())
+    dense = DenseFock(zwm_registry(), 2)
+    for _ in range(20):
+        cfg = random_config(rng)
+        state, fock_fields = build_state(cfg), output_fields(cfg)
+        mu = cfg.imperfections.mu_overlap
+        got = coherence_matrix(cfg).matrix
+        sparse = sparse_coherence_matrix(state, fock_fields, mu)
+        want = dense.coherence(state, fock_fields, mu)
+        np.testing.assert_allclose(sparse, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_grid_entries_equal_single_point_calls():
+    rng = np.random.default_rng(37)
+    cfg = random_config(rng)
+    gammas = rng.uniform(0, math.pi / 2, size=6)
+    ts = np.append(rng.uniform(0, 1, size=4), [0.0, 1.0])
+    grid = coherence_grid(cfg, gammas, ts)
+    p_grid = degree_of_polarization_grid(grid)
+    assert grid.shape == (6, 6, 2, 2) and p_grid.shape == (6, 6)
+    phase = cfg.t / abs(cfg.t)
+    for i, gamma in enumerate(gammas):
+        for j, t_abs in enumerate(ts):
+            assert np.array_equal(grid[i, j], coherence_grid(cfg, [gamma], [t_abs])[0, 0])
+            point = config_with(cfg, gamma=gamma, t=t_abs * phase)
+            assert p_grid[i, j] == pytest.approx(
+                numeric_degree_of_polarization(point), rel=1e-14, abs=1e-15)
 
 
 def test_overlap_factor_scales_cross_source_terms_only():
     cfg = ZwmConfig(gamma=math.pi / 2, t=0.7)
-    state, fields = build_state(cfg), output_fields(cfg)
-    full = coherence_matrix(state, fields, 1.0)
-    half = coherence_matrix(state, fields, 0.3)
+    full = coherence_matrix(cfg)
+    half = coherence_matrix(config_with(
+        cfg, imperfections=ImperfectionConfig(mu_overlap=0.3)))
     assert half.gxy == pytest.approx(0.3 * full.gxy, rel=1e-12)
     assert half.gxx == pytest.approx(full.gxx, rel=1e-12)
     assert half.gyy == pytest.approx(full.gyy, rel=1e-12)
@@ -377,12 +497,17 @@ def test_analytic_general_guards():
 
 def test_dark_fringe_is_singular_on_both_paths():
     """Full destructive cancellation: no intensity, so P is undefined and the
-    closed form and the Fock pipeline must both say so."""
+    closed form and the matrix pipeline must both say so."""
     cfg = ZwmConfig(t=1.0, gamma=0.0, phi_s2=math.pi)
     with pytest.raises(ZeroTraceError):
         analytic_p_general(cfg)
     with pytest.raises(ZeroTraceError):
         numeric_degree_of_polarization(cfg)
+    # on a grid the dark point has exactly zero G and fails the whole call
+    grid = coherence_grid(cfg, [0.0, math.pi / 4], [0.5, 1.0])
+    assert not grid[0, 1].any()
+    with pytest.raises(ZeroTraceError):
+        degree_of_polarization_grid(grid)
 
 
 def test_pipeline_matches_closed_form_off_grid():
