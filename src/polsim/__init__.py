@@ -18,7 +18,6 @@ from .gedanken import (
     extremal_probabilities,
     monte_carlo_detection,
 )
-from .kernels import active_backend
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import ParameterError
 
 _COS_TOL = 1e-12
@@ -100,8 +99,7 @@ def monte_carlo_detection(
     (1 - m^2)/2 and (1 + m^2)/2 reproduces the closed form, so the sampler
     checks the probability bookkeeping independently of it.
 
-    Deterministic given (seed, samples); both kernel backends consume the
-    same uniform stream and agree exactly.
+    Deterministic given (seed, samples).
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -111,8 +109,7 @@ def monte_carlo_detection(
     p_coherent = 2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2)
     rng = np.random.default_rng(seed)
     u = rng.random((3, samples))
-    hits = kernels.mc_detection_count(
-        u[0], u[1], u[2], one_minus_m2, p_flagged, p_coherent
-    )
+    flagged = (u[0] < 0.5) & (u[1] < one_minus_m2)
+    hits = int(np.count_nonzero(u[2] < np.where(flagged, p_flagged, p_coherent)))
     p_hat = hits / samples
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -86,7 +86,9 @@ def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
     )
     total = p_max + p_min
     if total == 0.0:
-        return math.nan, math.nan
+        raise ZeroTraceError(
+            f"degree of polarization undefined at zero intensity: no detection "
+            f"at either extremum in {samples} samples each")
     p = (p_max - p_min) / total
     stderr = 2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2
     return p, stderr
@@ -99,7 +101,12 @@ def _tomography_p_estimate(cfg: ZwmConfig, detector: DetectorModel, seed_seq) ->
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     normalized = CoherenceMatrix(g.matrix / g.trace)
     raw = simulate_counts(normalized, DEFAULT_SETTINGS, detector, seed_seq)
-    return reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+    p = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+    if math.isnan(p):
+        raise ZeroTraceError(
+            "degree of polarization undefined at zero intensity: all "
+            "background-corrected counts are zero")
+    return p
 
 
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from . import kernels
 from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .zwm import CoherenceMatrix, degree_of_polarization
@@ -123,6 +122,41 @@ def _matrix_to_params(g: np.ndarray) -> np.ndarray:
     return np.array([t0, math.sqrt(max(rest, 0.0)), t2, t3])
 
 
+# params = (t0, t1, t2, t3) parameterize G = L L^dagger with
+# L = [[t0, 0], [t2 + i*t3, t1]], i.e.
+#   Gxx = t0^2, Gyy = t1^2 + t2^2 + t3^2, Gxy = t0*(t2 - i*t3).
+# Projector p is packed as (pxx, pyy, Re pxy, Im pxy) per setting; the
+# negative log-likelihood is sum(mu - n*log(mu)) with mu floored.
+
+def _nll_poisson_grad(params, pxx, pyy, rexy, imxy, counts, floor):
+    t0, t1, t2, t3 = params
+    gxx = t0 * t0
+    gyy = t1 * t1 + t2 * t2 + t3 * t3
+    re, im = t0 * t2, -t0 * t3
+    mu = pxx * gxx + pyy * gyy + 2.0 * (rexy * re + imxy * im)
+    mu = np.maximum(mu, floor)
+    nll = float(np.sum(mu - counts * np.log(mu)))
+    w = 1.0 - counts / mu
+    grad = np.empty(4)
+    grad[0] = float(np.sum(w * (2.0 * t0 * pxx + 2.0 * (rexy * t2 - imxy * t3))))
+    grad[1] = float(np.sum(w * (2.0 * t1 * pyy)))
+    grad[2] = float(np.sum(w * (2.0 * t2 * pyy + 2.0 * rexy * t0)))
+    grad[3] = float(np.sum(w * (2.0 * t3 * pyy - 2.0 * imxy * t0)))
+    return nll, grad
+
+
+def _nll_poisson_batch(params, pxx, pyy, rexy, imxy, counts, floor):
+    """Negative log-likelihood of every row of an (n, 4) parameter array."""
+    t0, t1, t2, t3 = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
+    gxx = t0 * t0
+    gyy = t1 * t1 + t2 * t2 + t3 * t3
+    re, im = t0 * t2, -t0 * t3
+    mu = (gxx[:, None] * pxx[None, :] + gyy[:, None] * pyy[None, :]
+          + 2.0 * (re[:, None] * rexy[None, :] + im[:, None] * imxy[None, :]))
+    np.maximum(mu, floor, out=mu)
+    return np.sum(mu - counts[None, :] * np.log(mu), axis=1)
+
+
 def _linear_inversion_psd(counts, pxx, pyy, rexy, imxy) -> np.ndarray:
     design = np.column_stack([pxx, pyy, 2.0 * rexy, 2.0 * imxy])
     sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
@@ -161,27 +195,24 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
 
     floor = _MU_FLOOR_REL * (counts.sum() + 1.0)
     args = (pxx, pyy, rexy, imxy, counts, floor)
-
-    def value_grad(t):
-        return kernels.nll_poisson_grad(t, *args)
-
     t_init = _matrix_to_params(_linear_inversion_psd(counts, pxx, pyy, rexy, imxy))
     scale = math.sqrt(counts.sum())
     if np.linalg.norm(t_init) < 1e-9 * scale:
         t_init = np.full(4, 0.1 * scale)
 
     best_t = t_init.copy()
-    best_nll = value_grad(best_t)[0]
+    best_nll = _nll_poisson_grad(best_t, *args)[0]
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     for _ in range(8):
-        res = minimize(value_grad, best_t, jac=True, method="L-BFGS-B",
+        res = minimize(_nll_poisson_grad, best_t, args=args, jac=True,
+                       method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
         if res.fun <= best_nll:
             best_t, best_nll = np.asarray(res.x), float(res.fun)
         steps = np.maximum(1e-4 * np.abs(best_t), 1e-6 * scale)
         axes = [best_t[k] + offsets * steps[k] for k in range(4)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        grid_nll = kernels.nll_poisson_batch(grid, *args)
+        grid_nll = _nll_poisson_batch(grid, *args)
         k_min = int(np.argmin(grid_nll))
         if grid_nll[k_min] >= best_nll - 1e-9:
             break

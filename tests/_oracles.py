@@ -9,6 +9,9 @@ contract (the adjoint of the in-space annihilation matrix does exactly that).
 build_state, output_fields and sparse_coherence_matrix assemble the
 interferometer in the sparse Fock algebra, term by term from the optical
 elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
+
+The *_loop functions are element-by-element forms of the vectorized Monte-Carlo
+hit count in polsim.gedanken and the Poisson likelihood in polsim.tomography.
 """
 
 import cmath
@@ -204,3 +207,46 @@ def sparse_coherence_matrix(state, fields, mu_overlap=1.0) -> np.ndarray:
                 for n in fq.terms
             )
     return g
+
+
+def mc_detection_count_loop(u_source, u_report, u_detect,
+                            one_minus_m2, p_flagged, p_coherent):
+    """Hits of monte_carlo_detection, one sample at a time: a source-1 sample
+    flagged by the marker detects below p_flagged, every other sample below
+    p_coherent."""
+    hits = 0
+    for i in range(u_source.shape[0]):
+        if u_source[i] < 0.5 and u_report[i] < one_minus_m2:
+            if u_detect[i] < p_flagged:
+                hits += 1
+        elif u_detect[i] < p_coherent:
+            hits += 1
+    return hits
+
+
+def nll_poisson_grad_loop(params, pxx, pyy, rexy, imxy, counts, floor):
+    t0, t1, t2, t3 = params[0], params[1], params[2], params[3]
+    gxx = t0 * t0
+    gyy = t1 * t1 + t2 * t2 + t3 * t3
+    re, im = t0 * t2, -t0 * t3
+    nll = 0.0
+    grad = np.zeros(4)
+    for i in range(pxx.shape[0]):
+        mu = pxx[i] * gxx + pyy[i] * gyy + 2.0 * (rexy[i] * re + imxy[i] * im)
+        if mu < floor:
+            mu = floor
+        nll += mu - counts[i] * math.log(mu)
+        w = 1.0 - counts[i] / mu
+        grad[0] += w * (2.0 * t0 * pxx[i] + 2.0 * (rexy[i] * t2 - imxy[i] * t3))
+        grad[1] += w * (2.0 * t1 * pyy[i])
+        grad[2] += w * (2.0 * t2 * pyy[i] + 2.0 * rexy[i] * t0)
+        grad[3] += w * (2.0 * t3 * pyy[i] - 2.0 * imxy[i] * t0)
+    return nll, grad
+
+
+def nll_poisson_batch_loop(params, pxx, pyy, rexy, imxy, counts, floor):
+    out = np.empty(params.shape[0])
+    for k in range(params.shape[0]):
+        out[k] = nll_poisson_grad_loop(params[k], pxx, pyy, rexy, imxy,
+                                       counts, floor)[0]
+    return out

@@ -153,8 +153,7 @@ def test_acceptance_4_extrema_match_dense_scan():
 
 
 def test_acceptance_5_monte_carlo_vs_closed_form():
-    # one small warm-up call so kernel dispatch (and JIT compilation when
-    # the accelerated backend is active) stays out of the timed section
+    # one small warm-up call keeps first-call costs out of the timed section
     monte_carlo_detection(GedankenConfig(gamma=0.3, m=0.5, theta=0.2), 1000, 0)
     samples = 1_000_000
     start = time.perf_counter()

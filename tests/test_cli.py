@@ -115,7 +115,8 @@ def test_non_finite_grid_argument_exits_3(tmp_path, capsys, mode, value, axis):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
+@pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography",
+                                  "montecarlo"])
 def test_dark_fringe_in_grid_exits_2_without_output(tmp_path, capsys, mode):
     """phi_s2 = pi puts the gamma = 0, |T| = 1 corner at zero intensity:
     P is undefined there, so the whole sweep fails before writing."""
@@ -125,6 +126,25 @@ def test_dark_fringe_in_grid_exits_2_without_output(tmp_path, capsys, mode):
     assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
                    "--gamma", "0,45", "--t", "0.5,1", "--out", str(out)) == 2
     assert "zero intensity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_text, mode, argv, message", [
+    ("kappa_cps = 0\n", "tomography", (),
+     "all background-corrected counts are zero"),
+    ("", "montecarlo", ("--samples", "1", "--seed", "1"),
+     "no detection at either extremum in 1 samples each"),
+], ids=["tomography-kappa-0", "montecarlo-one-sample"])
+def test_sweep_without_detections_exits_2(tmp_path, capsys, cfg_text, mode,
+                                          argv, message):
+    """No detected counts leave P undefined even away from a dark fringe."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--mode", mode, "--gamma", "30",
+                   "--t", "0.5", *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "zero intensity" in err and message in err
     assert not out.exists()
 
 

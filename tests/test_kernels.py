@@ -1,13 +1,19 @@
-"""Kernel backends: cross-implementation agreement and dispatch plumbing."""
+"""The vectorized numeric kernels against their element-by-element oracles:
+the Monte-Carlo hit count inside gedanken.monte_carlo_detection and the
+Poisson likelihood of tomography.mle_reconstruct."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
-from polsim import kernels
+from _oracles import (
+    mc_detection_count_loop,
+    nll_poisson_batch_loop,
+    nll_poisson_grad_loop,
+)
+from polsim.gedanken import GedankenConfig, _amplitudes, monte_carlo_detection
+from polsim.tomography import _nll_poisson_batch, _nll_poisson_grad
 
 
 def random_problem(rng, n_settings=4):
@@ -31,8 +37,20 @@ def reference_nll(t, pxx, pyy, rexy, imxy, counts, floor):
     return float(np.sum(mu - counts * np.log(mu)))
 
 
-def test_active_backend_is_reported():
-    assert kernels.active_backend() in ("numpy", "numba")
+def mc_hits(cfg, samples, seed):
+    """Hit count behind monte_carlo_detection(cfg, samples, seed)."""
+    p_hat, _ = monte_carlo_detection(cfg, samples, seed)
+    return round(p_hat * samples)
+
+
+def loop_hits(cfg, samples, seed):
+    """The loop oracle on the same uniform stream, with the documented
+    branch thresholds."""
+    a1, a2 = _amplitudes(cfg)
+    u = np.random.default_rng(seed).random((3, samples))
+    return mc_detection_count_loop(
+        u[0], u[1], u[2], 1.0 - cfg.m**2, 2.0 * abs(a1) ** 2,
+        2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2))
 
 
 def test_mc_count_matches_direct_enumeration():
@@ -43,28 +61,29 @@ def test_mc_count_matches_direct_enumeration():
     for s, r, d in zip(*u):
         p = p_flag if (s < 0.5 and r < one_minus_m2) else p_coh
         want += d < p
-    got = kernels.mc_detection_count_numpy(u[0], u[1], u[2], one_minus_m2, p_flag, p_coh)
-    assert got == want
-    assert kernels._mc_detection_count_loop(u[0], u[1], u[2], one_minus_m2, p_flag, p_coh) == want
+    assert mc_detection_count_loop(u[0], u[1], u[2], one_minus_m2, p_flag, p_coh) == want
+    cfg = GedankenConfig(gamma=0.7, m=0.6, phi1=0.4, phi2=2.1, theta=1.3)
+    assert mc_hits(cfg, 5000, 11) == loop_hits(cfg, 5000, 11)
 
 
 def test_mc_count_backends_agree_exactly():
     rng = np.random.default_rng(2)
-    variants = [kernels.mc_detection_count_numpy, kernels._mc_detection_count_loop]
-    if kernels.HAS_NUMBA:
-        variants.append(kernels.mc_detection_count_numba)
-    for _ in range(10):
-        u = rng.random((3, 20000))
-        args = (u[0], u[1], u[2], rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1))
-        hits = {f(*args) for f in variants}
-        assert len(hits) == 1
+    for k in range(10):
+        cfg = GedankenConfig(
+            gamma=rng.uniform(0.0, math.pi / 2.0),
+            m=rng.uniform(0.0, 1.0),
+            phi1=rng.uniform(0.0, 2.0 * math.pi),
+            phi2=rng.uniform(0.0, 2.0 * math.pi),
+            theta=rng.uniform(0.0, math.pi),
+        )
+        assert mc_hits(cfg, 20000, 100 + k) == loop_hits(cfg, 20000, 100 + k)
 
 
 def test_nll_value_matches_reference():
     rng = np.random.default_rng(3)
     for _ in range(20):
         t, args = random_problem(rng)
-        nll, _ = kernels.nll_poisson_grad_numpy(t, *args)
+        nll, _ = _nll_poisson_grad(t, *args)
         assert nll == pytest.approx(reference_nll(t, *args), rel=1e-13)
 
 
@@ -72,7 +91,7 @@ def test_nll_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     for _ in range(10):
         t, args = random_problem(rng)
-        _, grad = kernels.nll_poisson_grad_numpy(t, *args)
+        _, grad = _nll_poisson_grad(t, *args)
         h = 1e-5 * max(1.0, np.max(np.abs(t)))
         for k in range(4):
             tp, tm = t.copy(), t.copy()
@@ -84,63 +103,28 @@ def test_nll_gradient_matches_finite_differences():
 
 def test_nll_backends_agree():
     rng = np.random.default_rng(5)
-    variants = [kernels.nll_poisson_grad_numpy, kernels._nll_poisson_grad_loop]
-    if kernels.HAS_NUMBA:
-        variants.append(kernels.nll_poisson_grad_numba)
     for n_settings in (4, 6, 12):
         t, args = random_problem(rng, n_settings)
-        results = [f(t, *args) for f in variants]
-        for nll, grad in results[1:]:
-            assert nll == pytest.approx(results[0][0], rel=1e-14)
-            np.testing.assert_allclose(grad, results[0][1], rtol=1e-12, atol=1e-12)
+        nll, grad = _nll_poisson_grad(t, *args)
+        nll_loop, grad_loop = nll_poisson_grad_loop(t, *args)
+        assert nll_loop == pytest.approx(nll, rel=1e-14)
+        np.testing.assert_allclose(grad_loop, grad, rtol=1e-12, atol=1e-12)
 
 
 def test_nll_batch_rows_equal_single_evaluations():
     rng = np.random.default_rng(6)
     _, args = random_problem(rng)
     batch = rng.normal(size=(25, 4)) * 100.0
-    out_numpy = kernels.nll_poisson_batch_numpy(batch, *args)
-    out_loop = kernels._nll_poisson_batch_loop(batch, *args)
-    np.testing.assert_allclose(out_numpy, out_loop, rtol=1e-14)
-    if kernels.HAS_NUMBA:
-        out_numba = kernels.nll_poisson_batch_numba(batch, *args)
-        np.testing.assert_allclose(out_numba, out_loop, rtol=1e-14)
+    out = _nll_poisson_batch(batch, *args)
+    np.testing.assert_allclose(out, nll_poisson_batch_loop(batch, *args), rtol=1e-14)
     for k in (0, 7, 24):
-        single, _ = kernels.nll_poisson_grad_numpy(batch[k], *args)
-        assert out_numpy[k] == pytest.approx(single, rel=1e-13)
+        single, _ = _nll_poisson_grad(batch[k], *args)
+        assert out[k] == pytest.approx(single, rel=1e-13)
 
 
 def test_floor_keeps_nll_finite_at_origin():
     rng = np.random.default_rng(7)
     _, args = random_problem(rng)
-    nll, grad = kernels.nll_poisson_grad_numpy(np.zeros(4), *args)
+    nll, grad = _nll_poisson_grad(np.zeros(4), *args)
     assert np.isfinite(nll)
     assert np.all(np.isfinite(grad))
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("POLSIM_NUMBA", None)
-    else:
-        env["POLSIM_NUMBA"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import polsim.kernels as k; print(k.active_backend())"],
-        capture_output=True, text=True, env=env,
-    )
-
-
-def test_backend_env_flag():
-    """POLSIM_NUMBA selects the backend at import time."""
-    res = _backend_in_subprocess("0")
-    assert res.returncode == 0 and res.stdout.strip() == "numpy"
-    res = _backend_in_subprocess(None)
-    expected = "numba" if kernels.HAS_NUMBA else "numpy"
-    assert res.returncode == 0 and res.stdout.strip() == expected
-    if kernels.HAS_NUMBA:
-        res = _backend_in_subprocess("1")
-        assert res.returncode == 0 and res.stdout.strip() == "numba"
-    res = _backend_in_subprocess("maybe")
-    assert res.returncode != 0
-    assert "POLSIM_NUMBA" in res.stderr
