@@ -14,6 +14,7 @@ from .errors import (
 from .gedanken import (
     GedankenConfig,
     degree_of_polarization_gedanken,
+    degree_of_polarization_gedanken_grid,
     detection_probability,
     extremal_probabilities,
     monte_carlo_detection,
@@ -38,6 +39,7 @@ from .zwm import (
     ImperfectionConfig,
     ZwmConfig,
     analytic_p_general,
+    analytic_p_grid,
     analytic_p_special,
     beta,
     check_coherence,

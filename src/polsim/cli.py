@@ -19,7 +19,7 @@ import numpy as np
 from .config import format_config, load_config
 from .errors import ConfigRangeError, PolsimError, ZeroTraceError
 from .gedanken import degree_of_polarization_gedanken
-from .sweep import DEFAULT_MC_SAMPLES, SweepSpec, format_rows, run_sweep
+from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, run_sweep
 from .tomography import reconstruct_run, read_counts_table
 from .zwm import (
     ZwmConfig,
@@ -48,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate P over a (gamma, |T|) grid")
     sweep.add_argument("--config", default=None, metavar="PATH",
                        help="key=value config file (default: ideal instrument)")
-    sweep.add_argument("--mode", choices=("analytic", "numeric", "tomography",
-                                          "gedanken", "montecarlo"),
-                       help="evaluation mode")
+    sweep.add_argument("--mode", choices=MODES, help="evaluation mode")
     sweep.add_argument("--gamma", type=_csv_floats, metavar="CSV",
                        help="rotation angles in degrees")
     sweep.add_argument("--t", type=_csv_floats, metavar="CSV",

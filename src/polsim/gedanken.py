@@ -42,12 +42,19 @@ class GedankenConfig:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.m <= 1.0:
-            raise ParameterError(f"marker quality m = {self.m} outside [0, 1]")
-        if math.cos(self.gamma) < -_COS_TOL:
-            raise ParameterError(
-                f"gamma = {self.gamma} rad has cos < 0; not a valid erasure angle"
-            )
+        _check_ranges(self.gamma, self.m)
+
+
+def _check_ranges(gammas, ms) -> None:
+    """ParameterError unless every m is in [0, 1] and every cos(gamma) >= 0."""
+    ms, gammas = np.asarray(ms, dtype=float), np.asarray(gammas, dtype=float)
+    bad_m = ms[~((ms >= 0.0) & (ms <= 1.0))]
+    if bad_m.size:
+        raise ParameterError(f"marker quality m = {bad_m[0]} outside [0, 1]")
+    bad_gamma = gammas[~(np.cos(gammas) >= -_COS_TOL)]
+    if bad_gamma.size:
+        raise ParameterError(
+            f"gamma = {bad_gamma[0]} rad has cos < 0; not a valid erasure angle")
 
 
 def _amplitudes(cfg: GedankenConfig) -> tuple[complex, complex]:
@@ -79,11 +86,19 @@ def extremal_probabilities(gamma: float, m: float) -> tuple[float, float]:
     )
 
 
+def degree_of_polarization_gedanken_grid(gammas, ms) -> np.ndarray:
+    """Visibility (p_max - p_min)/(p_max + p_min) = (m + cos g)/(1 + m cos g)
+    at (gammas[i], ms[j]), shape (n_g, n_m)."""
+    gammas = np.asarray(gammas, dtype=float).reshape(-1, 1)
+    ms = np.asarray(ms, dtype=float).reshape(1, -1)
+    _check_ranges(gammas, ms)
+    c = np.cos(gammas)
+    return (ms + c) / (1.0 + ms * c)
+
+
 def degree_of_polarization_gedanken(gamma: float, m: float) -> float:
-    """Visibility (p_max - p_min)/(p_max + p_min) = (m + cos g)/(1 + m cos g)."""
-    GedankenConfig(gamma=gamma, m=m)
-    c = math.cos(gamma)
-    return (m + c) / (1.0 + m * c)
+    """Visibility at one (gamma, m): a 1x1 degree_of_polarization_gedanken_grid."""
+    return float(degree_of_polarization_gedanken_grid(gamma, m)[0, 0])
 
 
 def monte_carlo_detection(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, ParameterError, ZeroTraceError
-from .gedanken import GedankenConfig, degree_of_polarization_gedanken, monte_carlo_detection
+from .gedanken import (GedankenConfig, degree_of_polarization_gedanken_grid,
+                       monte_carlo_detection)
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
@@ -23,11 +24,12 @@ from .tomography import (
 from .zwm import (
     CoherenceMatrix,
     ZwmConfig,
-    analytic_p_general,
+    analytic_p_grid,
     coherence_grid,
     coherence_matrix,
     config_with,
     degree_of_polarization_grid,
+    t_phase,
 )
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
@@ -68,9 +70,7 @@ class SweepSpec:
 
 
 def _with_point(cfg: ZwmConfig, gamma_deg: float, t_abs: float) -> ZwmConfig:
-    # keep the configured transmission phase, replace only the magnitude
-    phase = complex(cfg.t) / abs(complex(cfg.t)) if cfg.t != 0 else 1.0
-    return config_with(cfg, gamma=math.radians(gamma_deg), t=t_abs * phase)
+    return config_with(cfg, gamma=math.radians(gamma_deg), t=t_abs * t_phase(cfg))
 
 
 def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
@@ -112,39 +112,43 @@ def _tomography_p_estimate(cfg: ZwmConfig, detector: DetectorModel, seed_seq) ->
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
     """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
     (gamma, t, replicate)."""
-    if spec.mode == "numeric":
-        p = degree_of_polarization_grid(coherence_grid(
-            cfg, np.radians(spec.gammas_deg), spec.t_values))
-        return [(gamma_deg, t_abs, spec.mode, float(p[ig, it]), 0.0)
-                for ig, gamma_deg in enumerate(spec.gammas_deg)
-                for it, t_abs in enumerate(spec.t_values)]
+    if spec.mode not in ("tomography", "montecarlo"):
+        gammas = np.radians(spec.gammas_deg)
+        if spec.mode == "analytic":
+            p = analytic_p_grid(cfg, gammas, spec.t_values)
+        elif spec.mode == "gedanken":
+            p = degree_of_polarization_gedanken_grid(gammas, spec.t_values)
+        else:
+            p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
+        return [(gamma_deg, t_abs, spec.mode, p_value, 0.0)
+                for gamma_deg, p_row in zip(spec.gammas_deg, p.tolist())
+                for t_abs, p_value in zip(spec.t_values, p_row)]
     rows = []
-    stochastic = spec.mode in ("tomography", "montecarlo")
-    replicates = spec.replicates if stochastic else 1
     for ig, gamma_deg in enumerate(spec.gammas_deg):
         for it, t_abs in enumerate(spec.t_values):
-            for rep in range(replicates):
-                if spec.mode == "analytic":
-                    p, se = analytic_p_general(_with_point(cfg, gamma_deg, t_abs)), 0.0
-                elif spec.mode == "gedanken":
-                    p, se = degree_of_polarization_gedanken(
-                        math.radians(gamma_deg), t_abs), 0.0
+            for rep in range(spec.replicates):
+                seed_seq = np.random.SeedSequence(
+                    entropy=spec.seed, spawn_key=(ig, it, rep))
+                if spec.mode == "montecarlo":
+                    p, se = _mc_p_estimate(cfg, gamma_deg, t_abs,
+                                           spec.mc_samples, seed_seq)
                 else:
-                    seed_seq = np.random.SeedSequence(
-                        entropy=spec.seed, spawn_key=(ig, it, rep))
-                    if spec.mode == "montecarlo":
-                        p, se = _mc_p_estimate(cfg, gamma_deg, t_abs,
-                                               spec.mc_samples, seed_seq)
-                    else:
-                        p = _tomography_p_estimate(
-                            _with_point(cfg, gamma_deg, t_abs), detector, seed_seq)
-                        se = 0.0
+                    p = _tomography_p_estimate(
+                        _with_point(cfg, gamma_deg, t_abs), detector, seed_seq)
+                    se = 0.0
                 rows.append((gamma_deg, t_abs, spec.mode, p, se))
     return rows
 
 
 def format_rows(rows) -> str:
+    # each distinct coordinate is formatted once; zeros are keyed by repr (-0.0)
+    coords = {}
     lines = [CSV_HEADER]
     for gamma_deg, t_abs, mode, p, se in rows:
-        lines.append(f"{gamma_deg:.10g},{t_abs:.10g},{mode},{p:.12g},{se:.12g}")
+        g_key, t_key = gamma_deg or repr(gamma_deg), t_abs or repr(t_abs)
+        if g_key not in coords:
+            coords[g_key] = f"{gamma_deg:.10g}"
+        if t_key not in coords:
+            coords[t_key] = f"{t_abs:.10g}"
+        lines.append(f"{coords[g_key]},{coords[t_key]},{mode},{p:.12g},{se:.12g}")
     return "\n".join(lines) + "\n"

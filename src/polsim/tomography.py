@@ -20,6 +20,8 @@ from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .zwm import CoherenceMatrix, degree_of_polarization
 
 _MU_FLOOR_REL = 1e-12
+# largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,9 @@ def simulate_counts(
 ) -> np.ndarray:
     """Poisson draw of raw counts for every setting; deterministic per seed."""
     mu = np.array([expected_counts(g, s, detector) for s in settings])
+    if not np.all(mu <= _POISSON_LAM_MAX):
+        raise ConfigRangeError(f"expected counts {np.max(mu):g} exceed the Poisson "
+                               f"sampler's limit {_POISSON_LAM_MAX:g}")
     return np.random.default_rng(seed).poisson(mu)
 
 

@@ -99,6 +99,23 @@ class ZwmConfig:
         return complex(self.t) * self.imperfections.eta_idler
 
 
+def t_phase(cfg: ZwmConfig) -> complex:
+    """Phase factor of cfg.t (1 if T = 0): a grid point at |T| has T = |T| t_phase."""
+    t = complex(cfg.t)
+    return t / abs(t) if t != 0 else 1.0
+
+
+def _check_grid(gammas, t_abs) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float axes; ParameterError unless each gamma and |T| is in ZwmConfig's range."""
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    t_abs = np.asarray(t_abs, dtype=float).reshape(-1)
+    if not (np.all(np.isfinite(gammas)) and np.all(np.cos(gammas) >= -_COS_TOL)):
+        raise ParameterError("every gamma must be finite with cos(gamma) >= 0")
+    if not np.all((t_abs >= 0.0) & (t_abs <= 1.0 + _COS_TOL)):
+        raise ParameterError("every |T| must lie in [0, 1]")
+    return gammas, t_abs
+
+
 def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
     """Biphoton amplitudes A[..., signal, idler] at transmissions |T| = t_abs.
 
@@ -111,9 +128,7 @@ def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
     the configured phase; only its magnitude is replaced by t_abs.
     """
     t_abs = np.asarray(t_abs, dtype=float)
-    t = complex(cfg.t)
-    phase = t / abs(t) if t != 0 else 1.0
-    t_eff = (t_abs * phase) * cfg.imperfections.eta_idler
+    t_eff = (t_abs * t_phase(cfg)) * cfg.imperfections.eta_idler
     r_eff = np.sqrt(np.maximum(0.0, 1.0 - np.abs(t_eff) ** 2))
     idler_out = np.stack([t_eff, r_eff], axis=-1) * cmath.exp(1j * cfg.phi_i)
     a = np.zeros(t_abs.shape + (4, 2), dtype=complex)
@@ -194,12 +209,7 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     B = F A', which is Hermitian with a non-negative diagonal by
     construction.
     """
-    gammas = np.asarray(gammas, dtype=float).reshape(-1)
-    t_abs = np.asarray(t_abs, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(gammas)) and np.all(np.cos(gammas) >= -_COS_TOL)):
-        raise ParameterError("every gamma must be finite with cos(gamma) >= 0")
-    if not np.all((t_abs >= 0.0) & (t_abs <= 1.0)):
-        raise ParameterError("every |T| must lie in [0, 1]")
+    gammas, t_abs = _check_grid(gammas, t_abs)
     f = field_map(cfg, gammas)
     a = _with_overlap(signal_amplitudes(cfg, t_abs), cfg.imperfections.mu_overlap)
     # detector amplitudes B = F A': E_p |psi> = sum_k B[p, k] |k>
@@ -290,11 +300,11 @@ def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
     )
 
 
-def beta(cfg: ZwmConfig) -> float:
+def beta(cfg: ZwmConfig, t: complex | None = None) -> float:
     """Interferometric phase phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1,
-    reduced to (-pi, pi].  At T = 0 the transmission phase is taken as 0 by
-    convention (it no longer affects anything physical)."""
-    t = complex(cfg.t)
+    reduced to (-pi, pi], with T = cfg.t unless t is given.  At T = 0 the
+    transmission phase is taken as 0 (it no longer affects anything)."""
+    t = complex(cfg.t if t is None else t)
     arg_t = cmath.phase(t) if t != 0 else 0.0
     raw = (cfg.phi_s2 - cfg.phi_s1 - cfg.phi_i - arg_t
            + cmath.phase(complex(cfg.g2)) - cmath.phase(complex(cfg.g1)))
@@ -304,13 +314,14 @@ def beta(cfg: ZwmConfig) -> float:
     return reduced
 
 
-def analytic_p_general(cfg: ZwmConfig) -> float:
-    """Closed-form degree of polarization at arbitrary beta.
+def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
+    """Closed-form degree of polarization at (gammas[i], t_abs[j]), shape (n_g, n_t).
 
     P = sqrt(c^2 + |T|^2 (s^2 + c^2 cb^2) + 2 |T| c cb) / (1 + |T| c cb)
-    with c = cos gamma, s = sin gamma, cb = cos beta and |T| = |t_eff|.
-    Valid for equal gain magnitudes and an otherwise ideal device (the
-    idler loss eta_idler folds exactly into |T|).
+    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |t_eff|, capped
+    at 1.  Valid for equal gain magnitudes and an otherwise ideal device.  A
+    point has T = t_abs * t_phase(cfg), so |T| and beta are computed once per
+    t_abs.  Raises ZeroTraceError if any point has no output intensity.
     """
     if not math.isclose(abs(complex(cfg.g1)), abs(complex(cfg.g2)),
                         rel_tol=1e-12, abs_tol=0.0):
@@ -320,17 +331,24 @@ def analytic_p_general(cfg: ZwmConfig) -> float:
         raise ParameterError(
             "closed form only covers an ideal splitter and full beam overlap"
         )
-    t_abs = abs(cfg.t_eff)
-    c, s = math.cos(cfg.gamma), math.sin(cfg.gamma)
-    cb = math.cos(beta(cfg))
-    denom = 1.0 + t_abs * c * cb
-    if denom <= 0.0:
-        # total destructive cancellation between the two arms: no light,
-        # hence no polarization to speak of (same condition the numeric
-        # pipeline trips on via the coherence-matrix trace)
+    gammas, t_abs = _check_grid(gammas, t_abs)
+    phase = t_phase(cfg)
+    points = [complex(t * phase) for t in t_abs.tolist()]
+    t_eff = np.array([abs(t * imp.eta_idler) for t in points])
+    cb = np.array([math.cos(beta(cfg, t)) for t in points])
+    c, s = np.cos(gammas)[:, None], np.sin(gammas)[:, None]
+    denom = 1.0 + t_eff * c * cb
+    if np.any(denom <= 0.0):
+        # total destructive cancellation of the two arms: no light, so no
+        # polarization (the numeric pipeline's zero coherence-matrix trace)
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    num = c * c + t_abs * t_abs * (s * s + c * c * cb * cb) + 2.0 * t_abs * c * cb
-    return math.sqrt(max(num, 0.0)) / denom
+    num = c * c + t_eff * t_eff * (s * s + c * c * cb * cb) + 2.0 * t_eff * c * cb
+    return np.minimum(np.sqrt(np.maximum(num, 0.0)) / denom, 1.0)
+
+
+def analytic_p_general(cfg: ZwmConfig) -> float:
+    """Closed-form P at the operating point of cfg (a 1x1 analytic_p_grid)."""
+    return float(analytic_p_grid(cfg, cfg.gamma, abs(complex(cfg.t)))[0, 0])
 
 
 def analytic_p_special(t_abs: float, gamma: float) -> float:

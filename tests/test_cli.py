@@ -129,6 +129,49 @@ def test_dark_fringe_in_grid_exits_2_without_output(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_dark_fringe_inside_a_grid_exits_2_without_output(tmp_path, capsys, mode):
+    """The dark point (gamma = 0, |T| = 1) sits in the middle gamma row of a
+    3x3 grid; the grid call fails as a whole before any row is written."""
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(f"phi_s2_rad = {math.pi!r}\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
+                   "--gamma=-45,0,45", "--t", "0.25,1,0.5", "--out", str(out)) == 2
+    assert "zero intensity" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_text, message", [
+    ("bs_tx = 0.9\n", "ideal splitter"),
+    ("g1_mag = 0.01\ng2_mag = 0.02\n", "|g1| = |g2|"),
+], ids=["skewed-splitter", "unequal-gains"])
+def test_analytic_sweep_outside_the_closed_form_exits_2(tmp_path, capsys,
+                                                        cfg_text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--mode", "analytic",
+                   "--gamma", "0,30,60", "--t", "0.5,1", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg_text", [
+    "kappa_cps = 1e300\n",
+    "dark_cps = 1e300\n",
+    "kappa_cps = 1e300\ntime_s = 1e300\n",
+], ids=["kappa", "dark", "kappa-time-inf"])
+def test_tomography_counts_beyond_the_poisson_limit_exit_3(tmp_path, capsys, cfg_text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg), "--mode", "tomography",
+                   "--gamma", "30", "--t", "0.5", "--out", str(out)) == 3
+    assert "Poisson sampler's limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cfg_text, mode, argv, message", [
     ("kappa_cps = 0\n", "tomography", (),
      "all background-corrected counts are zero"),

@@ -1,8 +1,9 @@
-"""Seeded outputs pinned byte for byte across versions.
+"""Sweep and tomography outputs pinned byte for byte across versions.
 
 Acceptance 8 compares two runs of the same code; these tests compare against
 outputs stored from an earlier version, so a refactor that changes a random
-stream, a summation order or a fit path shows up here.  Regenerate the
+stream, a summation order, the order of a closed form's arithmetic or a fit
+path shows up here.  Regenerate the
 expected text only for a change that is meant to alter these outputs, and
 say so in the change log.
 """
@@ -50,6 +51,94 @@ TOMOGRAPHY_CSV = (
     "60,1,tomography,0.995939059228,0\n"
 )
 
+CLOSED_FORM_ARGV = ("--gamma", "0,12.5,30,45,60,77.25,90", "--t", "0,0.25,0.3,0.5,0.9,1")
+ANALYTIC_CSV = (
+    "gamma_deg,t_abs,mode,p_value,p_stderr\n"
+    "0,0,analytic,1,0\n"
+    "0,0.25,analytic,1,0\n"
+    "0,0.3,analytic,1,0\n"
+    "0,0.5,analytic,1,0\n"
+    "0,0.9,analytic,1,0\n"
+    "0,1,analytic,1,0\n"
+    "12.5,0,analytic,0.97629600712,0\n"
+    "12.5,0.25,analytic,0.985709857585,0\n"
+    "12.5,0.3,analytic,0.987166108185,0\n"
+    "12.5,0.5,analytic,0.992035740792,0\n"
+    "12.5,0.9,analytic,0.998738254285,0\n"
+    "12.5,1,analytic,1,0\n"
+    "30,0,analytic,0.866025403784,0\n"
+    "30,0.25,analytic,0.917402036509,0\n"
+    "30,0.3,analytic,0.925558302889,0\n"
+    "30,0.5,analytic,0.953254218878,0\n"
+    "30,0.9,analytic,0.992470896099,0\n"
+    "30,1,analytic,1,0\n"
+    "45,0,analytic,0.707106781187,0\n"
+    "45,0.25,analytic,0.813329143084,0\n"
+    "45,0.3,analytic,0.830855676314,0\n"
+    "45,0.5,analytic,0.891805812446,0\n"
+    "45,0.9,analytic,0.982101325085,0\n"
+    "45,1,analytic,1,0\n"
+    "60,0,analytic,0.5,0\n"
+    "60,0.25,analytic,0.666666666667,0\n"
+    "60,0.3,analytic,0.695652173913,0\n"
+    "60,0.5,analytic,0.8,0\n"
+    "60,0.9,analytic,0.965517241379,0\n"
+    "60,1,analytic,1,0\n"
+    "77.25,0,analytic,0.220697435022,0\n"
+    "77.25,0.25,analytic,0.446084982179,0\n"
+    "77.25,0.3,analytic,0.488363278166,0\n"
+    "77.25,0.5,analytic,0.649073055749,0\n"
+    "77.25,0.9,analytic,0.934983767646,0\n"
+    "77.25,1,analytic,1,0\n"
+    "90,0,analytic,6.12323399574e-17,0\n"
+    "90,0.25,analytic,0.25,0\n"
+    "90,0.3,analytic,0.3,0\n"
+    "90,0.5,analytic,0.5,0\n"
+    "90,0.9,analytic,0.9,0\n"
+    "90,1,analytic,1,0\n"
+)
+# on the ideal device the marker formula and the closed form are one
+# identity (the bridge), so the two sweeps print the same numbers
+GEDANKEN_CSV = ANALYTIC_CSV.replace(",analytic,", ",gedanken,")
+
+# equal gain magnitudes with different phases, a complex T, idler loss and
+# all three path phases: beta and |T_eff| depend on the phase of T at each
+# |T|, and a beta taken once from the configured T misprints the last digit
+# of the 0.584 and 0.688 rows at gamma = 12.045, 61.013 and 85.534
+NONIDEAL_CONFIG = (
+    "g1_phase_rad = 0.2\n"
+    "g2_phase_rad = 1.1\n"
+    "t_phase_rad = -0.54\n"
+    "eta_idler = 0.9\n"
+    "phi_s1_rad = 0.25\n"
+    "phi_s2_rad = 0.4\n"
+    "phi_i_rad = -0.3\n"
+)
+NONIDEAL_ARGV = ("--gamma", "0,12.045,61.013,85.534,90", "--t", "0,0.584,0.688,1")
+NONIDEAL_CSV = (
+    "gamma_deg,t_abs,mode,p_value,p_stderr\n"
+    "0,0,analytic,1,0\n"
+    "0,0.584,analytic,1,0\n"
+    "0,0.688,analytic,1,0\n"
+    "0,1,analytic,1,0\n"
+    "12.045,0,analytic,0.977984005605,0\n"
+    "12.045,0.584,analytic,0.977340015585,0\n"
+    "12.045,0.688,analytic,0.97932202599,0\n"
+    "12.045,1,analytic,0.992071583998,0\n"
+    "61.013,0,analytic,0.484611162852,0\n"
+    "61.013,0.584,analytic,0.588070746406,0\n"
+    "61.013,0.688,analytic,0.651940929209,0\n"
+    "61.013,1,analytic,0.897139627709,0\n"
+    "85.534,0,analytic,0.0778674992937,0\n"
+    "85.534,0.584,analytic,0.511667447219,0\n"
+    "85.534,0.688,analytic,0.606771856622,0\n"
+    "85.534,1,analytic,0.895859054681,0\n"
+    "90,0,analytic,6.12323399574e-17,0\n"
+    "90,0.584,analytic,0.5256,0\n"
+    "90,0.688,analytic,0.6192,0\n"
+    "90,1,analytic,0.9,0\n"
+)
+
 FOUR_SETTING_TABLE = (
     "label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
     "H  0  0  39872\n"
@@ -89,6 +178,25 @@ def test_seeded_sweep_csv_is_pinned(tmp_path, argv, expected):
     out = tmp_path / "rows.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii") == expected
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("analytic", ANALYTIC_CSV),
+    ("gedanken", GEDANKEN_CSV),
+])
+def test_closed_form_sweep_csv_is_pinned(tmp_path, mode, expected):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--mode", mode, *CLOSED_FORM_ARGV, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == expected
+
+
+def test_analytic_sweep_on_a_non_ideal_config_is_pinned(tmp_path):
+    cfg = tmp_path / "nonideal.cfg"
+    cfg.write_text(NONIDEAL_CONFIG, encoding="ascii")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--mode", "analytic",
+                     *NONIDEAL_ARGV, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == NONIDEAL_CSV
 
 
 @pytest.mark.parametrize("table, dark_cps, expected", [

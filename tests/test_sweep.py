@@ -148,3 +148,14 @@ def test_format_rows_layout():
     assert fields[:3] == ["90", "0.5", "analytic"]
     assert float(fields[3]) == pytest.approx(0.5, abs=1e-12)
     assert float(fields[4]) == 0.0
+
+
+def test_format_rows_formats_every_coordinate_as_given():
+    """Coordinates are formatted once per distinct value; -0.0 and 0.0
+    compare equal but print differently, and each keeps its own text."""
+    rows = [(-0.0, 0.0, "analytic", 1.0, 0.0), (-0.0, -0.0, "analytic", 1.0, 0.0),
+            (0.0, -0.0, "montecarlo", 0.5, 0.01), (0.0, 0.25, "montecarlo", 0.5, 0.0),
+            (12.5, 0.25, "numeric", 1 / 3, 0.0)]
+    expected = "".join(f"{g:.10g},{t:.10g},{mode},{p:.12g},{se:.12g}\n"
+                       for g, t, mode, p, se in rows)
+    assert format_rows(rows) == CSV_HEADER + "\n" + expected

@@ -114,6 +114,14 @@ def test_coherence_grid_rejects_points_outside_the_config_ranges():
             coherence_grid(cfg, gammas, ts)
 
 
+def test_single_point_calls_accept_every_valid_config():
+    """ZwmConfig allows |t| up to 1 + 1e-12 for rounding; the 1x1 grid calls
+    behind the single-point functions must accept the same range."""
+    cfg = ZwmConfig(t=1.0 + 1e-13, gamma=0.4)
+    assert analytic_p_general(cfg) == 1.0
+    assert numeric_degree_of_polarization(cfg) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_t_eff_folds_idler_loss():
     cfg = ZwmConfig(t=0.5j, imperfections=ImperfectionConfig(eta_idler=0.8))
     assert cfg.t_eff == pytest.approx(0.4j, rel=1e-15)
