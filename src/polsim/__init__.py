@@ -22,6 +22,7 @@ from .gedanken import (
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
+    FitDiagnostics,
     MeasurementSetting,
     TomographyRun,
     background_correct,

@@ -9,6 +9,7 @@ only its shape (and hence P) is meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .zwm import CoherenceMatrix, degree_of_polarization
 
 _MU_FLOOR_REL = 1e-12
+_POLISH_ROUNDS = 8
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -61,22 +63,49 @@ class DetectorModel:
             raise ParameterError("integration_time must be positive")
 
 
+def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:
+    # the angles' exact bits: 0.0 == -0.0, but their projectors differ in signed zeros
+    return float(setting.qwp_angle).hex(), float(setting.polarizer_angle).hex()
+
+
+@functools.lru_cache(maxsize=256)
+def _projector(qwp_hex: str, pol_hex: str) -> np.ndarray:
+    j = waveplate_jones("quarter", float.fromhex(qwp_hex))
+    pol = polarizer_jones(float.fromhex(pol_hex))
+    pi = j.conj().T @ pol @ j
+    pi.setflags(write=False)
+    return pi
+
+
 def projector_from_setting(setting: MeasurementSetting) -> np.ndarray:
-    """Pi = J_qwp^dagger Pi_pol J_qwp: the pure state the analyzer passes."""
-    j = waveplate_jones("quarter", setting.qwp_angle)
-    pol = polarizer_jones(setting.polarizer_angle)
-    return j.conj().T @ pol @ j
+    """Pi = J_qwp^dagger Pi_pol J_qwp: the pure state the analyzer passes.
+
+    Cached per angle pair; the returned array is shared and read-only.
+    """
+    return _projector(*_angle_key(setting))
 
 
 def _projector_components(settings) -> tuple[np.ndarray, ...]:
-    pxx = np.empty(len(settings))
-    pyy = np.empty(len(settings))
-    rexy = np.empty(len(settings))
-    imxy = np.empty(len(settings))
-    for i, s in enumerate(settings):
-        pi = projector_from_setting(s)
-        pxx[i], pyy[i] = pi[0, 0].real, pi[1, 1].real
-        rexy[i], imxy[i] = pi[0, 1].real, pi[0, 1].imag
+    """(pxx, pyy, Re pxy, Im pxy) per setting, read-only and cached.
+
+    Raises IllPosedError, on every call, when the projectors cannot
+    identify G.
+    """
+    return _components(tuple(_angle_key(s) for s in settings))
+
+
+@functools.lru_cache(maxsize=64)
+def _components(keys) -> tuple[np.ndarray, ...]:
+    pis = [_projector(*key) for key in keys]
+    pxx = np.array([pi[0, 0].real for pi in pis])
+    pyy = np.array([pi[1, 1].real for pi in pis])
+    rexy = np.array([pi[0, 1].real for pi in pis])
+    imxy = np.array([pi[0, 1].imag for pi in pis])
+    design = np.column_stack([pxx, pyy, math.sqrt(2.0) * rexy, math.sqrt(2.0) * imxy])
+    if np.linalg.matrix_rank(design, tol=1e-10 * np.abs(design).max()) < 4:
+        raise IllPosedError("projector set is degenerate; cannot identify G")
+    for a in (pxx, pyy, rexy, imxy):
+        a.setflags(write=False)
     return pxx, pyy, rexy, imxy
 
 
@@ -101,11 +130,21 @@ def simulate_counts(
     return np.random.default_rng(seed).poisson(mu)
 
 
+def _checked_counts(counts, what: str) -> np.ndarray:
+    try:
+        counts = np.asarray(counts, dtype=float)
+    except OverflowError:
+        raise ParameterError(f"{what} must be finite") from None
+    if not np.all(np.isfinite(counts)):
+        raise ParameterError(f"{what} must be finite")
+    if np.any(counts < 0):
+        raise ParameterError(f"{what} must be non-negative")
+    return counts
+
+
 def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     """Subtract the expected dark counts, clamping at zero."""
-    raw = np.asarray(raw_counts, dtype=float)
-    if np.any(raw < 0):
-        raise ParameterError("raw counts must be non-negative")
+    raw = _checked_counts(raw_counts, "raw counts")
     return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
 
 
@@ -162,45 +201,78 @@ def _nll_poisson_batch(params, pxx, pyy, rexy, imxy, counts, floor):
     return np.sum(mu - counts[None, :] * np.log(mu), axis=1)
 
 
-def _linear_inversion_psd(counts, pxx, pyy, rexy, imxy) -> np.ndarray:
+def _linear_inversion_psd(counts, pxx, pyy, rexy, imxy) -> tuple[np.ndarray, bool]:
+    """Least-squares inversion projected onto the PSD cone, and whether the
+    inversion was PSD before the projection."""
     design = np.column_stack([pxx, pyy, 2.0 * rexy, 2.0 * imxy])
     sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
     g = np.array([[sol[0], sol[2] + 1j * sol[3]],
                   [sol[2] - 1j * sol[3], sol[1]]])
     vals, vecs = np.linalg.eigh(g)
+    psd = bool(vals[0] >= 0.0)
     vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * vals) @ vecs.conj().T, psd
 
 
-def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
+@dataclass(frozen=True)
+class FitDiagnostics:
+    """How mle_reconstruct reached its answer.
+
+    path: "exact" (four settings whose linear inversion is PSD: that is the
+      MLE, returned without optimizing), "optimizer" (L-BFGS-B plus grid
+      polish) or "zero" (all counts zero).
+    lbfgs_iterations: L-BFGS-B iterations summed over the polish rounds.
+    polish_rounds: optimizer-plus-grid rounds run, at most 8.
+    polish_capped: the last allowed round's grid still improved the fit.
+    lbfgs_success: no L-BFGS-B run reported failure (True when none ran).
+    """
+
+    path: str
+    lbfgs_iterations: int = 0
+    polish_rounds: int = 0
+    polish_capped: bool = False
+    lbfgs_success: bool = True
+
+
+def mle_reconstruct(corrected_counts, settings, *, diagnostics: bool = False):
     """Maximum-likelihood coherence matrix from background-corrected counts.
 
     G = L L^dagger is parameterized by the four real entries of a lower
-    triangular L, which keeps every iterate positive semidefinite.  The
-    Poisson log-likelihood sum(n log mu - mu) is maximized from a linear
-    inversion (projected onto the PSD cone) with L-BFGS-B, then polished
-    against a +-{1,2}-step refinement grid per parameter until the grid
-    finds no further improvement; the result never has lower likelihood
-    than its initializer.  All-zero counts return the zero matrix.
+    triangular L, which keeps every iterate positive semidefinite.  The fit
+    starts from a linear inversion projected onto the PSD cone.  With
+    exactly four settings the Poisson model is saturated, so when the
+    inversion is already PSD it reproduces every count and is the MLE: it
+    is returned as is.  Otherwise the Poisson log-likelihood
+    sum(n log mu - mu) is maximized with L-BFGS-B, then polished against a
+    +-{1,2}-step refinement grid per parameter until the grid finds no
+    further improvement; the result never has lower likelihood than its
+    initializer.  All-zero counts return the zero matrix.
+
+    Returns the CoherenceMatrix, or (CoherenceMatrix, FitDiagnostics) when
+    `diagnostics` is true.
     """
-    counts = np.asarray(corrected_counts, dtype=float)
-    if np.any(counts < 0):
-        raise ParameterError("corrected counts must be non-negative")
+    matrix, diag = _fit(corrected_counts, settings)
+    recon = CoherenceMatrix(matrix)
+    return (recon, diag) if diagnostics else recon
+
+
+def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
+    counts = _checked_counts(corrected_counts, "corrected counts")
     if len(settings) < 4 or counts.shape != (len(settings),):
         raise IllPosedError(
             f"need >= 4 settings with matching counts, got {len(settings)} "
-            f"settings and {counts.shape[0]} counts"
+            f"settings and counts of shape {counts.shape}"
         )
     pxx, pyy, rexy, imxy = _projector_components(settings)
-    design = np.column_stack([pxx, pyy, math.sqrt(2.0) * rexy, math.sqrt(2.0) * imxy])
-    if np.linalg.matrix_rank(design, tol=1e-10 * np.abs(design).max()) < 4:
-        raise IllPosedError("projector set is degenerate; cannot identify G")
     if not np.any(counts > 0):
-        return CoherenceMatrix(np.zeros((2, 2), dtype=complex))
+        return np.zeros((2, 2), dtype=complex), FitDiagnostics("zero")
 
+    g_init, psd = _linear_inversion_psd(counts, pxx, pyy, rexy, imxy)
+    t_init = _matrix_to_params(g_init)
+    if psd and len(settings) == 4:
+        return _params_to_matrix(t_init), FitDiagnostics("exact")
     floor = _MU_FLOOR_REL * (counts.sum() + 1.0)
     args = (pxx, pyy, rexy, imxy, counts, floor)
-    t_init = _matrix_to_params(_linear_inversion_psd(counts, pxx, pyy, rexy, imxy))
     scale = math.sqrt(counts.sum())
     if np.linalg.norm(t_init) < 1e-9 * scale:
         t_init = np.full(4, 0.1 * scale)
@@ -208,10 +280,13 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     best_t = t_init.copy()
     best_nll = _nll_poisson_grad(best_t, *args)[0]
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    for _ in range(8):
+    iterations, success = 0, True
+    for rounds in range(1, _POLISH_ROUNDS + 1):
         res = minimize(_nll_poisson_grad, best_t, args=args, jac=True,
                        method="L-BFGS-B",
                        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
+        iterations += int(res.nit)
+        success = success and bool(res.success)
         if res.fun <= best_nll:
             best_t, best_nll = np.asarray(res.x), float(res.fun)
         steps = np.maximum(1e-4 * np.abs(best_t), 1e-6 * scale)
@@ -220,9 +295,13 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
         grid_nll = _nll_poisson_batch(grid, *args)
         k_min = int(np.argmin(grid_nll))
         if grid_nll[k_min] >= best_nll - 1e-9:
+            capped = False
             break
         best_t, best_nll = grid[k_min].copy(), float(grid_nll[k_min])
-    return CoherenceMatrix(_params_to_matrix(best_t))
+    else:
+        capped = True
+    return _params_to_matrix(best_t), FitDiagnostics(
+        "optimizer", iterations, rounds, capped, success)
 
 
 @dataclass(frozen=True)
@@ -234,6 +313,7 @@ class TomographyRun:
     corrected_counts: tuple[float, ...]
     reconstruction: CoherenceMatrix
     p_estimate: float
+    diagnostics: FitDiagnostics
 
 
 def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> TomographyRun:
@@ -243,7 +323,7 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
     reconstruction, polarization undefined).
     """
     corrected = background_correct(raw_counts, detector)
-    recon = mle_reconstruct(corrected, settings)
+    recon, diagnostics = mle_reconstruct(corrected, settings, diagnostics=True)
     p = degree_of_polarization(recon) if recon.trace > 0.0 else math.nan
     return TomographyRun(
         settings=tuple(settings),
@@ -251,6 +331,7 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
         corrected_counts=tuple(float(c) for c in corrected),
         reconstruction=recon,
         p_estimate=p,
+        diagnostics=diagnostics,
     )
 
 
@@ -312,6 +393,11 @@ def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]
             raise ConfigRangeError(f"non-finite angle in row {parts}", line=line_no)
         if count < 0:
             raise ConfigError(f"negative count {count}", line=line_no)
+        try:
+            float(count)
+        except OverflowError:
+            raise ConfigRangeError(f"{len(count_s)}-digit count is beyond float "
+                                   f"range", line=line_no) from None
         settings.append(
             MeasurementSetting(label, math.radians(qwp), math.radians(pol))
         )

@@ -12,6 +12,10 @@ elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
 
 The *_loop functions are element-by-element forms of the vectorized Monte-Carlo
 hit count in polsim.gedanken and the Poisson likelihood in polsim.tomography.
+
+mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
+exact four-setting path and the projector cache: every fit runs L-BFGS-B
+plus the grid polish, and the projectors are rebuilt from Jones matrices.
 """
 
 import cmath
@@ -19,6 +23,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from _fock import (
     FockState,
@@ -33,6 +38,16 @@ from _fock import (
     unit_expr,
     vacuum,
 )
+from polsim.elements import polarizer_jones, waveplate_jones
+from polsim.errors import IllPosedError, ParameterError
+from polsim.tomography import (
+    _MU_FLOOR_REL,
+    _matrix_to_params,
+    _nll_poisson_batch,
+    _nll_poisson_grad,
+    _params_to_matrix,
+)
+from polsim.zwm import CoherenceMatrix
 
 
 class DenseFock:
@@ -250,3 +265,59 @@ def nll_poisson_batch_loop(params, pxx, pyy, rexy, imxy, counts, floor):
         out[k] = nll_poisson_grad_loop(params[k], pxx, pyy, rexy, imxy,
                                        counts, floor)[0]
     return out
+
+
+def fresh_projector(setting) -> np.ndarray:
+    j = waveplate_jones("quarter", setting.qwp_angle)
+    pol = polarizer_jones(setting.polarizer_angle)
+    return j.conj().T @ pol @ j
+
+
+def mle_reconstruct_optimizer(corrected_counts, settings) -> CoherenceMatrix:
+    counts = np.asarray(corrected_counts, dtype=float)
+    if np.any(counts < 0):
+        raise ParameterError("corrected counts must be non-negative")
+    if len(settings) < 4 or counts.shape != (len(settings),):
+        raise IllPosedError("need >= 4 settings with matching counts")
+    pis = [fresh_projector(s) for s in settings]
+    pxx = np.array([pi[0, 0].real for pi in pis])
+    pyy = np.array([pi[1, 1].real for pi in pis])
+    rexy = np.array([pi[0, 1].real for pi in pis])
+    imxy = np.array([pi[0, 1].imag for pi in pis])
+    design = np.column_stack([pxx, pyy, math.sqrt(2.0) * rexy, math.sqrt(2.0) * imxy])
+    if np.linalg.matrix_rank(design, tol=1e-10 * np.abs(design).max()) < 4:
+        raise IllPosedError("projector set is degenerate; cannot identify G")
+    if not np.any(counts > 0):
+        return CoherenceMatrix(np.zeros((2, 2), dtype=complex))
+
+    floor = _MU_FLOOR_REL * (counts.sum() + 1.0)
+    args = (pxx, pyy, rexy, imxy, counts, floor)
+    design = np.column_stack([pxx, pyy, 2.0 * rexy, 2.0 * imxy])
+    sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    g = np.array([[sol[0], sol[2] + 1j * sol[3]],
+                  [sol[2] - 1j * sol[3], sol[1]]])
+    vals, vecs = np.linalg.eigh(g)
+    vals = np.maximum(vals, 0.0)
+    t_init = _matrix_to_params((vecs * vals) @ vecs.conj().T)
+    scale = math.sqrt(counts.sum())
+    if np.linalg.norm(t_init) < 1e-9 * scale:
+        t_init = np.full(4, 0.1 * scale)
+
+    best_t = t_init.copy()
+    best_nll = _nll_poisson_grad(best_t, *args)[0]
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    for _ in range(8):
+        res = minimize(_nll_poisson_grad, best_t, args=args, jac=True,
+                       method="L-BFGS-B",
+                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
+        if res.fun <= best_nll:
+            best_t, best_nll = np.asarray(res.x), float(res.fun)
+        steps = np.maximum(1e-4 * np.abs(best_t), 1e-6 * scale)
+        axes = [best_t[k] + offsets * steps[k] for k in range(4)]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        grid_nll = _nll_poisson_batch(grid, *args)
+        k_min = int(np.argmin(grid_nll))
+        if grid_nll[k_min] >= best_nll - 1e-9:
+            break
+        best_t, best_nll = grid[k_min].copy(), float(grid_nll[k_min])
+    return CoherenceMatrix(_params_to_matrix(best_t))

@@ -276,6 +276,16 @@ def test_tomo_non_finite_angle_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tomo_count_beyond_float_range_exits_3(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    f"H 0 0 {10**400}\nV 0 90 17\nD 45 45 25006\nR 0 45 24980\n")
+    out = tmp_path / "x.csv"
+    assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == 3
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tomo_missing_counts_file_exits_2(tmp_path, capsys):
     assert run_cli("tomo", "--counts", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "x.csv")) == 2

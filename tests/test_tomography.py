@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import fresh_projector, mle_reconstruct_optimizer
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -15,7 +16,9 @@ from polsim.errors import (
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
+    FitDiagnostics,
     MeasurementSetting,
+    _projector_components,
     background_correct,
     expected_counts,
     mle_reconstruct,
@@ -34,6 +37,12 @@ from polsim.zwm import (
 )
 
 NO_DARK = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
+UNIT = DetectorModel(kappa=1.0, dark_rate=0.0, integration_time=1.0)
+SIX_SETTINGS = DEFAULT_SETTINGS[:3] + (
+    MeasurementSetting("A", math.pi / 4, -math.pi / 4),
+    DEFAULT_SETTINGS[3],
+    MeasurementSetting("L", 0.0, -math.pi / 4),
+)
 
 
 def noiseless_counts(matrix, detector=NO_DARK, settings=DEFAULT_SETTINGS):
@@ -88,6 +97,48 @@ def test_default_settings_are_informationally_complete():
     assert abs(np.linalg.det(gram)) > 0.05
 
 
+def test_cached_projectors_are_read_only():
+    pi = projector_from_setting(DEFAULT_SETTINGS[2])
+    assert pi is projector_from_setting(MeasurementSetting("other", math.pi / 4, math.pi / 4))
+    with pytest.raises(ValueError):
+        pi[0, 0] = 2.0
+    components = _projector_components(DEFAULT_SETTINGS)
+    assert components is _projector_components(DEFAULT_SETTINGS)
+    for a in components:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+
+
+def test_degenerate_settings_raise_on_every_call():
+    degenerate = (DEFAULT_SETTINGS[0],) * 3 + (DEFAULT_SETTINGS[1],)
+    for _ in range(3):
+        with pytest.raises(IllPosedError):
+            _projector_components(degenerate)
+        with pytest.raises(IllPosedError):
+            mle_reconstruct(np.ones(4), degenerate)
+
+
+def test_signed_zero_angles_give_the_fresh_jones_projector():
+    # 0.0 == -0.0, so a cache keyed on equal angles would hand one of these
+    # settings the other's signed zeros
+    pairs = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]
+    got = [projector_from_setting(MeasurementSetting("H", q, p)) for q, p in pairs]
+    for (q, p), pi in zip(pairs, got):
+        assert pi.tobytes() == fresh_projector(MeasurementSetting("H", q, p)).tobytes()
+    assert got[0].tobytes() != got[1].tobytes()
+
+
+def test_counts_table_negative_zero_angle_reaches_the_projector(tmp_path):
+    path = tmp_path / "counts.txt"
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    "H  0.000000  -0.000000  5\n")
+    (setting,), _ = read_counts_table(path)
+    assert math.copysign(1.0, setting.polarizer_angle) == -1.0
+    assert (projector_from_setting(setting).tobytes()
+            == fresh_projector(setting).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # counting model
 # ---------------------------------------------------------------------------
@@ -136,6 +187,15 @@ def test_background_correct_pinned_values():
     np.testing.assert_allclose(background_correct([30.0], det), [0.0])
     with pytest.raises(ParameterError):
         background_correct([-1.0], det)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400])
+def test_non_finite_counts_are_rejected_before_any_fit(bad):
+    det = DetectorModel(kappa=1.0, dark_rate=2.0, integration_time=15.0)
+    with pytest.raises(ParameterError):
+        background_correct([100.0, bad, 5.0, 7.0], det)
+    with pytest.raises(ParameterError):
+        mle_reconstruct([100.0, bad, 5.0, 7.0], DEFAULT_SETTINGS)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +252,8 @@ def test_mle_ill_posed_inputs():
     degenerate = (DEFAULT_SETTINGS[0],) * 4
     with pytest.raises(IllPosedError):
         mle_reconstruct(np.ones(4), degenerate)
+    with pytest.raises(IllPosedError):
+        mle_reconstruct(5.0, DEFAULT_SETTINGS)  # a scalar, not one count per setting
     with pytest.raises(ParameterError):
         mle_reconstruct(np.array([1.0, -2.0, 3.0, 4.0]), DEFAULT_SETTINGS)
 
@@ -269,6 +331,104 @@ def test_mle_refinement_grid_postcondition():
         assert fit_nll <= best + 1e-6
 
 
+def poisson_table(rng, settings, p, scale, seed):
+    """Counts with mean tr(Pi G) for a trace-2 G of polarization p, times scale."""
+    g = CoherenceMatrix(scale * bloch_matrix(p, rng.normal(size=3)))
+    return simulate_counts(g, settings, UNIT, seed).astype(float)
+
+
+def inversion_is_psd(counts, settings):
+    pis = [fresh_projector(s) for s in settings]
+    design = [[pi[0, 0].real, pi[1, 1].real, 2 * pi[0, 1].real, 2 * pi[0, 1].imag]
+              for pi in pis]
+    sol, *_ = np.linalg.lstsq(np.array(design), counts, rcond=None)
+    g = np.array([[sol[0], sol[2] + 1j * sol[3]], [sol[2] - 1j * sol[3], sol[1]]])
+    return bool(np.linalg.eigh(g)[0][0] >= 0.0)
+
+
+def test_exact_path_matches_the_optimizer_oracle():
+    """400 four-setting tables at the sweep's count scale (up to 1e5 per
+    setting): mixed and pure targets, and all-zero tables.  Whichever path
+    runs, the matrix equals the optimizer-only fit bit for bit."""
+    rng = np.random.default_rng(31)
+    paths = {"exact": 0, "optimizer": 0, "zero": 0}
+    for trial in range(400):
+        if trial % 50 == 0:
+            counts = np.zeros(4)
+        else:
+            p = 1.0 if trial % 4 == 0 else rng.uniform(0.0, 1.0)
+            counts = poisson_table(rng, DEFAULT_SETTINGS, p,
+                                   10 ** rng.uniform(0.5, 5.0), (31, trial))
+        rec, diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)
+        paths[diag.path] += 1
+        if np.any(counts > 0):
+            assert diag.path == ("exact" if inversion_is_psd(counts, DEFAULT_SETTINGS)
+                                 else "optimizer")
+        assert np.array_equal(rec.matrix, mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix)
+    assert paths["zero"] == 8
+    assert paths["exact"] >= 200 and paths["optimizer"] >= 50
+
+
+@pytest.mark.parametrize("counts", [
+    [1.0, 1.0, 0.0, 1.0],          # pure, orthogonal to D: on the PSD boundary
+    [4.0, 4.0, 0.0, 4.0],
+    [386791.0, 1395320.0, 269973.0, 498743.0],  # P = 0.99997 at 1e6 counts
+])
+def test_exact_path_reproduces_every_count(counts):
+    """Tables where the exact path and the optimizer-only fit differ: the
+    exact path fits every count, and the two agree to 1e-7 of the total."""
+    counts = np.array(counts)
+    rec, diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)
+    assert diag == FitDiagnostics("exact")
+    mu = [np.trace(projector_from_setting(s) @ rec.matrix).real for s in DEFAULT_SETTINGS]
+    np.testing.assert_allclose(mu, counts, rtol=1e-13, atol=1e-13 * counts.sum())
+    oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
+    assert not np.array_equal(rec.matrix, oracle)
+    np.testing.assert_allclose(rec.matrix, oracle, rtol=0, atol=1e-7 * counts.sum())
+
+
+def excess_nll(matrix, counts, settings):
+    """Poisson negative log-likelihood above the saturated optimum mu = n
+    (counts > 0), summed as n (r - 1 - log r) to stay accurate at 1e6 counts."""
+    mu = np.array([np.trace(fresh_projector(s) @ matrix).real for s in settings])
+    r = mu / counts
+    return float(np.sum(counts * (r - 1.0 - np.log(r))))
+
+
+def test_exact_path_is_more_likely_than_an_optimizer_that_stops_short():
+    counts = np.array([386791.0, 1395320.0, 269973.0, 498743.0])
+    exact = mle_reconstruct(counts, DEFAULT_SETTINGS).matrix
+    oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
+    assert excess_nll(exact, counts, DEFAULT_SETTINGS) < 1e-20
+    assert excess_nll(oracle, counts, DEFAULT_SETTINGS) > 1e-12
+
+
+def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
+    rng = np.random.default_rng(32)
+    pure_non_psd = 0
+    for trial in range(60):
+        counts = poisson_table(rng, DEFAULT_SETTINGS, 1.0, 2.5e4, (32, trial))
+        if inversion_is_psd(counts, DEFAULT_SETTINGS):
+            continue
+        pure_non_psd += 1
+        diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)[1]
+        assert diag.path == "optimizer"
+        assert 1 <= diag.polish_rounds <= 8 and diag.lbfgs_iterations >= 0
+        assert diag.polish_rounds == 8 or not diag.polish_capped
+    assert pure_non_psd >= 20
+    for trial in range(30):
+        p = (1.0, 0.0, rng.uniform(0.0, 1.0))[trial % 3]
+        counts = poisson_table(rng, SIX_SETTINGS, p, 2.5e4, (33, trial))
+        if trial < 3:  # noiseless: a PSD inversion that fits every count
+            counts = np.array([np.trace(fresh_projector(s) @ (2.5e4 * bloch_matrix(p))).real
+                               for s in SIX_SETTINGS])
+            assert inversion_is_psd(counts, SIX_SETTINGS)
+        rec, diag = mle_reconstruct(counts, SIX_SETTINGS, diagnostics=True)
+        assert diag.path == "optimizer"
+        assert np.array_equal(rec.matrix, mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix)
+    assert mle_reconstruct(np.zeros(6), SIX_SETTINGS, diagnostics=True)[1] == FitDiagnostics("zero")
+
+
 # ---------------------------------------------------------------------------
 # run bundling
 # ---------------------------------------------------------------------------
@@ -283,12 +443,14 @@ def test_reconstruct_run_corrects_background():
     )
     assert run.p_estimate == pytest.approx(0.6, abs=1e-5)
     assert p_from_run(run) == run.p_estimate
+    assert run.diagnostics == FitDiagnostics("exact")
 
 
 def test_reconstruct_run_flags_zero_trace():
     det = DetectorModel(kappa=3333.0, dark_rate=20.0, integration_time=15.0)
     run = reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
     assert math.isnan(run.p_estimate)
+    assert run.diagnostics == FitDiagnostics("zero")
     with pytest.raises(ZeroTraceError):
         p_from_run(run)
 
@@ -334,6 +496,15 @@ def test_counts_table_rejects_non_finite_angles(tmp_path, row):
     path = tmp_path / "bad.txt"
     path.write_text(f"label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
                     f"H 0 0 5\n{row}\n")
+    with pytest.raises(ConfigRangeError) as err:
+        read_counts_table(path)
+    assert "line 3" in str(err.value)
+
+
+def test_counts_table_rejects_counts_beyond_float_range(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    f"H 0 0 5\nV 0 90 {10**400}\n")
     with pytest.raises(ConfigRangeError) as err:
         read_counts_table(path)
     assert "line 3" in str(err.value)
