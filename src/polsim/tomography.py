@@ -216,7 +216,7 @@ def _linear_inversion_psd(counts, pxx, pyy, rexy, imxy) -> tuple[np.ndarray, boo
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """How mle_reconstruct reached its answer.
+    """How a tomography fit reached its answer.
 
     path: "exact" (four settings whose linear inversion is PSD: that is the
       MLE, returned without optimizing), "optimizer" (L-BFGS-B plus grid
@@ -234,7 +234,7 @@ class FitDiagnostics:
     lbfgs_success: bool = True
 
 
-def mle_reconstruct(corrected_counts, settings, *, diagnostics: bool = False):
+def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     """Maximum-likelihood coherence matrix from background-corrected counts.
 
     G = L L^dagger is parameterized by the four real entries of a lower
@@ -247,13 +247,8 @@ def mle_reconstruct(corrected_counts, settings, *, diagnostics: bool = False):
     +-{1,2}-step refinement grid per parameter until the grid finds no
     further improvement; the result never has lower likelihood than its
     initializer.  All-zero counts return the zero matrix.
-
-    Returns the CoherenceMatrix, or (CoherenceMatrix, FitDiagnostics) when
-    `diagnostics` is true.
     """
-    matrix, diag = _fit(corrected_counts, settings)
-    recon = CoherenceMatrix(matrix)
-    return (recon, diag) if diagnostics else recon
+    return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
 
 def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
@@ -323,7 +318,8 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
     reconstruction, polarization undefined).
     """
     corrected = background_correct(raw_counts, detector)
-    recon, diagnostics = mle_reconstruct(corrected, settings, diagnostics=True)
+    matrix, diagnostics = _fit(corrected, settings)
+    recon = CoherenceMatrix(matrix)
     p = degree_of_polarization(recon) if recon.trace > 0.0 else math.nan
     return TomographyRun(
         settings=tuple(settings),

@@ -16,6 +16,7 @@ hit count in polsim.gedanken and the Poisson likelihood in polsim.tomography.
 mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
 exact four-setting path and the projector cache: every fit runs L-BFGS-B
 plus the grid polish, and the projectors are rebuilt from Jones matrices.
+SIX_SETTINGS (H V D A R L) is the overcomplete set the fit tests use.
 """
 
 import cmath
@@ -42,6 +43,8 @@ from polsim.elements import polarizer_jones, waveplate_jones
 from polsim.errors import IllPosedError, ParameterError
 from polsim.tomography import (
     _MU_FLOOR_REL,
+    DEFAULT_SETTINGS,
+    MeasurementSetting,
     _matrix_to_params,
     _nll_poisson_batch,
     _nll_poisson_grad,
@@ -265,6 +268,13 @@ def nll_poisson_batch_loop(params, pxx, pyy, rexy, imxy, counts, floor):
         out[k] = nll_poisson_grad_loop(params[k], pxx, pyy, rexy, imxy,
                                        counts, floor)[0]
     return out
+
+
+SIX_SETTINGS = DEFAULT_SETTINGS[:3] + (
+    MeasurementSetting("A", math.pi / 4, -math.pi / 4),
+    DEFAULT_SETTINGS[3],
+    MeasurementSetting("L", 0.0, -math.pi / 4),
+)
 
 
 def fresh_projector(setting) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import fresh_projector, mle_reconstruct_optimizer
+from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -18,6 +18,7 @@ from polsim.tomography import (
     DetectorModel,
     FitDiagnostics,
     MeasurementSetting,
+    _fit,
     _projector_components,
     background_correct,
     expected_counts,
@@ -38,11 +39,6 @@ from polsim.zwm import (
 
 NO_DARK = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
 UNIT = DetectorModel(kappa=1.0, dark_rate=0.0, integration_time=1.0)
-SIX_SETTINGS = DEFAULT_SETTINGS[:3] + (
-    MeasurementSetting("A", math.pi / 4, -math.pi / 4),
-    DEFAULT_SETTINGS[3],
-    MeasurementSetting("L", 0.0, -math.pi / 4),
-)
 
 
 def noiseless_counts(matrix, detector=NO_DARK, settings=DEFAULT_SETTINGS):
@@ -359,32 +355,14 @@ def test_exact_path_matches_the_optimizer_oracle():
             p = 1.0 if trial % 4 == 0 else rng.uniform(0.0, 1.0)
             counts = poisson_table(rng, DEFAULT_SETTINGS, p,
                                    10 ** rng.uniform(0.5, 5.0), (31, trial))
-        rec, diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)
+        matrix, diag = _fit(counts, DEFAULT_SETTINGS)
         paths[diag.path] += 1
         if np.any(counts > 0):
             assert diag.path == ("exact" if inversion_is_psd(counts, DEFAULT_SETTINGS)
                                  else "optimizer")
-        assert np.array_equal(rec.matrix, mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix)
+        assert np.array_equal(matrix, mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix)
     assert paths["zero"] == 8
     assert paths["exact"] >= 200 and paths["optimizer"] >= 50
-
-
-@pytest.mark.parametrize("counts", [
-    [1.0, 1.0, 0.0, 1.0],          # pure, orthogonal to D: on the PSD boundary
-    [4.0, 4.0, 0.0, 4.0],
-    [386791.0, 1395320.0, 269973.0, 498743.0],  # P = 0.99997 at 1e6 counts
-])
-def test_exact_path_reproduces_every_count(counts):
-    """Tables where the exact path and the optimizer-only fit differ: the
-    exact path fits every count, and the two agree to 1e-7 of the total."""
-    counts = np.array(counts)
-    rec, diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)
-    assert diag == FitDiagnostics("exact")
-    mu = [np.trace(projector_from_setting(s) @ rec.matrix).real for s in DEFAULT_SETTINGS]
-    np.testing.assert_allclose(mu, counts, rtol=1e-13, atol=1e-13 * counts.sum())
-    oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
-    assert not np.array_equal(rec.matrix, oracle)
-    np.testing.assert_allclose(rec.matrix, oracle, rtol=0, atol=1e-7 * counts.sum())
 
 
 def excess_nll(matrix, counts, settings):
@@ -395,12 +373,27 @@ def excess_nll(matrix, counts, settings):
     return float(np.sum(counts * (r - 1.0 - np.log(r))))
 
 
-def test_exact_path_is_more_likely_than_an_optimizer_that_stops_short():
-    counts = np.array([386791.0, 1395320.0, 269973.0, 498743.0])
-    exact = mle_reconstruct(counts, DEFAULT_SETTINGS).matrix
+@pytest.mark.parametrize("counts", [
+    [1.0, 1.0, 0.0, 1.0],          # pure, orthogonal to D: on the PSD boundary
+    [4.0, 4.0, 0.0, 4.0],
+    [386791.0, 1395320.0, 269973.0, 498743.0],  # P = 0.99997 at 1e6 counts
+])
+def test_exact_path_reproduces_every_count(counts):
+    """Tables where the exact path and the optimizer-only fit differ: the
+    exact path fits every count, and the two agree to 1e-7 of the total.
+    Where every count is positive, the optimizer stopped short of the
+    saturated likelihood the exact path reaches."""
+    counts = np.array(counts)
+    matrix, diag = _fit(counts, DEFAULT_SETTINGS)
+    assert diag == FitDiagnostics("exact")
+    mu = [np.trace(projector_from_setting(s) @ matrix).real for s in DEFAULT_SETTINGS]
+    np.testing.assert_allclose(mu, counts, rtol=1e-13, atol=1e-13 * counts.sum())
     oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
-    assert excess_nll(exact, counts, DEFAULT_SETTINGS) < 1e-20
-    assert excess_nll(oracle, counts, DEFAULT_SETTINGS) > 1e-12
+    assert not np.array_equal(matrix, oracle)
+    np.testing.assert_allclose(matrix, oracle, rtol=0, atol=1e-7 * counts.sum())
+    if np.all(counts > 0):
+        assert excess_nll(matrix, counts, DEFAULT_SETTINGS) < 1e-20
+        assert excess_nll(oracle, counts, DEFAULT_SETTINGS) > 1e-12
 
 
 def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
@@ -411,7 +404,7 @@ def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
         if inversion_is_psd(counts, DEFAULT_SETTINGS):
             continue
         pure_non_psd += 1
-        diag = mle_reconstruct(counts, DEFAULT_SETTINGS, diagnostics=True)[1]
+        diag = _fit(counts, DEFAULT_SETTINGS)[1]
         assert diag.path == "optimizer"
         assert 1 <= diag.polish_rounds <= 8 and diag.lbfgs_iterations >= 0
         assert diag.polish_rounds == 8 or not diag.polish_capped
@@ -423,10 +416,10 @@ def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
             counts = np.array([np.trace(fresh_projector(s) @ (2.5e4 * bloch_matrix(p))).real
                                for s in SIX_SETTINGS])
             assert inversion_is_psd(counts, SIX_SETTINGS)
-        rec, diag = mle_reconstruct(counts, SIX_SETTINGS, diagnostics=True)
+        matrix, diag = _fit(counts, SIX_SETTINGS)
         assert diag.path == "optimizer"
-        assert np.array_equal(rec.matrix, mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix)
-    assert mle_reconstruct(np.zeros(6), SIX_SETTINGS, diagnostics=True)[1] == FitDiagnostics("zero")
+        assert np.array_equal(matrix, mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix)
+    assert _fit(np.zeros(6), SIX_SETTINGS)[1] == FitDiagnostics("zero")
 
 
 # ---------------------------------------------------------------------------
