@@ -27,8 +27,8 @@ from .tomography import (
     TomographyRun,
     background_correct,
     expected_counts,
+    expected_counts_grid,
     mle_reconstruct,
-    p_from_run,
     projector_from_setting,
     read_counts_table,
     reconstruct_run,
@@ -46,7 +46,6 @@ from .zwm import (
     check_coherence,
     coherence_grid,
     coherence_matrix,
-    config_with,
     degree_of_polarization,
     degree_of_polarization_grid,
     field_map,

@@ -1,8 +1,12 @@
 """Parameter sweeps over (gamma, |T|) producing a flat CSV table.
 
-Every stochastic row derives its generator from (seed, gamma index, t index,
-replicate), so a fixed seed reproduces the output byte for byte regardless
-of grid shape or replicate count.
+The analytic, gedanken and numeric modes evaluate the whole grid as one
+array expression.  The tomography mode computes the coherence matrix and
+the expected counts of every grid point at once, then draws and fits each
+row; the montecarlo mode samples each row.  Every stochastic row derives its
+generator from (seed, gamma index, t index, replicate), so a fixed seed
+reproduces the output byte for byte regardless of grid shape or replicate
+count.
 """
 
 from __future__ import annotations
@@ -18,19 +22,11 @@ from .gedanken import (GedankenConfig, degree_of_polarization_gedanken_grid,
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
+    _poisson_draw,
+    expected_counts_grid,
     reconstruct_run,
-    simulate_counts,
 )
-from .zwm import (
-    CoherenceMatrix,
-    ZwmConfig,
-    analytic_p_grid,
-    coherence_grid,
-    coherence_matrix,
-    config_with,
-    degree_of_polarization_grid,
-    t_phase,
-)
+from .zwm import ZwmConfig, analytic_p_grid, coherence_grid, degree_of_polarization_grid
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
@@ -61,16 +57,14 @@ class SweepSpec:
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
                 raise ConfigRangeError(f"t = {t} outside [0, 1]")
+        if self.seed < 0:
+            raise ConfigRangeError("seed must be >= 0")
         if self.replicates < 1:
             raise ConfigRangeError("replicates must be >= 1")
         if self.mc_samples < 1:
             raise ConfigRangeError("samples must be >= 1")
         object.__setattr__(self, "gammas_deg", tuple(sorted(self.gammas_deg)))
         object.__setattr__(self, "t_values", tuple(sorted(self.t_values)))
-
-
-def _with_point(cfg: ZwmConfig, gamma_deg: float, t_abs: float) -> ZwmConfig:
-    return config_with(cfg, gamma=math.radians(gamma_deg), t=t_abs * t_phase(cfg))
 
 
 def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
@@ -94,26 +88,11 @@ def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
     return p, stderr
 
 
-def _tomography_p_estimate(cfg: ZwmConfig, detector: DetectorModel, seed_seq) -> float:
-    g = coherence_matrix(cfg)
-    if g.trace <= 0.0:
-        raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
-    normalized = CoherenceMatrix(g.matrix / g.trace)
-    raw = simulate_counts(normalized, DEFAULT_SETTINGS, detector, seed_seq)
-    p = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
-    if math.isnan(p):
-        raise ZeroTraceError(
-            "degree of polarization undefined at zero intensity: all "
-            "background-corrected counts are zero")
-    return p
-
-
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
     """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
     (gamma, t, replicate)."""
+    gammas = np.radians(spec.gammas_deg)
     if spec.mode not in ("tomography", "montecarlo"):
-        gammas = np.radians(spec.gammas_deg)
         if spec.mode == "analytic":
             p = analytic_p_grid(cfg, gammas, spec.t_values)
         elif spec.mode == "gedanken":
@@ -123,6 +102,13 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
         return [(gamma_deg, t_abs, spec.mode, p_value, 0.0)
                 for gamma_deg, p_row in zip(spec.gammas_deg, p.tolist())
                 for t_abs, p_value in zip(spec.t_values, p_row)]
+    if spec.mode == "tomography":
+        g = coherence_grid(cfg, gammas, spec.t_values)
+        trace = g[..., 0, 0].real + g[..., 1, 1].real
+        if np.any(trace <= 0.0):
+            raise ZeroTraceError("degree of polarization undefined at zero intensity")
+        # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
+        mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
     rows = []
     for ig, gamma_deg in enumerate(spec.gammas_deg):
         for it, t_abs in enumerate(spec.t_values):
@@ -133,8 +119,12 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
                     p, se = _mc_p_estimate(cfg, gamma_deg, t_abs,
                                            spec.mc_samples, seed_seq)
                 else:
-                    p = _tomography_p_estimate(
-                        _with_point(cfg, gamma_deg, t_abs), detector, seed_seq)
+                    raw = _poisson_draw(mu[ig, it], seed_seq)
+                    p = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+                    if math.isnan(p):
+                        raise ZeroTraceError(
+                            "degree of polarization undefined at zero intensity: all "
+                            "background-corrected counts are zero")
                     se = 0.0
                 rows.append((gamma_deg, t_abs, spec.mode, p, se))
     return rows

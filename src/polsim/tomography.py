@@ -109,25 +109,40 @@ def _components(keys) -> tuple[np.ndarray, ...]:
     return pxx, pyy, rexy, imxy
 
 
+def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
+    """Mean detected counts, dark counts included, of every (..., 2, 2)
+    coherence matrix in g under every setting: shape (..., n_settings).
+
+    The signal is the trace of the stacked products Pi @ G, which gives the
+    same floats as each setting's own tr(Pi G).
+    """
+    pis = np.stack([projector_from_setting(s) for s in settings])
+    products = pis @ np.asarray(g)[..., None, :, :]
+    signal = (products[..., 0, 0] + products[..., 1, 1]).real
+    with np.errstate(over="ignore"):  # an infinite mean fails the Poisson limit check
+        return detector.kappa * np.maximum(signal, 0.0) * detector.integration_time \
+            + detector.dark_rate * detector.integration_time
+
+
 def expected_counts(
     g: CoherenceMatrix, setting: MeasurementSetting, detector: DetectorModel
 ) -> float:
     """Mean detected counts for one setting, dark counts included."""
-    pi = projector_from_setting(setting)
-    signal = float(np.trace(pi @ g.matrix).real)
-    return detector.kappa * max(signal, 0.0) * detector.integration_time \
-        + detector.dark_rate * detector.integration_time
+    return float(expected_counts_grid(g.matrix, (setting,), detector)[0])
+
+
+def _poisson_draw(mu: np.ndarray, seed) -> np.ndarray:
+    if not np.all(mu <= _POISSON_LAM_MAX):
+        raise ConfigRangeError(f"expected counts {np.max(mu):g} exceed the Poisson "
+                               f"sampler's limit {_POISSON_LAM_MAX:g}")
+    return np.random.default_rng(seed).poisson(mu)
 
 
 def simulate_counts(
     g: CoherenceMatrix, settings, detector: DetectorModel, seed
 ) -> np.ndarray:
     """Poisson draw of raw counts for every setting; deterministic per seed."""
-    mu = np.array([expected_counts(g, s, detector) for s in settings])
-    if not np.all(mu <= _POISSON_LAM_MAX):
-        raise ConfigRangeError(f"expected counts {np.max(mu):g} exceed the Poisson "
-                               f"sampler's limit {_POISSON_LAM_MAX:g}")
-    return np.random.default_rng(seed).poisson(mu)
+    return _poisson_draw(expected_counts_grid(g.matrix, settings, detector), seed)
 
 
 def _checked_counts(counts, what: str) -> np.ndarray:
@@ -329,11 +344,6 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
         p_estimate=p,
         diagnostics=diagnostics,
     )
-
-
-def p_from_run(run: TomographyRun) -> float:
-    """Degree of polarization of a run; raises on zero-trace reconstructions."""
-    return degree_of_polarization(run.reconstruction)
 
 
 # ---------------------------------------------------------------------------

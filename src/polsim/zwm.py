@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -364,7 +364,3 @@ def numeric_degree_of_polarization(cfg: ZwmConfig) -> float:
     """Biphoton-matrix pipeline at one operating point: A, F -> G -> P."""
     return degree_of_polarization(coherence_matrix(cfg))
 
-
-def config_with(cfg: ZwmConfig, **changes) -> ZwmConfig:
-    """dataclasses.replace wrapper so callers need not import dataclasses."""
-    return replace(cfg, **changes)

@@ -17,9 +17,15 @@ mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
 exact four-setting path and the projector cache: every fit runs L-BFGS-B
 plus the grid polish, and the projectors are rebuilt from Jones matrices.
 SIX_SETTINGS (H V D A R L) is the overcomplete set the fit tests use.
+
+tomography_point_matrix, setting_means and tomography_row_oracle are one
+tomography sweep row computed on its own, as the sweep did before it evaluated the whole
+grid at once: the config moved to the point, a normalized CoherenceMatrix,
+one trace per setting, then the draw and the fit.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -40,7 +46,7 @@ from _fock import (
     vacuum,
 )
 from polsim.elements import polarizer_jones, waveplate_jones
-from polsim.errors import IllPosedError, ParameterError
+from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
 from polsim.tomography import (
     _MU_FLOOR_REL,
     DEFAULT_SETTINGS,
@@ -49,8 +55,10 @@ from polsim.tomography import (
     _nll_poisson_batch,
     _nll_poisson_grad,
     _params_to_matrix,
+    reconstruct_run,
 )
-from polsim.zwm import CoherenceMatrix
+from polsim.zwm import (CoherenceMatrix, ImperfectionConfig, ZwmConfig, coherence_matrix,
+                        t_phase)
 
 
 class DenseFock:
@@ -331,3 +339,45 @@ def mle_reconstruct_optimizer(corrected_counts, settings) -> CoherenceMatrix:
             break
         best_t, best_nll = grid[k_min].copy(), float(grid_nll[k_min])
     return CoherenceMatrix(_params_to_matrix(best_t))
+
+
+def random_config(rng) -> ZwmConfig:
+    """Complex gains, random phases and all four imperfections."""
+    return ZwmConfig(
+        g1=rng.uniform(0.001, 0.1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        g2=rng.uniform(0.001, 0.1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        t=rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+        gamma=rng.uniform(0, math.pi / 2),
+        phi_s1=rng.uniform(0, 2 * math.pi),
+        phi_s2=rng.uniform(0, 2 * math.pi),
+        phi_i=rng.uniform(0, 2 * math.pi),
+        imperfections=ImperfectionConfig(
+            eta_idler=rng.uniform(0.5, 1), bs_tx=rng.uniform(0.5, 1),
+            bs_ty=rng.uniform(0.5, 1), mu_overlap=rng.uniform(0, 1)),
+    )
+
+
+def tomography_point_matrix(cfg, gamma_deg, t_abs) -> CoherenceMatrix:
+    """Trace-normalized G at one (gamma, |T|) sweep point."""
+    point = dataclasses.replace(cfg, gamma=math.radians(gamma_deg), t=t_abs * t_phase(cfg))
+    g = coherence_matrix(point)
+    if g.trace <= 0.0:
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
+    return CoherenceMatrix(g.matrix / g.trace)
+
+
+def setting_means(g: CoherenceMatrix, settings, detector) -> list[float]:
+    """Mean counts per setting, one tr(Pi G) at a time."""
+    means = []
+    for setting in settings:
+        signal = float(np.trace(fresh_projector(setting) @ g.matrix).real)
+        means.append(detector.kappa * max(signal, 0.0) * detector.integration_time
+                     + detector.dark_rate * detector.integration_time)
+    return means
+
+
+def tomography_row_oracle(cfg, gamma_deg, t_abs, detector, seed_seq) -> float:
+    """P of one tomography sweep row drawn from seed_seq (NaN if no counts survive)."""
+    g = tomography_point_matrix(cfg, gamma_deg, t_abs)
+    raw = np.random.default_rng(seed_seq).poisson(setting_means(g, DEFAULT_SETTINGS, detector))
+    return reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate

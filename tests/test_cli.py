@@ -191,6 +191,15 @@ def test_sweep_without_detections_exits_2(tmp_path, capsys, cfg_text, mode,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["tomography", "montecarlo"])
+def test_negative_seed_exits_3_without_output(tmp_path, capsys, mode):
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--mode", mode, "--gamma", "10", "--t", "0.5",
+                   "--seed", "-1", "--out", str(out)) == 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from _oracles import (SIX_SETTINGS, fresh_projector, random_config, setting_means,
+                      tomography_point_matrix, tomography_row_oracle)
+from polsim import zwm
 from polsim.errors import ConfigRangeError, ParameterError
 from polsim.sweep import (
     CSV_HEADER,
@@ -13,8 +17,8 @@ from polsim.sweep import (
     format_rows,
     run_sweep,
 )
-from polsim.tomography import DetectorModel
-from polsim.zwm import ZwmConfig, analytic_p_general
+from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, expected_counts_grid
+from polsim.zwm import CoherenceMatrix, ZwmConfig, analytic_p_general
 
 DETECTOR = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
 
@@ -55,6 +59,9 @@ def test_spec_validation():
         make_spec(replicates=0)
     with pytest.raises(ConfigRangeError):
         make_spec(mode="montecarlo", mc_samples=0)
+    for mode in MODES:
+        with pytest.raises(ConfigRangeError):
+            make_spec(mode=mode, seed=-1)
 
 
 def test_spec_sorts_its_axes():
@@ -136,6 +143,61 @@ def test_tomography_rows_near_analytic():
         want = analytic_p_general(ZwmConfig(t=t_abs, gamma=math.radians(gamma_deg)))
         assert p == pytest.approx(want, abs=0.02)
         assert se == 0.0
+
+
+def random_detector(rng):
+    return DetectorModel(kappa=10 ** rng.uniform(2, 5), dark_rate=rng.uniform(0.1, 5),
+                         integration_time=rng.uniform(1, 20))
+
+
+def test_tomography_rows_equal_the_per_row_oracle():
+    """The grid pass gives every row the P that the per-point route draws and
+    fits: the config moved to the point, one CoherenceMatrix and one trace
+    per setting, the Poisson draw from the row's own SeedSequence."""
+    rng = np.random.default_rng(606)
+    for k in range(30):
+        cfg, det = random_config(rng), random_detector(rng)
+        spec = make_spec(mode="tomography", replicates=2, seed=k,
+                         gammas_deg=(0.0, rng.uniform(0, 90), 90.0),
+                         t_values=(0.0, rng.uniform(0, 1), 1.0))
+        want = [(gamma_deg, t_abs, "tomography",
+                 tomography_row_oracle(cfg, gamma_deg, t_abs, det, np.random.SeedSequence(
+                     entropy=k, spawn_key=(ig, it, rep))), 0.0)
+                for ig, gamma_deg in enumerate(spec.gammas_deg)
+                for it, t_abs in enumerate(spec.t_values)
+                for rep in range(2)]
+        assert run_sweep(spec, cfg, det) == want
+
+
+def test_expected_counts_grid_equals_per_setting_traces():
+    """The stacked Pi @ G trace gives the same floats as tr(Pi G) per setting."""
+    rng = np.random.default_rng(607)
+    for _ in range(20):
+        cfg, det = random_config(rng), random_detector(rng)
+        points = [tomography_point_matrix(cfg, gamma_deg, t_abs)
+                  for gamma_deg in rng.uniform(0, 90, 3) for t_abs in rng.uniform(0, 1, 2)]
+        stack = np.array([g.matrix for g in points]).reshape(3, 2, 2, 2)
+        for settings in (DEFAULT_SETTINGS, SIX_SETTINGS):
+            got = expected_counts_grid(stack, settings, det)
+            assert got.shape == (3, 2, len(settings))
+            assert got.reshape(6, -1).tolist() == [setting_means(g, settings, det)
+                                                   for g in points]
+    # the state orthogonal to an analyzer reads a rounding-level negative
+    # signal there, which counts as zero
+    pure = [CoherenceMatrix(np.eye(2) - fresh_projector(s)) for s in SIX_SETTINGS]
+    got = expected_counts_grid(np.array([g.matrix for g in pure]), SIX_SETTINGS, DETECTOR)
+    assert got.tolist() == [setting_means(g, SIX_SETTINGS, DETECTOR) for g in pure]
+    assert got.min() == 0.0
+
+
+def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):
+    """One check for the grid's coherence matrices, one per fitted row."""
+    calls = []
+    check = zwm.check_coherence
+    monkeypatch.setattr(zwm, "check_coherence", lambda m: calls.append(1) or check(m))
+    rows = sweep(make_spec(mode="tomography", t_values=(0.5, 1.0), replicates=2))
+    assert len(rows) == 12
+    assert len(calls) == 13
 
 
 def test_format_rows_layout():

@@ -11,7 +11,6 @@ from polsim.errors import (
     ConfigRangeError,
     IllPosedError,
     ParameterError,
-    ZeroTraceError,
 )
 from polsim.tomography import (
     DEFAULT_SETTINGS,
@@ -23,7 +22,6 @@ from polsim.tomography import (
     background_correct,
     expected_counts,
     mle_reconstruct,
-    p_from_run,
     projector_from_setting,
     read_counts_table,
     reconstruct_run,
@@ -435,7 +433,6 @@ def test_reconstruct_run_corrects_background():
         run.corrected_counts, np.asarray(mu) - 300.0, rtol=1e-12
     )
     assert run.p_estimate == pytest.approx(0.6, abs=1e-5)
-    assert p_from_run(run) == run.p_estimate
     assert run.diagnostics == FitDiagnostics("exact")
 
 
@@ -444,8 +441,6 @@ def test_reconstruct_run_flags_zero_trace():
     run = reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
     assert math.isnan(run.p_estimate)
     assert run.diagnostics == FitDiagnostics("zero")
-    with pytest.raises(ZeroTraceError):
-        p_from_run(run)
 
 
 # ---------------------------------------------------------------------------
