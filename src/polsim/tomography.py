@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
-from .zwm import CoherenceMatrix, degree_of_polarization
+from .zwm import CoherenceMatrix, check_coherence, degree_of_polarization
 
-_MU_FLOOR_REL = 1e-12
-_POLISH_ROUNDS = 8
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
 
@@ -85,8 +83,11 @@ def projector_from_setting(setting: MeasurementSetting) -> np.ndarray:
     return _projector(*_angle_key(setting))
 
 
-def _projector_components(settings) -> tuple[np.ndarray, ...]:
-    """(pxx, pyy, Re pxy, Im pxy) per setting, read-only and cached.
+def _projector_components(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-setting fit data, read-only and cached: the inversion design rows
+    (pxx, pyy, 2 Re pxy, 2 Im pxy), the Stokes rows a_k with expected count
+    mu_k = a_k . (S0, S1, S2, S3), and the analyzer's pass spinor phi_k,
+    Pi_k = phi_k phi_k^dagger.
 
     Raises IllPosedError, on every call, when the projectors cannot
     identify G.
@@ -95,18 +96,19 @@ def _projector_components(settings) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _components(keys) -> tuple[np.ndarray, ...]:
-    pis = [_projector(*key) for key in keys]
-    pxx = np.array([pi[0, 0].real for pi in pis])
-    pyy = np.array([pi[1, 1].real for pi in pis])
-    rexy = np.array([pi[0, 1].real for pi in pis])
-    imxy = np.array([pi[0, 1].imag for pi in pis])
-    design = np.column_stack([pxx, pyy, math.sqrt(2.0) * rexy, math.sqrt(2.0) * imxy])
-    if np.linalg.matrix_rank(design, tol=1e-10 * np.abs(design).max()) < 4:
+def _components(keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pis = np.array([_projector(*key) for key in keys])
+    pxx, pyy, pxy = pis[:, 0, 0].real, pis[:, 1, 1].real, pis[:, 0, 1]
+    design = np.column_stack([pxx, pyy, 2.0 * pxy.real, 2.0 * pxy.imag])
+    stokes = np.column_stack([(pxx + pyy) / 2.0, (pxx - pyy) / 2.0, pxy.real, -pxy.imag])
+    if np.linalg.matrix_rank(stokes, tol=1e-10 * np.abs(stokes).max()) < 4:
         raise IllPosedError("projector set is degenerate; cannot identify G")
-    for a in (pxx, pyy, rexy, imxy):
+    # Pi is rank one: its column with the larger diagonal entry is phi up to a phase
+    col = (pyy > pxx).astype(int)
+    phi = pis[np.arange(len(keys)), :, col] / np.sqrt(np.maximum(pxx, pyy))[:, None]
+    for a in (design, stokes, phi):
         a.setflags(write=False)
-    return pxx, pyy, rexy, imxy
+    return design, stokes, phi
 
 
 def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
@@ -163,105 +165,165 @@ def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
 
 
-def _params_to_matrix(t: np.ndarray) -> np.ndarray:
-    gxx = t[0] * t[0]
-    gyy = t[1] * t[1] + t[2] * t[2] + t[3] * t[3]
-    gxy = t[0] * (t[2] - 1j * t[3])
-    return np.array([[gxx, gxy], [gxy.conjugate(), gyy]])
-
-
-def _matrix_to_params(g: np.ndarray) -> np.ndarray:
-    t0 = math.sqrt(max(g[0, 0].real, 0.0))
-    if t0 > 0.0:
-        t2 = g[1, 0].real / t0
-        t3 = g[1, 0].imag / t0
-    else:
-        t2 = t3 = 0.0
-    rest = g[1, 1].real - t2 * t2 - t3 * t3
-    return np.array([t0, math.sqrt(max(rest, 0.0)), t2, t3])
-
-
-# params = (t0, t1, t2, t3) parameterize G = L L^dagger with
-# L = [[t0, 0], [t2 + i*t3, t1]], i.e.
-#   Gxx = t0^2, Gyy = t1^2 + t2^2 + t3^2, Gxy = t0*(t2 - i*t3).
-# Projector p is packed as (pxx, pyy, Re pxy, Im pxy) per setting; the
-# negative log-likelihood is sum(mu - n*log(mu)) with mu floored.
-
-def _nll_poisson_grad(params, pxx, pyy, rexy, imxy, counts, floor):
-    t0, t1, t2, t3 = params
-    gxx = t0 * t0
-    gyy = t1 * t1 + t2 * t2 + t3 * t3
-    re, im = t0 * t2, -t0 * t3
-    mu = pxx * gxx + pyy * gyy + 2.0 * (rexy * re + imxy * im)
-    mu = np.maximum(mu, floor)
-    nll = float(np.sum(mu - counts * np.log(mu)))
-    w = 1.0 - counts / mu
-    grad = np.empty(4)
-    grad[0] = float(np.sum(w * (2.0 * t0 * pxx + 2.0 * (rexy * t2 - imxy * t3))))
-    grad[1] = float(np.sum(w * (2.0 * t1 * pyy)))
-    grad[2] = float(np.sum(w * (2.0 * t2 * pyy + 2.0 * rexy * t0)))
-    grad[3] = float(np.sum(w * (2.0 * t3 * pyy - 2.0 * imxy * t0)))
-    return nll, grad
-
-
-def _nll_poisson_batch(params, pxx, pyy, rexy, imxy, counts, floor):
-    """Negative log-likelihood of every row of an (n, 4) parameter array."""
-    t0, t1, t2, t3 = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
-    gxx = t0 * t0
-    gyy = t1 * t1 + t2 * t2 + t3 * t3
-    re, im = t0 * t2, -t0 * t3
-    mu = (gxx[:, None] * pxx[None, :] + gyy[:, None] * pyy[None, :]
-          + 2.0 * (re[:, None] * rexy[None, :] + im[:, None] * imxy[None, :]))
-    np.maximum(mu, floor, out=mu)
-    return np.sum(mu - counts[None, :] * np.log(mu), axis=1)
-
-
-def _linear_inversion_psd(counts, pxx, pyy, rexy, imxy) -> tuple[np.ndarray, bool]:
-    """Least-squares inversion projected onto the PSD cone, and whether the
-    inversion was PSD before the projection."""
-    design = np.column_stack([pxx, pyy, 2.0 * rexy, 2.0 * imxy])
+def _linear_inversion_psd(counts, design) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Least-squares inversion projected onto the PSD cone, whether the
+    inversion was PSD before the projection, and its top eigenvector."""
     sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
     g = np.array([[sol[0], sol[2] + 1j * sol[3]],
                   [sol[2] - 1j * sol[3], sol[1]]])
     vals, vecs = np.linalg.eigh(g)
     psd = bool(vals[0] >= 0.0)
     vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T, psd
+    return (vecs * vals) @ vecs.conj().T, psd, vecs[:, 1]
+
+
+def _cholesky_round_trip(g: np.ndarray) -> np.ndarray:
+    """g as L L^dagger from its triangular factor, bit for bit as the exact path returns it."""
+    t0 = math.sqrt(max(g[0, 0].real, 0.0))
+    t2, t3 = (g[1, 0].real / t0, g[1, 0].imag / t0) if t0 > 0.0 else (0.0, 0.0)
+    t = np.array([t0, math.sqrt(max(g[1, 1].real - t2 * t2 - t3 * t3, 0.0)), t2, t3])
+    gxy = t[0] * (t[2] - 1j * t[3])
+    return np.array([[t[0] * t[0], gxy],
+                     [gxy.conjugate(), t[1] * t[1] + t[2] * t[2] + t[3] * t[3]]])
+
+
+# The Newton fits see counts n scaled to a total near 1.  Setting k expects
+# mu_k = a_k . x from the Stokes vector x; G is PSD exactly when S0 >= |S|.
+_NEWTON_STEPS = 100
+_DECREMENT_TOL = 1e-28  # squared Newton decrement at which a fit stops
+_INTERIOR_KKT = 1e-9    # largest certificate an interior fit is accepted with
+
+
+def _newton(derivatives, decrease, move, x) -> tuple[np.ndarray, int]:
+    """Damped Newton from x.  derivatives(x) is the objective's gradient and
+    Hessian; the step uses the Hessian's nonzero eigenvalues, so it has
+    minimum norm where the Hessian is singular, and their magnitudes, so it
+    descends where the objective is not convex.  Steps are halved until
+    decrease(x, step), the objective's change computed without cancellation
+    (inf off its domain), is below a quarter of the squared Newton decrement."""
+    for steps in range(1, _NEWTON_STEPS + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, hess = derivatives(x)
+        if not np.all(np.isfinite(hess)):  # a weight beyond float range
+            break
+        vals, vecs = np.linalg.eigh(hess)
+        keep = np.abs(vals) > 1e-15 * np.abs(vals).max()
+        step = -vecs[:, keep] @ ((vecs[:, keep].T @ grad) / np.abs(vals[keep]))
+        decrement = -float(grad @ step)
+        if not decrement > _DECREMENT_TOL:
+            break
+        t = 1.0
+        while not decrease(x, t * step) <= -0.25 * t * decrement:
+            t *= 0.5
+            if t < 1e-12:
+                return x, steps
+        x = move(x, t * step)
+    return x, steps
+
+
+def _interior_newton(a, n) -> tuple[np.ndarray, int]:
+    """Minimize sum(mu - n log mu) over x from the unpolarized state."""
+    pos = n > 0.0
+
+    def derivatives(x):
+        mu = a @ x
+        w = np.divide(n, mu, out=np.zeros_like(n), where=pos)
+        return a.T @ (1.0 - w), (a.T * np.divide(w, mu, out=np.zeros_like(n), where=pos)) @ a
+
+    def decrease(x, dx):
+        dmu = a @ dx
+        ratio = dmu[pos] / (a @ x)[pos]
+        if not (np.all(ratio > -1.0) and np.all((a @ (x + dx))[pos] > 0.0)):
+            return math.inf
+        return float(dmu.sum() - n[pos] @ np.log1p(ratio))
+
+    return _newton(derivatives, decrease, np.add, np.array([n.sum() / a[:, 0].sum(), 0, 0, 0]))
+
+
+def _boundary_newton(phi, n, psi) -> tuple[np.ndarray, np.ndarray, int]:
+    """Best pure G = s0 psi psi^dagger: with c_k = |phi_k^dagger psi|^2, s0 = N / sum c
+    leaves h = N log sum c - sum n log c for Newton over the Bloch direction, a
+    step z moving psi to unit(psi + z psi_perp).  Returns (G, mu, steps)."""
+    total, pos = n.sum(), n > 0.0
+
+    def move(psi, z):
+        psi = psi + complex(z[0], z[1]) * _perp(psi)
+        return psi / np.linalg.norm(psi)
+
+    def derivatives(psi):
+        p, q = phi.conj() @ psi, phi.conj() @ _perp(psi)
+        c = np.abs(p) ** 2  # c_k(z) = c_k + dc_k . (Re z, Im z) + curv_k |z|^2 + ...
+        dc = 2.0 * np.column_stack([(p.conj() * q).real, -(p.conj() * q).imag])
+        curv, w = np.abs(q) ** 2 - c, np.divide(n, c, out=np.zeros_like(n), where=pos)
+        s, ds = c.sum(), dc.sum(axis=0)
+        return total / s * ds - w @ dc, (
+            2.0 * (total / s * curv.sum() - w @ curv) * np.eye(2)
+            - total / s**2 * np.outer(ds, ds)
+            + (dc.T * np.divide(w, c, out=np.zeros_like(n), where=pos)) @ dc)
+
+    def decrease(psi, z):
+        p, zq = phi.conj() @ psi, complex(z[0], z[1]) * (phi.conj() @ _perp(psi))
+        c, zz = np.abs(p) ** 2, z[0] * z[0] + z[1] * z[1]
+        dc = (2.0 * (p.conj() * zq).real + np.abs(zq) ** 2 - c * zz) / (1.0 + zz)
+        ratio = dc[pos] / c[pos]
+        if not (np.all(ratio > -1.0) and np.all(np.abs(phi.conj() @ move(psi, z))[pos] > 0.0)):
+            return math.inf
+        return float(total * np.log1p(dc.sum() / c.sum()) - n[pos] @ np.log1p(ratio))
+
+    # a start orthogonal to a setting that counted would put its c_k at zero
+    psi = psi + 1e-3 * phi[pos & (phi.conj() @ psi == 0.0)].sum(axis=0)
+    psi, steps = _newton(derivatives, decrease, move, psi / np.linalg.norm(psi))
+    c = np.abs(phi.conj() @ psi) ** 2
+    g = total / c.sum() * np.outer(psi, psi.conj())
+    return (g + g.conj().T) / 2.0, total / c.sum() * c, steps
+
+
+def _perp(psi: np.ndarray) -> np.ndarray:
+    return np.array([-psi[1].conjugate(), psi[0].conjugate()])
+
+
+def _kkt_residual(a, n, mu, trace) -> float:
+    """Conic KKT residual per count of a fit with expected counts mu = a x.
+    x is optimal when the gradient y = A^T (1 - n / mu) lies in the
+    self-dual cone and x . y = sum mu - N = 0; the negative log-likelihood's
+    excess over its minimum is at most trace max(|y_vec| - y0, 0) + |x . y|."""
+    pos = n > 0.0
+    if not np.all(mu[pos] > 0.0):
+        return math.inf
+    y = a.T @ (1.0 - np.divide(n, mu, out=np.zeros_like(n), where=pos))
+    gap = trace * max(math.hypot(y[1], y[2], y[3]) - y[0], 0.0) + abs(mu.sum() - n.sum())
+    return float(gap / n.sum())
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
     """How a tomography fit reached its answer.
 
-    path: "exact" (four settings whose linear inversion is PSD: that is the
-      MLE, returned without optimizing), "optimizer" (L-BFGS-B plus grid
-      polish) or "zero" (all counts zero).
-    lbfgs_iterations: L-BFGS-B iterations summed over the polish rounds.
-    polish_rounds: optimizer-plus-grid rounds run, at most 8.
-    polish_capped: the last allowed round's grid still improved the fit.
-    lbfgs_success: no L-BFGS-B run reported failure (True when none ran).
+    path: "zero" (all counts zero), "exact" (four settings and a PSD linear
+      inversion, which is the MLE), "interior" (a mixed optimum, more than
+      four settings) or "boundary" (a pure optimum).
+    newton_steps: Newton iterations, interior and boundary together.
+    kkt_residual: the conic KKT certificate, a bound on the excess of the
+      negative log-likelihood over its minimum, per count.
     """
 
     path: str
-    lbfgs_iterations: int = 0
-    polish_rounds: int = 0
-    polish_capped: bool = False
-    lbfgs_success: bool = True
+    newton_steps: int = 0
+    kkt_residual: float = 0.0
 
 
 def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     """Maximum-likelihood coherence matrix from background-corrected counts.
 
-    G = L L^dagger is parameterized by the four real entries of a lower
-    triangular L, which keeps every iterate positive semidefinite.  The fit
-    starts from a linear inversion projected onto the PSD cone.  With
-    exactly four settings the Poisson model is saturated, so when the
-    inversion is already PSD it reproduces every count and is the MLE: it
-    is returned as is.  Otherwise the Poisson log-likelihood
-    sum(n log mu - mu) is maximized with L-BFGS-B, then polished against a
-    +-{1,2}-step refinement grid per parameter until the grid finds no
-    further improvement; the result never has lower likelihood than its
-    initializer.  All-zero counts return the zero matrix.
+    The expected counts are linear in the Stokes vector of G, so the Poisson
+    negative log-likelihood is convex over the PSD cone; its minimum is found
+    exactly.  All-zero counts give the zero matrix.  With four settings a PSD
+    linear inversion reproduces every count and is returned as is.  With
+    more, damped Newton in Stokes coordinates finds a mixed optimum.  Else
+    the optimum is pure, s0 is closed form for each Bloch direction, and
+    Newton over the direction finds it, from the top eigenvector of the
+    PSD-projected inversion.  Counts are scaled by a power of two for the
+    fit; a subnormal total that rounds G off the cone raises ParameterError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
@@ -273,45 +335,41 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
             f"need >= 4 settings with matching counts, got {len(settings)} "
             f"settings and counts of shape {counts.shape}"
         )
-    pxx, pyy, rexy, imxy = _projector_components(settings)
+    design, a, phi = _projector_components(settings)
     if not np.any(counts > 0):
         return np.zeros((2, 2), dtype=complex), FitDiagnostics("zero")
 
-    g_init, psd = _linear_inversion_psd(counts, pxx, pyy, rexy, imxy)
-    t_init = _matrix_to_params(g_init)
+    total = float(counts.sum())
+    scale = math.ldexp(1.0, math.frexp(total)[1])  # a power of two: exact
+    n = counts / scale
+    g, psd, top = _linear_inversion_psd(n, design)
     if psd and len(settings) == 4:
-        return _params_to_matrix(t_init), FitDiagnostics("exact")
-    floor = _MU_FLOOR_REL * (counts.sum() + 1.0)
-    args = (pxx, pyy, rexy, imxy, counts, floor)
-    scale = math.sqrt(counts.sum())
-    if np.linalg.norm(t_init) < 1e-9 * scale:
-        t_init = np.full(4, 0.1 * scale)
-
-    best_t = t_init.copy()
-    best_nll = _nll_poisson_grad(best_t, *args)[0]
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    iterations, success = 0, True
-    for rounds in range(1, _POLISH_ROUNDS + 1):
-        res = minimize(_nll_poisson_grad, best_t, args=args, jac=True,
-                       method="L-BFGS-B",
-                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10})
-        iterations += int(res.nit)
-        success = success and bool(res.success)
-        if res.fun <= best_nll:
-            best_t, best_nll = np.asarray(res.x), float(res.fun)
-        steps = np.maximum(1e-4 * np.abs(best_t), 1e-6 * scale)
-        axes = [best_t[k] + offsets * steps[k] for k in range(4)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-        grid_nll = _nll_poisson_batch(grid, *args)
-        k_min = int(np.argmin(grid_nll))
-        if grid_nll[k_min] >= best_nll - 1e-9:
-            capped = False
-            break
-        best_t, best_nll = grid[k_min].copy(), float(grid_nll[k_min])
+        path, steps = "exact", 0
+        matrix = _cholesky_round_trip(g * scale)
+        mu = design @ np.array([g[0, 0].real, g[1, 1].real, g[0, 1].real, g[0, 1].imag])
     else:
-        capped = True
-    return _params_to_matrix(best_t), FitDiagnostics(
-        "optimizer", iterations, rounds, capped, success)
+        path, steps = "boundary", 0
+        if len(settings) > 4:
+            x, steps = _interior_newton(a, n)
+            mu = a @ x
+            inside = x[0] >= math.hypot(x[1], x[2], x[3])
+            if inside and _kkt_residual(a, n, mu, x[0]) <= _INTERIOR_KKT:
+                path = "interior"
+                g = np.array([[x[0] + x[1], x[2] - 1j * x[3]],
+                              [x[2] + 1j * x[3], x[0] - x[1]]]) / 2.0
+        if path == "boundary":
+            g, mu, boundary_steps = _boundary_newton(phi, n, top)
+            steps += boundary_steps
+        matrix = g * scale
+    if total < sys.float_info.min:  # scaling back may round G off the cone
+        try:
+            check_coherence(matrix)
+            if not matrix[0, 0].real + matrix[1, 1].real > 0.0:
+                raise ParameterError("zero trace")
+        except ParameterError:
+            raise ParameterError("corrected counts are below float resolution: "
+                                 f"their total {total:g} is subnormal") from None
+    return matrix, FitDiagnostics(path, steps, _kkt_residual(a, n, mu, np.trace(g).real))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,18 @@ build_state, output_fields and sparse_coherence_matrix assemble the
 interferometer in the sparse Fock algebra, term by term from the optical
 elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
 
-The *_loop functions are element-by-element forms of the vectorized Monte-Carlo
-hit count in polsim.gedanken and the Poisson likelihood in polsim.tomography.
+mc_detection_count_loop is the element-by-element form of the vectorized
+Monte-Carlo hit count in polsim.gedanken.
 
 mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
-exact four-setting path and the projector cache: every fit runs L-BFGS-B
-plus the grid polish, and the projectors are rebuilt from Jones matrices.
-SIX_SETTINGS (H V D A R L) is the overcomplete set the fit tests use.
+exact four-setting path, the projector cache and the convex Newton fit:
+every fit runs L-BFGS-B on the triangular-factor parameters G = L L^dagger
+plus a grid polish, and the projectors are rebuilt from Jones matrices.  It
+keeps its own copies of the parameter maps and of the floored Poisson
+likelihood (_nll_poisson_grad, _nll_poisson_batch, checked against their
+*_loop forms), and it is the only code that needs scipy.  The Newton fit
+must be at least as likely on every table.  SIX_SETTINGS (H V D A R L) is
+the overcomplete set the fit tests use.
 
 tomography_point_matrix, setting_means and tomography_row_oracle are one
 tomography sweep row computed on its own, as the sweep did before it evaluated the whole
@@ -47,16 +52,7 @@ from _fock import (
 )
 from polsim.elements import polarizer_jones, waveplate_jones
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
-from polsim.tomography import (
-    _MU_FLOOR_REL,
-    DEFAULT_SETTINGS,
-    MeasurementSetting,
-    _matrix_to_params,
-    _nll_poisson_batch,
-    _nll_poisson_grad,
-    _params_to_matrix,
-    reconstruct_run,
-)
+from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, reconstruct_run
 from polsim.zwm import (CoherenceMatrix, ImperfectionConfig, ZwmConfig, coherence_matrix,
                         t_phase)
 
@@ -248,6 +244,62 @@ def mc_detection_count_loop(u_source, u_report, u_detect,
         elif u_detect[i] < p_coherent:
             hits += 1
     return hits
+
+
+_MU_FLOOR_REL = 1e-12
+
+
+def _params_to_matrix(t: np.ndarray) -> np.ndarray:
+    gxx = t[0] * t[0]
+    gyy = t[1] * t[1] + t[2] * t[2] + t[3] * t[3]
+    gxy = t[0] * (t[2] - 1j * t[3])
+    return np.array([[gxx, gxy], [gxy.conjugate(), gyy]])
+
+
+def _matrix_to_params(g: np.ndarray) -> np.ndarray:
+    t0 = math.sqrt(max(g[0, 0].real, 0.0))
+    if t0 > 0.0:
+        t2 = g[1, 0].real / t0
+        t3 = g[1, 0].imag / t0
+    else:
+        t2 = t3 = 0.0
+    rest = g[1, 1].real - t2 * t2 - t3 * t3
+    return np.array([t0, math.sqrt(max(rest, 0.0)), t2, t3])
+
+
+# params = (t0, t1, t2, t3) parameterize G = L L^dagger with
+# L = [[t0, 0], [t2 + i*t3, t1]], i.e.
+#   Gxx = t0^2, Gyy = t1^2 + t2^2 + t3^2, Gxy = t0*(t2 - i*t3).
+# Projector p is packed as (pxx, pyy, Re pxy, Im pxy) per setting; the
+# negative log-likelihood is sum(mu - n*log(mu)) with mu floored.
+
+def _nll_poisson_grad(params, pxx, pyy, rexy, imxy, counts, floor):
+    t0, t1, t2, t3 = params
+    gxx = t0 * t0
+    gyy = t1 * t1 + t2 * t2 + t3 * t3
+    re, im = t0 * t2, -t0 * t3
+    mu = pxx * gxx + pyy * gyy + 2.0 * (rexy * re + imxy * im)
+    mu = np.maximum(mu, floor)
+    nll = float(np.sum(mu - counts * np.log(mu)))
+    w = 1.0 - counts / mu
+    grad = np.empty(4)
+    grad[0] = float(np.sum(w * (2.0 * t0 * pxx + 2.0 * (rexy * t2 - imxy * t3))))
+    grad[1] = float(np.sum(w * (2.0 * t1 * pyy)))
+    grad[2] = float(np.sum(w * (2.0 * t2 * pyy + 2.0 * rexy * t0)))
+    grad[3] = float(np.sum(w * (2.0 * t3 * pyy - 2.0 * imxy * t0)))
+    return nll, grad
+
+
+def _nll_poisson_batch(params, pxx, pyy, rexy, imxy, counts, floor):
+    """Negative log-likelihood of every row of an (n, 4) parameter array."""
+    t0, t1, t2, t3 = params[:, 0], params[:, 1], params[:, 2], params[:, 3]
+    gxx = t0 * t0
+    gyy = t1 * t1 + t2 * t2 + t3 * t3
+    re, im = t0 * t2, -t0 * t3
+    mu = (gxx[:, None] * pxx[None, :] + gyy[:, None] * pyy[None, :]
+          + 2.0 * (re[:, None] * rexy[None, :] + im[:, None] * imxy[None, :]))
+    np.maximum(mu, floor, out=mu)
+    return np.sum(mu - counts[None, :] * np.log(mu), axis=1)
 
 
 def nll_poisson_grad_loop(params, pxx, pyy, rexy, imxy, counts, floor):

@@ -308,3 +308,20 @@ def test_console_script_is_wired():
     )
     assert proc.returncode == 0
     assert "t_mag" in proc.stdout
+
+
+def test_tomo_runs_without_importing_scipy(tmp_path):
+    """The runtime needs numpy alone: a six-setting fit, the path that used
+    scipy.optimize, imports no scipy module."""
+    counts = tmp_path / "counts.txt"
+    counts.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                      "H 0 0 39872\nV 0 90 10131\nD 45 45 34990\n"
+                      "A 45 -45 15006\nR 0 45 25114\nL 0 -45 24903\n")
+    argv = ["tomo", "--counts", str(counts), "--out", str(tmp_path / "recon.csv")]
+    code = ("import sys\n"
+            "import polsim.cli\n"
+            f"assert polsim.cli.main({argv!r}) == 0\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,11 +1,14 @@
 """Property tests of the maximum-likelihood fit over arbitrary non-negative
 counts, for the four default settings and a six-setting set."""
 
+import sys
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import SIX_SETTINGS
+from polsim.errors import ParameterError
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     _fit,
@@ -20,13 +23,31 @@ tables = st.one_of(
     st.tuples(st.just(SIX_SETTINGS), st.lists(count, min_size=6, max_size=6)),
 )
 
+# A Newton fit's KKT certificate stays below CERTIFICATE_BOUND wherever the
+# positive counts span at most a factor SPAN.  Beyond that, a pure optimum can
+# sit in a narrow curved valley that a few small counts steer: the Newton
+# iteration ends near but not at the optimum, and the certificate, which
+# weighs each count by n / mu, says so.  Tables from a detector stay well
+# within that span (see the 2016-table test in test_tomography.py).
+CERTIFICATE_BOUND = 1e-9
+SPAN = 1e6
+
 
 @settings(max_examples=200, deadline=None)
 @given(tables)
+@example((DEFAULT_SETTINGS, [5e-324, 0.0, 0.0, 0.0]))
+@example((DEFAULT_SETTINGS, [5e-324, 5e-324, 0.0, 0.0]))
+@example((SIX_SETTINGS, [1e-13, 3.0, 3.0, 3.0, 37.0, 37.0]))  # pure start orthogonal to H
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)
-    rec = mle_reconstruct(counts, setting_set)
+    try:
+        rec = mle_reconstruct(counts, setting_set)
+    except ParameterError as err:
+        # scaling the fit back to a subnormal total can round G off the cone
+        assert 0.0 < counts.sum() < sys.float_info.min
+        assert "below float resolution" in str(err)
+        return
     matrix, diag = _fit(counts, setting_set)
     again, diag_again = _fit(counts, setting_set)
     assert np.array_equal(rec.matrix, matrix) and np.array_equal(matrix, again)
@@ -43,4 +64,8 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
         mu = [np.trace(projector_from_setting(s) @ rec.matrix).real for s in setting_set]
         np.testing.assert_allclose(mu, counts, rtol=1e-12, atol=1e-12 * counts.sum())
     else:
-        assert diag.path == "optimizer" and 1 <= diag.polish_rounds <= 8
+        assert diag.path in ("interior", "boundary") and diag.newton_steps >= 1
+        assert diag.path == "boundary" or len(setting_set) > 4
+        positive = counts[counts > 0]
+        if positive.min() * SPAN >= positive.max():
+            assert diag.kkt_residual <= CERTIFICATE_BOUND

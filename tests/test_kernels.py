@@ -1,6 +1,7 @@
 """The vectorized numeric kernels against their element-by-element oracles:
 the Monte-Carlo hit count inside gedanken.monte_carlo_detection and the
-Poisson likelihood of tomography.mle_reconstruct."""
+floored Poisson likelihood of the optimizer oracle that the tomography fit is
+checked against (tests/_oracles.py)."""
 
 import math
 
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    _nll_poisson_batch,
+    _nll_poisson_grad,
     mc_detection_count_loop,
     nll_poisson_batch_loop,
     nll_poisson_grad_loop,
 )
 from polsim.gedanken import GedankenConfig, _amplitudes, monte_carlo_detection
-from polsim.tomography import _nll_poisson_batch, _nll_poisson_grad
 
 
 def random_problem(rng, n_settings=4):

@@ -340,12 +340,37 @@ def inversion_is_psd(counts, settings):
     return bool(np.linalg.eigh(g)[0][0] >= 0.0)
 
 
+# KKT certificate bound for fits of count tables a detector could produce
+CERTIFICATE_BOUND = 1e-10
+
+
+def excess_nll(matrix, counts, settings):
+    """Poisson negative log-likelihood above the saturated optimum mu = n,
+    summed as n (r - 1 - log r) over counts > 0 to stay accurate at 1e6
+    counts, plus mu where the count is zero."""
+    mu = np.array([np.trace(fresh_projector(s) @ matrix).real for s in settings])
+    pos = counts > 0
+    r = mu[pos] / counts[pos]
+    return float(np.sum(counts[pos] * (r - 1.0 - np.log(r))) + np.sum(mu[~pos]))
+
+
+def assert_at_least_as_likely(matrix, oracle, counts, settings):
+    """The fit's excess NLL is at most the optimizer oracle's, up to 1e-12 of
+    the NLL itself."""
+    mu = np.array([np.trace(fresh_projector(s) @ oracle).real for s in settings])
+    pos = counts > 0
+    nll = float(mu.sum() - counts[pos] @ np.log(mu[pos]))
+    assert excess_nll(matrix, counts, settings) <= (
+        excess_nll(oracle, counts, settings) + 1e-12 * abs(nll))
+
+
 def test_exact_path_matches_the_optimizer_oracle():
     """400 four-setting tables at the sweep's count scale (up to 1e5 per
-    setting): mixed and pure targets, and all-zero tables.  Whichever path
-    runs, the matrix equals the optimizer-only fit bit for bit."""
+    setting): mixed and pure targets, and all-zero tables.  On the exact path
+    the matrix equals the optimizer-only fit bit for bit; a boundary fit is
+    at least as likely as the optimizer's and certifies its optimality."""
     rng = np.random.default_rng(31)
-    paths = {"exact": 0, "optimizer": 0, "zero": 0}
+    paths = {"exact": 0, "boundary": 0, "zero": 0}
     for trial in range(400):
         if trial % 50 == 0:
             counts = np.zeros(4)
@@ -355,20 +380,17 @@ def test_exact_path_matches_the_optimizer_oracle():
                                    10 ** rng.uniform(0.5, 5.0), (31, trial))
         matrix, diag = _fit(counts, DEFAULT_SETTINGS)
         paths[diag.path] += 1
+        oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
         if np.any(counts > 0):
             assert diag.path == ("exact" if inversion_is_psd(counts, DEFAULT_SETTINGS)
-                                 else "optimizer")
-        assert np.array_equal(matrix, mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix)
+                                 else "boundary")
+        if diag.path == "boundary":
+            assert_at_least_as_likely(matrix, oracle, counts, DEFAULT_SETTINGS)
+            assert diag.kkt_residual <= CERTIFICATE_BOUND
+        else:
+            assert np.array_equal(matrix, oracle)
     assert paths["zero"] == 8
-    assert paths["exact"] >= 200 and paths["optimizer"] >= 50
-
-
-def excess_nll(matrix, counts, settings):
-    """Poisson negative log-likelihood above the saturated optimum mu = n
-    (counts > 0), summed as n (r - 1 - log r) to stay accurate at 1e6 counts."""
-    mu = np.array([np.trace(fresh_projector(s) @ matrix).real for s in settings])
-    r = mu / counts
-    return float(np.sum(counts * (r - 1.0 - np.log(r))))
+    assert paths["exact"] >= 200 and paths["boundary"] >= 50
 
 
 @pytest.mark.parametrize("counts", [
@@ -383,7 +405,8 @@ def test_exact_path_reproduces_every_count(counts):
     saturated likelihood the exact path reaches."""
     counts = np.array(counts)
     matrix, diag = _fit(counts, DEFAULT_SETTINGS)
-    assert diag == FitDiagnostics("exact")
+    assert diag.path == "exact" and diag.newton_steps == 0
+    assert diag.kkt_residual <= CERTIFICATE_BOUND
     mu = [np.trace(projector_from_setting(s) @ matrix).real for s in DEFAULT_SETTINGS]
     np.testing.assert_allclose(mu, counts, rtol=1e-13, atol=1e-13 * counts.sum())
     oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
@@ -394,7 +417,7 @@ def test_exact_path_reproduces_every_count(counts):
         assert excess_nll(oracle, counts, DEFAULT_SETTINGS) > 1e-12
 
 
-def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
+def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
     rng = np.random.default_rng(32)
     pure_non_psd = 0
     for trial in range(60):
@@ -402,10 +425,11 @@ def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
         if inversion_is_psd(counts, DEFAULT_SETTINGS):
             continue
         pure_non_psd += 1
-        diag = _fit(counts, DEFAULT_SETTINGS)[1]
-        assert diag.path == "optimizer"
-        assert 1 <= diag.polish_rounds <= 8 and diag.lbfgs_iterations >= 0
-        assert diag.polish_rounds == 8 or not diag.polish_capped
+        matrix, diag = _fit(counts, DEFAULT_SETTINGS)
+        assert diag.path == "boundary" and diag.newton_steps >= 1
+        assert diag.kkt_residual <= CERTIFICATE_BOUND
+        oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
+        assert_at_least_as_likely(matrix, oracle, counts, DEFAULT_SETTINGS)
     assert pure_non_psd >= 20
     for trial in range(30):
         p = (1.0, 0.0, rng.uniform(0.0, 1.0))[trial % 3]
@@ -415,9 +439,68 @@ def test_pure_non_psd_and_six_setting_fits_take_the_optimizer():
                                for s in SIX_SETTINGS])
             assert inversion_is_psd(counts, SIX_SETTINGS)
         matrix, diag = _fit(counts, SIX_SETTINGS)
-        assert diag.path == "optimizer"
-        assert np.array_equal(matrix, mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix)
+        assert diag.path in ("interior", "boundary") and diag.newton_steps >= 1
+        assert diag.kkt_residual <= CERTIFICATE_BOUND
+        oracle = mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix
+        assert_at_least_as_likely(matrix, oracle, counts, SIX_SETTINGS)
     assert _fit(np.zeros(6), SIX_SETTINGS)[1] == FitDiagnostics("zero")
+
+
+def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
+    """2016 seeded tables, four and six settings: pure, near-pure (1 - P down
+    to 1e-6) and mixed targets, 1 to 1e8 counts per unit trace, and a count
+    zeroed in every seventh table.  Every fit is at least as likely as the
+    optimizer oracle's and carries a certificate below the bound."""
+    rng = np.random.default_rng(34)
+    paths = {"exact": 0, "interior": 0, "boundary": 0}
+    for trial in range(2016):
+        setting_set = (DEFAULT_SETTINGS, SIX_SETTINGS)[trial % 2]
+        p = (1.0, 1.0 - 10 ** rng.uniform(-6, -1), rng.uniform(0.0, 1.0))[trial // 2 % 3]
+        counts = poisson_table(rng, setting_set, p, 10 ** rng.uniform(0, 8), (34, trial))
+        if trial % 7 == 0:
+            counts[rng.integers(len(setting_set))] = 0.0
+        if not np.any(counts > 0):
+            continue
+        matrix, diag = _fit(counts, setting_set)
+        paths[diag.path] += 1
+        assert diag.kkt_residual <= CERTIFICATE_BOUND
+        oracle = mle_reconstruct_optimizer(counts, setting_set).matrix
+        assert_at_least_as_likely(matrix, oracle, counts, setting_set)
+    assert sum(paths.values()) >= 2000 and min(paths.values()) >= 300
+
+
+@pytest.mark.parametrize("counts", [
+    [39872.0, 10131.0, 34990.0, 15006.0, 25114.0, 24903.0],  # the pinned tomo table
+    [9e-6, 1e-6, 6e-6, 4e-6, 2e-6, 8e-6],
+    [0.0, 0.0, 1.0, 1.0, 1.0, 4.0],
+    [5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+])
+def test_six_setting_fits_are_scale_stationary(counts):
+    """H V D A R L measure every Stokes component twice with opposite signs,
+    so sum mu = 3 tr G, and the maximum of the likelihood over the scale of G
+    puts sum mu at the total count: tr G = N / 3."""
+    counts = np.array(counts)
+    matrix, _ = _fit(counts, SIX_SETTINGS)
+    assert np.trace(matrix).real == pytest.approx(counts.sum() / 3.0, rel=1e-12, abs=0.0)
+
+
+def test_fit_is_equivariant_under_powers_of_two():
+    """Scaling every count by 2^k scales the fit by 2^k exactly.  The exact
+    path's Cholesky round trip takes square roots, which stay exact only
+    under even powers; odd powers change it within an ulp."""
+    rng = np.random.default_rng(35)
+    for trial in range(24):
+        setting_set = (DEFAULT_SETTINGS, SIX_SETTINGS)[trial % 2]
+        p = (1.0, rng.uniform(0.0, 1.0))[trial // 2 % 2]
+        counts = poisson_table(rng, setting_set, p, 10 ** rng.uniform(0, 6), (35, trial))
+        matrix, diag = _fit(counts, setting_set)
+        for k in range(-40, 41):
+            scaled, scaled_diag = _fit(2.0**k * counts, setting_set)
+            if diag.path != "exact" or k % 2 == 0:
+                assert np.array_equal(scaled, 2.0**k * matrix) and scaled_diag == diag
+            else:
+                np.testing.assert_allclose(scaled, 2.0**k * matrix, rtol=0,
+                                           atol=4e-16 * 2.0**k * np.trace(matrix).real)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +516,7 @@ def test_reconstruct_run_corrects_background():
         run.corrected_counts, np.asarray(mu) - 300.0, rtol=1e-12
     )
     assert run.p_estimate == pytest.approx(0.6, abs=1e-5)
-    assert run.diagnostics == FitDiagnostics("exact")
+    assert run.diagnostics.path == "exact"
 
 
 def test_reconstruct_run_flags_zero_trace():
