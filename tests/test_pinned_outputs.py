@@ -162,11 +162,11 @@ SIX_SETTING_TABLE = (
 )
 SIX_SETTING_CSV = (
     "p_value,g_xx,g_yy,re_g_xy,im_g_xy,s0,s1,s2,s3\n"
-    "0.716628103688,39873.8600407,10131.4726224,9993.86518077,105.474844007,50005.332663,29742.3874183,19987.7303615,-210.949688014\n"
+    "0.716628104208,39873.8605817,10131.4727516,9993.86532256,105.4753917,50005.3333333,29742.3878301,19987.7306451,-210.9507834\n"
 )
 SIX_SETTING_DARK_CSV = (
     "p_value,g_xx,g_yy,re_g_xy,im_g_xy,s0,s1,s2,s3\n"
-    "0.717920339033,39828.8612884,10086.4713709,9993.86854364,105.474796955,49915.3326593,29742.3899175,19987.7370873,-210.94959391\n"
+    "0.717920339561,39828.8618329,10086.4715004,9993.86868646,105.47534734,49915.3333333,29742.3903325,19987.7373729,-210.950694681\n"
 )
 
 
