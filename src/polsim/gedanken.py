@@ -9,7 +9,9 @@ probability splits into a flagged (incoherent) part and a coherent part:
     p = |a1|^2 (1 - m^2) + |a1*m + a2|^2
 
 with path amplitudes a1 = exp(i*phi1) cos(theta - gamma)/2 and
-a2 = exp(i*phi2) cos(theta)/2.
+a2 = exp(i*phi2) cos(theta)/2.  monte_carlo_detection samples the same
+bookkeeping by drawing the branch counts of N samples, at a cost in time
+and memory that does not depend on N.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import ParameterError
 
 _COS_TOL = 1e-12
+MAX_SAMPLES = 2**63 - 1  # the largest count Generator.binomial takes (int64)
 
 
 @dataclass(frozen=True)
@@ -114,17 +117,23 @@ def monte_carlo_detection(
     (1 - m^2)/2 and (1 + m^2)/2 reproduces the closed form, so the sampler
     checks the probability bookkeeping independently of it.
 
+    The samples are i.i.d. and only their total hit count is used, so the
+    sampler draws the counts of the branch tree instead of one draw per
+    sample (the conditional-binomial form of a multinomial draw): n1 source-1
+    samples of N, n_flag of them reported, and the hits of the reported and
+    of the coherent class.  The hit count has exactly the distribution of
+    the per-sample draw, and time and memory do not depend on N.
+
     Deterministic given (seed, samples).
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ParameterError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     a1, a2 = _amplitudes(cfg)
-    one_minus_m2 = 1.0 - cfg.m**2
-    p_flagged = 2.0 * abs(a1) ** 2
-    p_coherent = 2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2)
+    # both are squared moduli (>= 0); rounding may put one an ulp above 1
+    p_flagged = min(2.0 * abs(a1) ** 2, 1.0)
+    p_coherent = min(2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2), 1.0)
     rng = np.random.default_rng(seed)
-    u = rng.random((3, samples))
-    flagged = (u[0] < 0.5) & (u[1] < one_minus_m2)
-    hits = int(np.count_nonzero(u[2] < np.where(flagged, p_flagged, p_coherent)))
+    n_flag = rng.binomial(rng.binomial(samples, 0.5), 1.0 - cfg.m**2)
+    hits = rng.binomial(n_flag, p_flagged) + rng.binomial(samples - n_flag, p_coherent)
     p_hat = hits / samples
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigRangeError, ParameterError, ZeroTraceError
-from .gedanken import (GedankenConfig, degree_of_polarization_gedanken_grid,
-                       monte_carlo_detection)
+from .gedanken import (MAX_SAMPLES, GedankenConfig,
+                       degree_of_polarization_gedanken_grid, monte_carlo_detection)
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
@@ -61,8 +61,8 @@ class SweepSpec:
             raise ConfigRangeError("seed must be >= 0")
         if self.replicates < 1:
             raise ConfigRangeError("replicates must be >= 1")
-        if self.mc_samples < 1:
-            raise ConfigRangeError("samples must be >= 1")
+        if not 1 <= self.mc_samples <= MAX_SAMPLES:
+            raise ConfigRangeError(f"samples must be in [1, {MAX_SAMPLES}]")
         object.__setattr__(self, "gammas_deg", tuple(sorted(self.gammas_deg)))
         object.__setattr__(self, "t_values", tuple(sorted(self.t_values)))
 

@@ -3,12 +3,15 @@
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polsim import cli
 from polsim.config import DEFAULTS, parse_config_text
+from polsim.gedanken import degree_of_polarization_gedanken
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
@@ -189,6 +192,39 @@ def test_sweep_without_detections_exits_2(tmp_path, capsys, cfg_text, mode,
     err = capsys.readouterr().err
     assert "zero intensity" in err and message in err
     assert not out.exists()
+
+
+def test_samples_beyond_the_binomial_range_exit_3_without_output(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--mode", "montecarlo", "--gamma", "45", "--t", "0.5",
+                   "--samples", str(2**63), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "samples must be in [1, 9223372036854775807]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_montecarlo_memory_and_time_do_not_grow_with_samples(capsys):
+    """1e12 samples per extremum (24 TB as one uniform triple per sample)
+    run in well under a second with a bounded allocation peak."""
+    argv = ["sweep", "--mode", "montecarlo", "--gamma", "45", "--t", "0.5", "--samples"]
+    assert run_cli(*argv, "1000") == 0  # first-call imports stay out of the peak
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rc = run_cli(*argv, "1000000000000")
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert elapsed < 1.0
+    assert peak < 1_000_000
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    p, se = float(row[3]), float(row[4])
+    assert 0.0 < se < 1e-5
+    assert abs(p - degree_of_polarization_gedanken(math.radians(45.0), 0.5)) <= 5 * se
 
 
 @pytest.mark.parametrize("mode", ["tomography", "montecarlo"])

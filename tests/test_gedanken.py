@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polsim import gedanken
 from polsim.errors import ParameterError
 from polsim.gedanken import (
+    MAX_SAMPLES,
     GedankenConfig,
     degree_of_polarization_gedanken,
     detection_probability,
@@ -127,6 +131,36 @@ def test_monte_carlo_rejects_empty_run():
         monte_carlo_detection(GedankenConfig(gamma=0.0, m=0.0), 0, 1)
 
 
+def test_monte_carlo_rejects_more_samples_than_the_binomial_draw_takes():
+    cfg = GedankenConfig(gamma=0.0, m=0.0)
+    assert 0.0 < monte_carlo_detection(cfg, MAX_SAMPLES, 1)[0] < 1.0
+    with pytest.raises(ParameterError, match="samples must be in"):
+        monte_carlo_detection(cfg, MAX_SAMPLES + 1, 1)
+
+
+@pytest.mark.parametrize("samples", [1, 10**6, 2**62])
+def test_monte_carlo_certain_and_dark_extrema(samples):
+    """m = 1 with aligned phases makes the coherent branch certain
+    (p_coherent = 1 exactly); with phi2 = pi it is dark (about 1e-33)."""
+    certain = GedankenConfig(gamma=0.0, m=1.0)
+    dark = GedankenConfig(gamma=0.0, m=1.0, phi2=math.pi)
+    assert detection_probability(certain) == 1.0
+    assert 0.0 < detection_probability(dark) < 1e-32
+    assert monte_carlo_detection(certain, samples, 3) == (1.0, 0.0)
+    assert monte_carlo_detection(dark, samples, 3) == (0.0, 0.0)
+
+
+def test_monte_carlo_clamps_branch_probabilities_rounded_above_one(monkeypatch):
+    one_ulp_up = 0.5 * (1.0 + 2.0**-52)
+    monkeypatch.setattr(gedanken, "_amplitudes", lambda cfg: (one_ulp_up, one_ulp_up))
+    cfg = GedankenConfig(gamma=0.0, m=1.0)
+    assert monte_carlo_detection(cfg, 1000, 5) == (1.0, 0.0)
+    cfg = GedankenConfig(gamma=0.0, m=0.0)
+    monkeypatch.setattr(gedanken, "_amplitudes",
+                        lambda cfg: (math.sqrt(0.5) * (1.0 + 2.0**-52), 0.0))
+    assert monte_carlo_detection(cfg, 1000, 5)[0] == pytest.approx(0.5, abs=0.1)
+
+
 def test_monte_carlo_unmarked_balanced_point():
     cfg = GedankenConfig(gamma=0.0, m=0.0, theta=0.0)
     est, se = monte_carlo_detection(cfg, 10**6, 314)
@@ -160,3 +194,21 @@ def test_monte_carlo_random_configurations():
         est, _ = monte_carlo_detection(cfg, 10**5, 5000 + k)
         se = math.sqrt(p * (1 - p) / 10**5)
         assert abs(est - p) <= 5 * se
+
+
+angle = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(-math.pi / 2, math.pi / 2), m=st.floats(0.0, 1.0),
+       phi1=angle, phi2=angle, theta=angle,
+       samples=st.integers(1, 2**62), seed=st.integers(0, 2**64 - 1))
+@example(gamma=0.0, m=1.0, phi1=0.0, phi2=0.0, theta=0.0, samples=2**62, seed=0)
+@example(gamma=0.0, m=1.0, phi1=0.0, phi2=math.pi, theta=0.0, samples=2**62, seed=0)
+def test_monte_carlo_estimate_is_a_deterministic_fraction(gamma, m, phi1, phi2, theta,
+                                                          samples, seed):
+    cfg = GedankenConfig(gamma=gamma, m=m, phi1=phi1, phi2=phi2, theta=theta)
+    est, se = monte_carlo_detection(cfg, samples, seed)
+    assert 0.0 <= est <= 1.0
+    assert math.isfinite(se) and se >= 0.0
+    assert monte_carlo_detection(cfg, samples, seed) == (est, se)

@@ -59,6 +59,9 @@ def test_spec_validation():
         make_spec(replicates=0)
     with pytest.raises(ConfigRangeError):
         make_spec(mode="montecarlo", mc_samples=0)
+    make_spec(mode="montecarlo", mc_samples=2**63 - 1)
+    with pytest.raises(ConfigRangeError):
+        make_spec(mode="montecarlo", mc_samples=2**63)
     for mode in MODES:
         with pytest.raises(ConfigRangeError):
             make_spec(mode=mode, seed=-1)
