@@ -23,16 +23,16 @@ MONTECARLO_CSV = (
     "0,0.5,montecarlo,1,0\n"
     "0,1,montecarlo,1,0\n"
     "0,1,montecarlo,1,0\n"
-    "45,0,montecarlo,0.681818181818,0.0213819832677\n"
-    "45,0,montecarlo,0.730526315789,0.0208927938266\n"
-    "45,0.5,montecarlo,0.893792071803,0.0118458515446\n"
-    "45,0.5,montecarlo,0.867052023121,0.0128041747554\n"
+    "45,0,montecarlo,0.707414829659,0.0209326127704\n"
+    "45,0,montecarlo,0.753564154786,0.0198337013439\n"
+    "45,0.5,montecarlo,0.906202723147,0.0112807362466\n"
+    "45,0.5,montecarlo,0.883738042678,0.0122131929589\n"
     "45,1,montecarlo,1,0\n"
     "45,1,montecarlo,1,0\n"
-    "90,0,montecarlo,0.00511770726714,0.0278123666958\n"
-    "90,0,montecarlo,0.0238568588469,0.027271863229\n"
-    "90,0.5,montecarlo,0.504531722054,0.0247341783016\n"
-    "90,0.5,montecarlo,0.447186574531,0.0250947734638\n"
+    "90,0,montecarlo,-0.00915564598169,0.027699289406\n"
+    "90,0,montecarlo,0.0269266480966,0.0260421636992\n"
+    "90,0.5,montecarlo,0.512195121951,0.0235786129032\n"
+    "90,0.5,montecarlo,0.467479674797,0.0253278198086\n"
     "90,1,montecarlo,1,0\n"
     "90,1,montecarlo,1,0\n"
 )
