@@ -34,9 +34,6 @@ DEFAULTS = {
     "dark_cps": 0.0,
 }
 
-_UNBOUNDED = ("g1_phase_rad", "g2_phase_rad", "t_phase_rad",
-              "phi_s1_rad", "phi_s2_rad", "phi_i_rad")
-
 
 def _check_range(key: str, value: float, line: int | None) -> None:
     def bad(requirement: str):

@@ -9,9 +9,8 @@ probability splits into a flagged (incoherent) part and a coherent part:
     p = |a1|^2 (1 - m^2) + |a1*m + a2|^2
 
 with path amplitudes a1 = exp(i*phi1) cos(theta - gamma)/2 and
-a2 = exp(i*phi2) cos(theta)/2.  monte_carlo_detection samples the same
-bookkeeping by drawing the branch counts of N samples, at a cost in time
-and memory that does not depend on N.
+a2 = exp(i*phi2) cos(theta)/2.  monte_carlo_detection draws the branch
+counts of N samples, in time and memory independent of N.
 """
 
 from __future__ import annotations
@@ -117,19 +116,15 @@ def monte_carlo_detection(
     (1 - m^2)/2 and (1 + m^2)/2 reproduces the closed form, so the sampler
     checks the probability bookkeeping independently of it.
 
-    The samples are i.i.d. and only their total hit count is used, so the
-    sampler draws the counts of the branch tree instead of one draw per
-    sample (the conditional-binomial form of a multinomial draw): n1 source-1
-    samples of N, n_flag of them reported, and the hits of the reported and
-    of the coherent class.  The hit count has exactly the distribution of
-    the per-sample draw, and time and memory do not depend on N.
-
-    Deterministic given (seed, samples).
+    Only the total hit count of the N i.i.d. samples is used, so it is drawn
+    as nested binomial branch counts, with exactly the law of the per-sample
+    draw, in time and memory independent of N.  Deterministic given
+    (seed, samples).
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ParameterError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
     a1, a2 = _amplitudes(cfg)
-    # both are squared moduli (>= 0); rounding may put one an ulp above 1
+    # squared moduli (>= 0) that rounding may put an ulp above 1
     p_flagged = min(2.0 * abs(a1) ** 2, 1.0)
     p_coherent = min(2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2), 1.0)
     rng = np.random.default_rng(seed)

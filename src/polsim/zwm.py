@@ -61,9 +61,6 @@ class ImperfectionConfig:
             _check_unit_interval(getattr(self, name), name)
 
 
-IDEAL = ImperfectionConfig()
-
-
 @dataclass(frozen=True)
 class ZwmConfig:
     """One operating point of the interferometer.

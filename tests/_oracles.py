@@ -10,8 +10,8 @@ build_state, output_fields and sparse_coherence_matrix assemble the
 interferometer in the sparse Fock algebra, term by term from the optical
 elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
 
-mc_detection_count_loop is the element-by-element form of the vectorized
-Monte-Carlo hit count in polsim.gedanken.
+mc_detection_count_loop is the per-sample Monte-Carlo hit count whose law
+the branch-count draw in polsim.gedanken must follow.
 
 mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
 exact four-setting path, the projector cache and the convex Newton fit:
@@ -233,9 +233,9 @@ def sparse_coherence_matrix(state, fields, mu_overlap=1.0) -> np.ndarray:
 
 def mc_detection_count_loop(u_source, u_report, u_detect,
                             one_minus_m2, p_flagged, p_coherent):
-    """Hits of monte_carlo_detection, one sample at a time: a source-1 sample
-    flagged by the marker detects below p_flagged, every other sample below
-    p_coherent."""
+    """Hits of the gedanken sampler drawn one sample at a time: a source-1
+    sample flagged by the marker detects below p_flagged, every other sample
+    below p_coherent."""
     hits = 0
     for i in range(u_source.shape[0]):
         if u_source[i] < 0.5 and u_report[i] < one_minus_m2:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polsim import gedanken
@@ -151,6 +151,7 @@ def test_monte_carlo_certain_and_dark_extrema(samples):
 
 
 def test_monte_carlo_clamps_branch_probabilities_rounded_above_one(monkeypatch):
+    # first p_coherent, then p_flagged one ulp above 1
     one_ulp_up = 0.5 * (1.0 + 2.0**-52)
     monkeypatch.setattr(gedanken, "_amplitudes", lambda cfg: (one_ulp_up, one_ulp_up))
     cfg = GedankenConfig(gamma=0.0, m=1.0)
@@ -203,8 +204,6 @@ angle = st.floats(-10.0, 10.0)
 @given(gamma=st.floats(-math.pi / 2, math.pi / 2), m=st.floats(0.0, 1.0),
        phi1=angle, phi2=angle, theta=angle,
        samples=st.integers(1, 2**62), seed=st.integers(0, 2**64 - 1))
-@example(gamma=0.0, m=1.0, phi1=0.0, phi2=0.0, theta=0.0, samples=2**62, seed=0)
-@example(gamma=0.0, m=1.0, phi1=0.0, phi2=math.pi, theta=0.0, samples=2**62, seed=0)
 def test_monte_carlo_estimate_is_a_deterministic_fraction(gamma, m, phi1, phi2, theta,
                                                           samples, seed):
     cfg = GedankenConfig(gamma=gamma, m=m, phi1=phi1, phi2=phi2, theta=theta)
