@@ -1,14 +1,13 @@
 """Reference implementations the package is checked against.
 
-DenseFock enumerates the full truncated occupation basis and represents
-operators as explicit matrices, so every sparse-state operation in _fock.py
-can be checked against plain linear algebra.  Creation silently drops
-components that would leave the truncated space, matching the sparse
-contract (the adjoint of the in-space annihilation matrix does exactly that).
-
-build_state, output_fields and sparse_coherence_matrix assemble the
-interferometer in the sparse Fock algebra, term by term from the optical
-elements; the biphoton-matrix pipeline in polsim.zwm must reproduce them.
+MODES, BASIS and ANNIHILATE are the interferometer's six modes, the 28
+occupation states of at most two photons, and each mode's annihilation
+operator as an explicit matrix.  reference_state builds the post-selected
+two-photon state by applying creation matrices to the vacuum,
+reference_fields composes the rotation and the splitter on mode-coefficient
+vectors, and reference_coherence takes G as expectations of the fields'
+source parts.  None of it calls or copies polsim.zwm's signal_amplitudes,
+field_map or _with_overlap, which must reproduce A, F and G from it.
 
 mc_detection_count_loop is the per-sample Monte-Carlo hit count whose law
 the branch-count draw in polsim.gedanken must follow.
@@ -18,10 +17,10 @@ exact four-setting path, the projector cache and the convex Newton fit:
 every fit runs L-BFGS-B on the triangular-factor parameters G = L L^dagger
 plus a grid polish, and the projectors are rebuilt from Jones matrices.  It
 keeps its own copies of the parameter maps and of the floored Poisson
-likelihood (_nll_poisson_grad, _nll_poisson_batch, checked against their
-*_loop forms), and it is the only code that needs scipy.  The Newton fit
-must be at least as likely on every table.  SIX_SETTINGS (H V D A R L) is
-the overcomplete set the fit tests use.
+likelihood (_nll_poisson_grad, _nll_poisson_batch), and it is the only
+code that needs scipy.  The Newton fit must be at least as likely on every
+table.  SIX_SETTINGS (H V D A R L) is the overcomplete set the fit tests
+use.
 
 tomography_point_matrix, setting_means and tomography_row_oracle are one
 tomography sweep row computed on its own, as the sweep did before it evaluated the whole
@@ -37,19 +36,6 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from _fock import (
-    FockState,
-    ModeExpr,
-    ModeId,
-    ModeRegistry,
-    apply_creation,
-    attenuator,
-    beam_splitter,
-    pair_expectation,
-    polarization_rotation,
-    unit_expr,
-    vacuum,
-)
 from polsim.elements import polarizer_jones, waveplate_jones
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
 from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, reconstruct_run
@@ -57,178 +43,103 @@ from polsim.zwm import (CoherenceMatrix, ImperfectionConfig, ZwmConfig, coherenc
                         t_phase)
 
 
-class DenseFock:
-    def __init__(self, registry, truncation_order=2):
-        self.registry = registry
-        self.truncation_order = truncation_order
-        n = len(registry)
-        self.basis = [
-            occ
-            for occ in itertools.product(range(truncation_order + 1), repeat=n)
-            if sum(occ) <= truncation_order
-        ]
-        self.index = {occ: k for k, occ in enumerate(self.basis)}
-        self.dim = len(self.basis)
-
-    def vector(self, state) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        for occ, amp in state.terms.items():
-            v[self.index[occ]] += amp
-        return v
-
-    def annihilation(self, mode) -> np.ndarray:
-        i = self.registry.index(mode)
-        a = np.zeros((self.dim, self.dim), dtype=complex)
-        for occ, k in self.index.items():
-            n = occ[i]
-            if n:
-                lowered = occ[:i] + (n - 1,) + occ[i + 1 :]
-                a[self.index[lowered], k] = np.sqrt(n)
-        return a
-
-    def creation(self, mode) -> np.ndarray:
-        # adjoint within the truncated space: components that would exceed
-        # the truncation have no target row and are dropped
-        return self.annihilation(mode).conj().T
-
-    def expr_matrix(self, expr) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for mode, coef in expr.terms.items():
-            m += coef * self.annihilation(mode)
-        return m
-
-    def coherence(self, state, fields, mu_overlap=1.0) -> np.ndarray:
-        """2x2 matrix of <E_p^dagger E_q> evaluated densely.
-
-        Each field is split into its first-source (S1) and second-source
-        (S2) parts; the cross-source correlations are scaled by mu_overlap.
-        """
-        v = self.vector(state)
-        ops = [
-            [self.expr_matrix(ModeExpr(
-                {m: c for m, c in f.terms.items() if m.label == label}))
-             for label in ("S1", "S2")]
-            for f in fields
-        ]
-        g = np.empty((2, 2), dtype=complex)
-        for p in range(2):
-            for q in range(2):
-                g[p, q] = sum(
-                    (1.0 if i == j else mu_overlap)
-                    * (v.conj() @ (ops[p][i].conj().T @ ops[q][j] @ v))
-                    for i in range(2) for j in range(2)
-                )
-        return g
-
-
-def random_state(registry, rng, truncation_order=2, n_terms=5):
-    """Random sparse state over the full truncated basis (for linearity and
-    oracle-equivalence checks)."""
-    n = len(registry)
-    basis = [
-        occ
-        for occ in itertools.product(range(truncation_order + 1), repeat=n)
-        if sum(occ) <= truncation_order
-    ]
-    picks = rng.choice(len(basis), size=min(n_terms, len(basis)), replace=False)
-    terms = {
-        basis[int(k)]: complex(rng.normal(), rng.normal()) for k in picks
-    }
-    return FockState(registry, terms, truncation_order)
-
-
 # ---------------------------------------------------------------------------
-# The interferometer in the sparse Fock algebra
+# The interferometer as explicit matrices on the two-photon Fock space
 # ---------------------------------------------------------------------------
 
-S1X = ModeId("S1", "x")
-S1Y = ModeId("S1", "y")
-S2X = ModeId("S2", "x")
-S2Y = ModeId("S2", "y")
-I1XP = ModeId("I1", "xp")
-VAC0XP = ModeId("VAC0", "xp")
-
-# signal modes in the row order of polsim.zwm's A (and column order of F),
-# then the idler modes in the column order of A
-SIGNAL_MODES = (S1X, S1Y, S2X, S2Y)
-IDLER_MODES = (I1XP, VAC0XP)
+# the signal modes in the row order of polsim.zwm's A (and the column order
+# of F), then the idler modes in the column order of A
+MODES = ("S1x", "S1y", "S2x", "S2y", "I1", "VAC0")
+# occupation vectors with at most two photons: 1 + 6 + 21 = 28 states
+BASIS = [occ for occ in itertools.product(range(3), repeat=len(MODES)) if sum(occ) <= 2]
 
 
-def zwm_registry() -> ModeRegistry:
-    """The six-mode registry of the interferometer."""
-    return ModeRegistry(SIGNAL_MODES + IDLER_MODES)
+def _annihilation(mode: int) -> np.ndarray:
+    index = {occ: k for k, occ in enumerate(BASIS)}
+    a = np.zeros((len(BASIS), len(BASIS)))
+    for k, occ in enumerate(BASIS):
+        if occ[mode]:
+            lowered = occ[:mode] + (occ[mode] - 1,) + occ[mode + 1:]
+            a[index[lowered], k] = math.sqrt(occ[mode])
+    return a
 
 
-def build_state(cfg) -> FockState:
-    """Post-selected two-photon state to first order in the gains.
-
-    |vac> + g1 |S1x, I1> + g2 e^{-i phi_i} conj(T_eff) |S2x, I1>
-          + g2 e^{-i phi_i} R_eff |S2x, VAC0>,   R_eff = sqrt(1 - |T_eff|^2).
-
-    The second source's idler operator is the attenuator output, so the
-    creation amplitudes are the conjugated attenuator coefficients.
-    """
-    reg = zwm_registry()
-    vac = vacuum(reg, truncation_order=2)
-    state = vac + cfg.g1 * apply_creation(apply_creation(vac, I1XP), S1X)
-    idler_out = attenuator(cfg.t_eff, unit_expr(I1XP), VAC0XP, cfg.phi_i)
-    for mode, coef in idler_out.terms.items():
-        pair = apply_creation(apply_creation(vac, mode), S2X)
-        state = state + (cfg.g2 * coef.conjugate()) * pair
-    return state
+# ANNIHILATE[m] is a_m; its transpose a_m^dagger drops what would leave BASIS
+ANNIHILATE = np.stack([_annihilation(m) for m in range(len(MODES))])
+VACUUM = np.eye(len(BASIS))[BASIS.index((0,) * len(MODES))]
 
 
-def output_fields(cfg):
-    """Detector-port field operators (Ex, Ey) as ModeExpr values.
+def unit(name: str) -> np.ndarray:
+    """Coefficient vector over MODES of the single mode `name`."""
+    c = np.zeros(len(MODES), dtype=complex)
+    c[MODES.index(name)] = 1.0
+    return c
 
-    The first arm is rotated by gamma and enters through the splitter's
-    transmission; the second arm enters through the reflection, whose i is
-    absorbed into the arm phase so the cross-term phase equals beta(cfg).
-    Per polarization p the second-arm coupling is bs_tp/sqrt(2) and the
-    first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
+
+def lowering(c: np.ndarray) -> np.ndarray:
+    """The operator sum_m c[m] a_m as a matrix on BASIS."""
+    return np.tensordot(c, ANNIHILATE, axes=1)
+
+
+def raising(c: np.ndarray) -> np.ndarray:
+    """(sum_m c[m] a_m)^dagger as a matrix on BASIS."""
+    return lowering(c).conj().T
+
+
+def attenuator(t: complex, phi: float) -> np.ndarray:
+    """Lossy idler channel onto a vacuum port: I1 -> (t I1 + r VAC0) e^{i phi}
+    with r = sqrt(1 - |t|^2), as a coefficient vector."""
+    r = math.sqrt(max(0.0, 1.0 - abs(t) ** 2))
+    return (t * unit("I1") + r * unit("VAC0")) * cmath.exp(1j * phi)
+
+
+def rotation(gamma: float) -> np.ndarray:
+    """Polarization rotation of one arm: (x, y) -> (c x - s y, s x + c y)."""
+    c, s = math.cos(gamma), math.sin(gamma)
+    return np.array([[c, -s], [s, c]])
+
+
+def splitter(t: float, r: float) -> np.ndarray:
+    """Symmetric splitter: output k = sum_j S[k, j] input j, S = [[t, i r], [i r, t]]."""
+    return np.array([[t, 1j * r], [1j * r, t]])
+
+
+def reference_state(cfg) -> np.ndarray:
+    """|0> + g1 a+_S1x a+_I1 |0> + g2 a+_S2x (idler_out)+ |0> on BASIS, where
+    idler_out is the attenuator output of I1 at T_eff and phi_i."""
+    idler_out = attenuator(cfg.t_eff, cfg.phi_i)
+    return (VACUUM + cfg.g1 * raising(unit("S1x")) @ raising(unit("I1")) @ VACUUM
+            + cfg.g2 * raising(unit("S2x")) @ raising(idler_out) @ VACUUM)
+
+
+def reference_fields(cfg) -> np.ndarray:
+    """Detector fields (Ex, Ey) as coefficient vectors over MODES, shape (2, 6).
+
+    The first arm is rotated by gamma and enters the splitter's first port;
+    the second arm carries e^{i (phi_s2 - pi/2)} and enters the second.  Per
+    polarization the splitter has r = bs_t/sqrt(2) and t = sqrt(1 - r^2).
     """
     imp = cfg.imperfections
-    rot_x, rot_y = polarization_rotation(cfg.gamma, unit_expr(S1X), unit_expr(S1Y))
-    arm1 = cmath.exp(1j * cfg.phi_s1)
-    arm2 = cmath.exp(1j * (cfg.phi_s2 - math.pi / 2.0))
-    fields = []
-    for rot, s2_mode, bs_t in ((rot_x, S2X, imp.bs_tx), (rot_y, S2Y, imp.bs_ty)):
+    arm1 = cmath.exp(1j * cfg.phi_s1) * rotation(cfg.gamma) @ np.stack([unit("S1x"), unit("S1y")])
+    arm2 = cmath.exp(1j * (cfg.phi_s2 - math.pi / 2.0)) * np.stack([unit("S2x"), unit("S2y")])
+    out = []
+    for p, bs_t in enumerate((imp.bs_tx, imp.bs_ty)):
         r = bs_t / math.sqrt(2.0)
-        t = math.sqrt(1.0 - r * r)
-        out, _ = beam_splitter(t, r, arm1 * rot, arm2 * unit_expr(s2_mode))
-        fields.append(out)
-    return fields[0], fields[1]
+        out.append(splitter(math.sqrt(1.0 - r * r), r)[0] @ np.stack([arm1[p], arm2[p]]))
+    return np.array(out)
 
 
-def sparse_coherence_matrix(state, fields, mu_overlap=1.0) -> np.ndarray:
-    """G_pq = <E_p^dagger E_q> from mode-pair expectations of the fields.
-
-    Coherences between first-source and second-source modes are scaled by
-    mu_overlap (partial beam overlap); mu_overlap = 1 reduces exactly to
-    pair_expectation(state, E_p, E_q) by bilinearity.
-    """
-    ex, ey = fields
-    modes = []
-    for f in (ex, ey):
-        for m in f.terms:
-            if m not in modes:
-                modes.append(m)
-    moments = {}
-    for m in modes:
-        for n in modes:
-            val = pair_expectation(state, unit_expr(m), unit_expr(n))
-            if {m.label, n.label} == {"S1", "S2"}:
-                val *= mu_overlap
-            moments[m, n] = val
-    g = np.zeros((2, 2), dtype=complex)
-    for p, fp in enumerate((ex, ey)):
-        for q, fq in enumerate((ex, ey)):
-            g[p, q] = sum(
-                cp.conjugate() * fq.terms[n] * moments[m, n]
-                for m, cp in fp.terms.items()
-                for n in fq.terms
-            )
-    return g
+def reference_coherence(cfg) -> np.ndarray:
+    """G_pq = sum_ij w_ij <(E_p,i)^dagger E_q,j>, where i and j run over the
+    S1 and S2 parts of each field, w = 1 for i = j and mu_overlap otherwise."""
+    psi = reference_state(cfg)
+    mu = cfg.imperfections.mu_overlap
+    sources = [np.array([m.startswith(s) for m in MODES]) for s in ("S1", "S2")]
+    # kets[p, i] = E_p,i |psi>
+    kets = np.array([[lowering(np.where(src, f, 0.0)) @ psi for src in sources]
+                     for f in reference_fields(cfg)])
+    w = np.array([[1.0, mu], [mu, 1.0]])
+    return np.einsum("ij,pik,qjk->pq", w, kets.conj(), kets)
 
 
 def mc_detection_count_loop(u_source, u_report, u_detect,
@@ -300,34 +211,6 @@ def _nll_poisson_batch(params, pxx, pyy, rexy, imxy, counts, floor):
           + 2.0 * (re[:, None] * rexy[None, :] + im[:, None] * imxy[None, :]))
     np.maximum(mu, floor, out=mu)
     return np.sum(mu - counts[None, :] * np.log(mu), axis=1)
-
-
-def nll_poisson_grad_loop(params, pxx, pyy, rexy, imxy, counts, floor):
-    t0, t1, t2, t3 = params[0], params[1], params[2], params[3]
-    gxx = t0 * t0
-    gyy = t1 * t1 + t2 * t2 + t3 * t3
-    re, im = t0 * t2, -t0 * t3
-    nll = 0.0
-    grad = np.zeros(4)
-    for i in range(pxx.shape[0]):
-        mu = pxx[i] * gxx + pyy[i] * gyy + 2.0 * (rexy[i] * re + imxy[i] * im)
-        if mu < floor:
-            mu = floor
-        nll += mu - counts[i] * math.log(mu)
-        w = 1.0 - counts[i] / mu
-        grad[0] += w * (2.0 * t0 * pxx[i] + 2.0 * (rexy[i] * t2 - imxy[i] * t3))
-        grad[1] += w * (2.0 * t1 * pyy[i])
-        grad[2] += w * (2.0 * t2 * pyy[i] + 2.0 * rexy[i] * t0)
-        grad[3] += w * (2.0 * t3 * pyy[i] - 2.0 * imxy[i] * t0)
-    return nll, grad
-
-
-def nll_poisson_batch_loop(params, pxx, pyy, rexy, imxy, counts, floor):
-    out = np.empty(params.shape[0])
-    for k in range(params.shape[0]):
-        out[k] = nll_poisson_grad_loop(params[k], pxx, pyy, rexy, imxy,
-                                       counts, floor)[0]
-    return out
 
 
 SIX_SETTINGS = DEFAULT_SETTINGS[:3] + (

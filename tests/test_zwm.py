@@ -1,8 +1,9 @@
 """Two-crystal interferometer: biphoton amplitudes, fields, coherence
 matrix, closed forms.
 
-The matrix pipeline (A, F -> G) is checked against the sparse Fock builder
-and the dense-matrix simulator in tests/_oracles.py.
+The matrix pipeline (A, F -> G) is checked against the dense-matrix Fock
+reference in tests/_oracles.py: A against its state vector and signal
+moments, F against its field coefficients and G against its expectations.
 """
 
 import cmath
@@ -31,22 +32,18 @@ from polsim.zwm import (
     stokes_parameters,
 )
 
-from _fock import inner_product
 from _oracles import (
-    I1XP,
-    IDLER_MODES,
-    S1X,
-    S1Y,
-    S2X,
-    S2Y,
-    SIGNAL_MODES,
-    VAC0XP,
-    DenseFock,
-    build_state,
-    output_fields,
+    ANNIHILATE,
+    BASIS,
+    MODES,
+    VACUUM,
+    attenuator,
     random_config,
-    sparse_coherence_matrix,
-    zwm_registry,
+    reference_coherence,
+    reference_fields,
+    reference_state,
+    rotation,
+    splitter,
 )
 
 # row/column indices of A (signal x idler) and columns of F
@@ -62,14 +59,6 @@ def amplitudes(cfg):
 def fields(cfg):
     """F at the operating point of cfg, shape (2, 4)."""
     return field_map(cfg, cfg.gamma)
-
-
-def occ(**kw):
-    order = {"s1x": 0, "s1y": 1, "s2x": 2, "s2y": 3, "i1": 4, "vac0": 5}
-    out = [0] * 6
-    for key, n in kw.items():
-        out[order[key]] = n
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +102,36 @@ def test_t_eff_folds_idler_loss():
 
 
 def test_registry_layout():
-    """The reference registry lists the signal modes in the row order of A
-    and the column order of F, then the idler modes in the column order of A."""
-    assert tuple(zwm_registry()) == (S1X, S1Y, S2X, S2Y, I1XP, VAC0XP)
-    assert SIGNAL_MODES + IDLER_MODES == tuple(zwm_registry())
-    assert amplitudes(ZwmConfig()).shape == (len(SIGNAL_MODES), len(IDLER_MODES))
-    assert fields(ZwmConfig()).shape == (2, len(SIGNAL_MODES))
+    """The reference lists the signal modes in the row order of A and the
+    column order of F, then the idler modes in the column order of A."""
+    assert MODES == ("S1x", "S1y", "S2x", "S2y", "I1", "VAC0")
+    assert amplitudes(ZwmConfig()).shape == (4, 2)
+    assert fields(ZwmConfig()).shape == (2, 4)
+    assert len(BASIS) == 28 and ANNIHILATE.shape == (6, 28, 28)
+
+
+def test_reference_operators_and_coefficient_maps():
+    """The reference's own algebra: [a, a^dagger] = 1 on every basis state
+    with room for one more photon, sum_m a_m^dagger a_m counts the photons,
+    and the attenuator, rotation and splitter coefficient maps are
+    isometries."""
+    below = [k for k, occ in enumerate(BASIS) if sum(occ) < 2]
+    for a in ANNIHILATE:
+        commutator = a @ a.T - a.T @ a
+        np.testing.assert_allclose(commutator[:, below], np.eye(len(BASIS))[:, below],
+                                   rtol=0, atol=1e-15)
+    number = sum(a.T @ a for a in ANNIHILATE)
+    np.testing.assert_allclose(number, np.diag([sum(occ) for occ in BASIS]), atol=1e-15)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        t = rng.uniform(0, 1) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        out = attenuator(t, rng.uniform(0, 2 * math.pi))
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
+        th = rng.uniform(0, math.pi / 2)
+        s = splitter(math.cos(th), math.sin(th))
+        np.testing.assert_allclose(s.conj().T @ s, np.eye(2), atol=1e-12)
+        rot = rotation(rng.uniform(0, math.pi / 2))
+        np.testing.assert_allclose(rot.T @ rot, np.eye(2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +166,8 @@ def test_state_norm_is_transmission_independent():
         cfg = ZwmConfig(t=t)
         assert 1.0 + np.sum(np.abs(amplitudes(cfg)) ** 2) == pytest.approx(
             1.0 + 2e-4, rel=1e-12)
-        state = build_state(cfg)
-        norm = inner_product(state, state)
+        psi = reference_state(cfg)
+        norm = np.vdot(psi, psi)
         assert norm.imag == pytest.approx(0.0, abs=1e-18)
         assert norm.real == pytest.approx(1.0 + 2e-4, rel=1e-12)
 
@@ -167,33 +180,19 @@ def test_state_phase_conventions():
     assert a[S2x, I1] == pytest.approx(want, rel=1e-13)
 
 
-def test_amplitudes_match_sparse_and_dense_fock_states():
-    """|vac> + sum A[s, i] a_s^dagger a_i^dagger |vac>, built densely from A,
-    is the sparse Fock builder's state; its signal moments are conj(A) A^T."""
+def test_amplitudes_match_the_dense_reference_state():
+    """|vac> + sum A[s, i] a_s^dagger a_i^dagger |vac>, built from A, is the
+    reference state; its signal moments <a_m^dagger a_n> are conj(A) A^T."""
     rng = np.random.default_rng(41)
-    reg = zwm_registry()
-    dense = DenseFock(reg, 2)
-    vac = np.zeros(dense.dim, dtype=complex)
-    vac[dense.index[(0,) * len(reg)]] = 1.0
-    create = {m: dense.creation(m) for m in reg}
-    annihilate = {m: dense.annihilation(m) for m in reg}
     for _ in range(20):
         cfg = random_config(rng)
         a = amplitudes(cfg)
-        state = build_state(cfg)
-        want = dense.vector(state)
-        got = vac + sum(a[k, j] * (create[s] @ create[i] @ vac)
-                        for k, s in enumerate(SIGNAL_MODES)
-                        for j, i in enumerate(IDLER_MODES))
+        want = reference_state(cfg)
+        got = VACUUM + sum(a[s, i] * (ANNIHILATE[s].T @ ANNIHILATE[4 + i].T @ VACUUM)
+                           for s in range(4) for i in range(2))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(a).max())
-        for k, s in enumerate(SIGNAL_MODES):
-            for j, i in enumerate(IDLER_MODES):
-                assert a[k, j] == pytest.approx(
-                    state.amplitude(occ(**{s.label.lower() + s.pol: 1,
-                                           i.label.lower(): 1})),
-                    rel=1e-12, abs=1e-12 * np.abs(a).max())
-        moments = np.array([[want.conj() @ (annihilate[m].conj().T @ annihilate[n] @ want)
-                             for n in SIGNAL_MODES] for m in SIGNAL_MODES])
+        signal_kets = ANNIHILATE[:4] @ want
+        moments = signal_kets.conj() @ signal_kets.T
         np.testing.assert_allclose(np.conj(a) @ a.T, moments, rtol=0,
                                    atol=1e-12 * np.abs(moments).max())
 
@@ -241,13 +240,15 @@ def test_fields_are_normalized_for_any_rotation():
         np.testing.assert_allclose(np.sum(np.abs(f) ** 2, axis=-1), 1.0, atol=1e-12)
 
 
-def test_field_map_matches_sparse_fock_fields():
+def test_field_map_matches_the_dense_reference_fields():
+    """F entry by entry; G alone cannot see the sign of the rotation's S1y
+    terms, since S1y is never populated."""
     rng = np.random.default_rng(43)
     for _ in range(20):
         cfg = random_config(rng)
-        want = np.array([[e.coefficient(m) for m in SIGNAL_MODES]
-                         for e in output_fields(cfg)])
-        np.testing.assert_allclose(fields(cfg), want, rtol=0, atol=1e-12)
+        want = reference_fields(cfg)
+        assert not want[:, 4:].any()
+        np.testing.assert_allclose(fields(cfg), want[:, :4], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +325,13 @@ def test_pipeline_matrices_satisfy_strict_invariants():
 
 
 def test_dense_oracle_reproduces_coherence_matrix():
-    """Matrix pipeline vs the sparse Fock builder and explicit dense matrices
-    on random operating points with every imperfection switched on."""
+    """Matrix pipeline vs the dense-matrix reference on random operating
+    points with every imperfection switched on."""
     rng = np.random.default_rng(31)
-    dense = DenseFock(zwm_registry(), 2)
     for _ in range(20):
         cfg = random_config(rng)
-        state, fock_fields = build_state(cfg), output_fields(cfg)
-        mu = cfg.imperfections.mu_overlap
         got = coherence_matrix(cfg).matrix
-        sparse = sparse_coherence_matrix(state, fock_fields, mu)
-        want = dense.coherence(state, fock_fields, mu)
-        np.testing.assert_allclose(sparse, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        want = reference_coherence(cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
