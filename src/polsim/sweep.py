@@ -83,7 +83,8 @@ def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
         raise ZeroTraceError(
             f"degree of polarization undefined at zero intensity: no detection "
             f"at either extremum in {samples} samples each")
-    p = (p_max - p_min) / total
+    # sampling noise can put p_min above p_max near P = 0; P is bounded at 0
+    p = max(p_max - p_min, 0.0) / total
     stderr = 2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2
     return p, stderr
 

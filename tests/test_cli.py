@@ -1,5 +1,7 @@
 """End-to-end exercises of the polsim command-line interface."""
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -8,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polsim import cli
 from polsim.config import DEFAULTS, parse_config_text
@@ -18,6 +22,7 @@ from polsim.tomography import (
     simulate_counts,
     write_counts_table,
 )
+from polsim.sweep import MODES
 from polsim.zwm import CoherenceMatrix
 
 
@@ -225,6 +230,41 @@ def test_montecarlo_memory_and_time_do_not_grow_with_samples(capsys):
     p, se = float(row[3]), float(row[4])
     assert 0.0 < se < 1e-5
     assert abs(p - degree_of_polarization_gedanken(math.radians(45.0), 0.5)) <= 5 * se
+
+
+def test_montecarlo_p_is_bounded_at_zero(capsys):
+    """Near P = 0 the two sampled extrema can cross; the row still holds a P
+    in [0, 1] (it used to read -0.0100200400802) with the same stderr."""
+    assert run_cli("sweep", "--mode", "montecarlo", "--gamma", "90", "--t", "0",
+                   "--seed", "7", "--samples", "2000") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "90,0,montecarlo,0,0.0274217724389"
+
+
+def float_list(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODES), float_list(0.0, 90.0), float_list(0.0, 1.0),
+       st.integers(1, 3), st.integers(1, 10_000), st.integers(min_value=0))
+def test_sweep_exits_cleanly_with_p_a_fraction(mode, gammas, ts, replicates,
+                                                samples, seed):
+    """Any in-range sweep on the default config ends in exit 0, 2 or 3 with
+    no traceback, and on exit 0 every p_value lies in [0, 1]."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = run_cli("sweep", "--mode", mode, "--gamma", gammas, "--t", ts,
+                         "--replicates", str(replicates), "--samples", str(samples),
+                         "--seed", str(seed))
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        for line in out.getvalue().splitlines()[1:]:
+            assert 0.0 <= float(line.split(",")[3]) <= 1.0, line
 
 
 @pytest.mark.parametrize("mode", ["tomography", "montecarlo"])
