@@ -29,7 +29,7 @@ MONTECARLO_CSV = (
     "45,0.5,montecarlo,0.883738042678,0.0122131929589\n"
     "45,1,montecarlo,1,0\n"
     "45,1,montecarlo,1,0\n"
-    "90,0,montecarlo,-0.00915564598169,0.027699289406\n"
+    "90,0,montecarlo,0,0.027699289406\n"
     "90,0,montecarlo,0.0269266480966,0.0260421636992\n"
     "90,0.5,montecarlo,0.512195121951,0.0235786129032\n"
     "90,0.5,montecarlo,0.467479674797,0.0253278198086\n"
