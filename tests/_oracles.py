@@ -100,7 +100,10 @@ def rotation(gamma: float) -> np.ndarray:
 
 
 def splitter(t: float, r: float) -> np.ndarray:
-    """Symmetric splitter: output k = sum_j S[k, j] input j, S = [[t, i r], [i r, t]]."""
+    """Symmetric splitter: output k = sum_j S[k, j] input j, S = [[t, i r], [i r, t]].
+    t and r must be real with t^2 + r^2 = 1, so that S is unitary."""
+    if complex(t).imag or complex(r).imag or abs(t * t + r * r - 1.0) > 1e-12:
+        raise ParameterError("splitter needs real t, r with t^2 + r^2 = 1")
     return np.array([[t, 1j * r], [1j * r, t]])
 
 
