@@ -371,6 +371,25 @@ def test_tomo_count_beyond_float_range_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("counts, code", [
+    ([int(1e308), 1, 1, 1], 0),
+    ([int(1e308)] * 4, 3),
+], ids=["total-in-the-top-binade", "total-beyond-float-range"])
+def test_tomo_counts_near_float_range_end_cleanly(tmp_path, capsys, counts, code):
+    """A counts total in the top binade is fitted without forming 2^1024; a
+    total beyond float range is a range error that names it.  Neither ends in
+    a traceback or writes an inf or a nan."""
+    path = tmp_path / "counts.txt"
+    write_counts_table(path, DEFAULT_SETTINGS, counts)
+    out = tmp_path / "recon.csv"
+    assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 3 and "counts total" in err or out.exists()
+    if out.exists():
+        assert all(math.isfinite(float(v)) for v in out.read_text().splitlines()[1].split(","))
+
+
 def test_tomo_missing_counts_file_exits_2(tmp_path, capsys):
     assert run_cli("tomo", "--counts", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "x.csv")) == 2

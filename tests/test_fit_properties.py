@@ -25,12 +25,12 @@ tables = st.one_of(
 
 # A Newton fit's KKT certificate stays below CERTIFICATE_BOUND wherever the
 # positive counts span at most a factor SPAN.  Beyond that, a pure optimum can
-# sit in a narrow curved valley that a few small counts steer: the Newton
-# iteration ends near but not at the optimum, and the certificate, which
-# weighs each count by n / mu, says so.  Tables from a detector stay well
-# within that span (see the 2016-table test in test_tomography.py).
+# sit in a narrow curved valley that a few small counts steer, and the
+# certificate, which weighs each count by n / mu, is at the mercy of rounding.
+# Tables from a detector stay well within that span (see the 2016-table test
+# in test_tomography.py).
 CERTIFICATE_BOUND = 1e-9
-SPAN = 1e6
+SPAN = 1e8
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,6 +38,7 @@ SPAN = 1e6
 @example((DEFAULT_SETTINGS, [5e-324, 0.0, 0.0, 0.0]))
 @example((DEFAULT_SETTINGS, [5e-324, 5e-324, 0.0, 0.0]))
 @example((SIX_SETTINGS, [1e-13, 3.0, 3.0, 3.0, 37.0, 37.0]))  # pure start orthogonal to H
+@example((SIX_SETTINGS, [1.0, 2.0, 2.0, 0.0, 14058082.0, 84763918.0]))  # a curved valley
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)
