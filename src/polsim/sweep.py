@@ -2,11 +2,12 @@
 
 The analytic, gedanken and numeric modes evaluate the whole grid as one
 array expression.  The tomography mode computes the coherence matrix and
-the expected counts of every grid point at once, then draws and fits each
-row; the montecarlo mode samples each row.  Every stochastic row derives its
-generator from (seed, gamma index, t index, replicate), so a fixed seed
-reproduces the output byte for byte regardless of grid shape or replicate
-count.
+the expected counts of every grid point at once and draws each row; one
+batched solve then fits every row whose four-setting inversion is PSD, and
+a Newton fit each of the others.  The montecarlo mode samples each row.
+Every stochastic row derives its generator from (seed, gamma index, t
+index, replicate), so a fixed seed reproduces the output byte for byte
+regardless of grid shape or replicate count.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .gedanken import (MAX_SAMPLES, GedankenConfig,
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
+    _p_estimates,
     _poisson_draw,
+    background_correct,
     expected_counts_grid,
-    reconstruct_run,
 )
 from .zwm import ZwmConfig, analytic_p_grid, coherence_grid, degree_of_polarization_grid
 
@@ -110,25 +112,31 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
             raise ZeroTraceError("degree of polarization undefined at zero intensity")
         # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
         mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
+        corrected = []
+        for ig, it, rep in _row_keys(spec):
+            raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
+                entropy=spec.seed, spawn_key=(ig, it, rep)))
+            corrected.append(background_correct(raw, detector))
+            if not corrected[-1].any():
+                raise ZeroTraceError(
+                    "degree of polarization undefined at zero intensity: all "
+                    "background-corrected counts are zero")
+        p = _p_estimates(corrected, DEFAULT_SETTINGS).tolist()
+        return [(spec.gammas_deg[ig], spec.t_values[it], spec.mode, p_value, 0.0)
+                for (ig, it, _), p_value in zip(_row_keys(spec), p)]
     rows = []
-    for ig, gamma_deg in enumerate(spec.gammas_deg):
-        for it, t_abs in enumerate(spec.t_values):
-            for rep in range(spec.replicates):
-                seed_seq = np.random.SeedSequence(
-                    entropy=spec.seed, spawn_key=(ig, it, rep))
-                if spec.mode == "montecarlo":
-                    p, se = _mc_p_estimate(cfg, gamma_deg, t_abs,
-                                           spec.mc_samples, seed_seq)
-                else:
-                    raw = _poisson_draw(mu[ig, it], seed_seq)
-                    p = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
-                    if math.isnan(p):
-                        raise ZeroTraceError(
-                            "degree of polarization undefined at zero intensity: all "
-                            "background-corrected counts are zero")
-                    se = 0.0
-                rows.append((gamma_deg, t_abs, spec.mode, p, se))
+    for ig, it, rep in _row_keys(spec):
+        seed_seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(ig, it, rep))
+        p, se = _mc_p_estimate(cfg, spec.gammas_deg[ig], spec.t_values[it],
+                               spec.mc_samples, seed_seq)
+        rows.append((spec.gammas_deg[ig], spec.t_values[it], spec.mode, p, se))
     return rows
+
+
+def _row_keys(spec: SweepSpec):
+    """(gamma index, t index, replicate) of every stochastic row, in row order."""
+    return [(ig, it, rep) for ig in range(len(spec.gammas_deg))
+            for it in range(len(spec.t_values)) for rep in range(spec.replicates)]
 
 
 def format_rows(rows) -> str:

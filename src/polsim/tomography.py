@@ -20,7 +20,8 @@ import numpy as np
 
 from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
-from .zwm import CoherenceMatrix, check_coherence, degree_of_polarization
+from .zwm import (CoherenceMatrix, check_coherence, degree_of_polarization,
+                  degree_of_polarization_grid)
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
@@ -207,6 +208,31 @@ def _cholesky_round_trip(g: np.ndarray) -> np.ndarray:
     gxy = t[0] * (t[2] - 1j * t[3])
     return np.array([[t[0] * t[0], gxy],
                      [gxy.conjugate(), t[1] * t[1] + t[2] * t[2] + t[3] * t[3]]])
+
+
+def _exact_fits(n, exps, design) -> tuple[np.ndarray, np.ndarray]:
+    """_linear_inversion_psd and _cholesky_round_trip for every row of n,
+    four counts each scaled by 2^-exps, with the same arithmetic on arrays:
+    whether each inversion was PSD, and its projection scaled back by 2^exps
+    as L L^dagger.  One lstsq serves every row: a 2-D right-hand side gives
+    each column the bits of its own call."""
+    sol = np.linalg.lstsq(design, n.T, rcond=None)[0]
+    g = np.empty((len(n), 2, 2), dtype=complex)
+    g[:, 0, 0], g[:, 1, 1] = sol[0], sol[1]
+    g[:, 0, 1], g[:, 1, 0] = sol[2] + 1j * sol[3], sol[2] - 1j * sol[3]
+    vals, vecs = np.linalg.eigh(g)
+    g = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # 2^1024 is beyond float range: the top binade scales in two halves
+    scaled = g * np.ldexp(1.0, np.minimum(exps, 1023))[:, None, None]
+    scaled[exps == 1024] *= 2.0
+    t0 = np.sqrt(np.maximum(scaled[:, 0, 0].real, 0.0))
+    t2 = np.divide(scaled[:, 1, 0].real, t0, out=np.zeros_like(t0), where=t0 > 0.0)
+    t3 = np.divide(scaled[:, 1, 0].imag, t0, out=np.zeros_like(t0), where=t0 > 0.0)
+    t1 = np.sqrt(np.maximum(scaled[:, 1, 1].real - t2 * t2 - t3 * t3, 0.0))
+    scaled[:, 0, 0], scaled[:, 1, 1] = t0 * t0, t1 * t1 + t2 * t2 + t3 * t3
+    scaled[:, 0, 1] = t0 * (t2 - 1j * t3)
+    scaled[:, 1, 0] = scaled[:, 0, 1].conjugate()
+    return vals[:, 0] >= 0.0, scaled
 
 
 # The Newton fits see counts n scaled to a total near 1, as Python floats.
@@ -556,6 +582,32 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
             raise ParameterError("corrected counts are below float resolution: "
                                  f"their total {total:g} is subnormal") from None
     return matrix, FitDiagnostics(path, steps, _kkt_residual(data, n, mu, trace))
+
+
+def _p_estimates(corrected, settings) -> np.ndarray:
+    """P of the fit of every row of corrected counts (rows x settings): the
+    floats each row's reconstruct_run gives, NaN for an all-zero row.
+
+    With four settings the exact paths of all rows are solved together, in
+    one call of _exact_fits; the other rows go to _fit.
+    """
+    corrected = _checked_counts(corrected, "corrected counts")
+    p = np.full(len(corrected), math.nan)
+    fit = np.ones(len(corrected), dtype=bool)
+    if len(settings) == 4 and len(corrected):
+        totals = [_counts_total(row) for row in corrected.tolist()]
+        exps = np.frexp(totals)[1]
+        psd, g = _exact_fits(np.ldexp(corrected, -exps[:, None]), exps,
+                             _projector_components(settings)[0])
+        exact = psd & (np.array(totals) > 0.0) & (g[:, 0, 0].real + g[:, 1, 1].real > 0.0)
+        check_coherence(g[exact])  # as each row's CoherenceMatrix would
+        p[exact] = degree_of_polarization_grid(g[exact])
+        fit = ~exact
+    for k in np.flatnonzero(fit):
+        recon = CoherenceMatrix(_fit(corrected[k], settings)[0])
+        if recon.trace > 0.0:
+            p[k] = degree_of_polarization(recon)
+    return p
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import (SIX_SETTINGS, fresh_projector, random_config, setting_means,
                       tomography_point_matrix, tomography_row_oracle)
-from polsim import zwm
+from polsim import tomography, zwm
 from polsim.errors import ConfigRangeError, ParameterError
 from polsim.sweep import (
     CSV_HEADER,
@@ -194,13 +194,18 @@ def test_expected_counts_grid_equals_per_setting_traces():
 
 
 def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):
-    """One check for the grid's coherence matrices, one per fitted row."""
-    calls = []
+    """One check for the grid's coherence matrices, then each row's
+    reconstruction once: the rows solved together as one stack, each row
+    fitted alone on its own."""
+    shapes = []
     check = zwm.check_coherence
-    monkeypatch.setattr(zwm, "check_coherence", lambda m: calls.append(1) or check(m))
+    for module in (zwm, tomography):
+        monkeypatch.setattr(module, "check_coherence",
+                            lambda m: shapes.append(m.shape) or check(m))
     rows = sweep(make_spec(mode="tomography", t_values=(0.5, 1.0), replicates=2))
     assert len(rows) == 12
-    assert len(calls) == 13
+    assert shapes[0] == (3, 2, 2, 2)
+    assert sum(math.prod(shape[:-2]) for shape in shapes[1:]) == 12
 
 
 def test_format_rows_layout():

@@ -18,6 +18,7 @@ from polsim.tomography import (
     FitDiagnostics,
     MeasurementSetting,
     _fit,
+    _p_estimates,
     _projector_components,
     background_correct,
     expected_counts,
@@ -467,6 +468,25 @@ def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
         oracle = mle_reconstruct_optimizer(counts, setting_set).matrix
         assert_at_least_as_likely(matrix, oracle, counts, setting_set)
     assert sum(paths.values()) >= 2000 and min(paths.values()) >= 300
+
+
+def test_batched_rows_equal_each_rows_own_fit():
+    """600 four-setting tables, 1 to 1e12 counts per unit trace, mixed and
+    pure targets, with and without dark counts: P from the batch, whose
+    exact rows share one lstsq, equals each row's reconstruct_run bit for
+    bit, and an all-zero row gives NaN."""
+    rng = np.random.default_rng(36)
+    for trial in range(150):
+        det = DetectorModel(kappa=10 ** rng.uniform(0, 12), dark_rate=(0.0, 1.0)[trial % 2],
+                            integration_time=1.0)
+        p = (1.0, rng.uniform(0.0, 1.0))[trial // 2 % 2]
+        g = CoherenceMatrix(bloch_matrix(p, rng.normal(size=3)) / 2.0)
+        raw = [simulate_counts(g, DEFAULT_SETTINGS, det, (36, trial, k)) for k in range(4)]
+        corrected = [background_correct(r, det) for r in raw]
+        want = [reconstruct_run(DEFAULT_SETTINGS, r, det).p_estimate for r in raw]
+        got = _p_estimates(corrected, DEFAULT_SETTINGS).tolist()
+        assert np.array_equal(got, want, equal_nan=True)
+    assert math.isnan(_p_estimates(np.zeros((1, 4)), DEFAULT_SETTINGS)[0])
 
 
 @pytest.mark.parametrize("counts", [
