@@ -177,9 +177,10 @@ def _checked_counts(counts, what: str) -> np.ndarray:
         counts = np.asarray(counts, dtype=float)
     except OverflowError:
         raise ParameterError(f"{what} must be finite") from None
-    if not np.all(np.isfinite(counts)):
+    values = counts.ravel().tolist()
+    if not all(map(math.isfinite, values)):
         raise ParameterError(f"{what} must be finite")
-    if np.any(counts < 0):
+    if values and min(values) < 0.0:
         raise ParameterError(f"{what} must be non-negative")
     return counts
 
@@ -251,6 +252,16 @@ def _dot3(a, x) -> float:
     return a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
 
 
+def _symmetric_index(dim: int) -> list:
+    """Where entry (i, j) of a symmetric matrix sits in its upper triangle,
+    read row by row."""
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    return [[upper.index((min(i, j), max(i, j))) for j in range(dim)] for i in range(dim)]
+
+
+_SYMMETRIC = {3: _symmetric_index(3), 4: _symmetric_index(4)}
+
+
 def _derivatives(columns, outer, first, second) -> tuple[list, list] | None:
     """sum_k first_k v_k and sum_k second_k v_k v_k^T, from the columns of
     the v_k and of their products v_i v_j, i <= j; None if an entry is
@@ -259,12 +270,7 @@ def _derivatives(columns, outer, first, second) -> tuple[list, list] | None:
     flat = [sum(map(mul, second, col)) for col in outer]
     if not math.isfinite(sum(flat)):
         return None
-    dim, entries = len(columns), iter(flat)
-    hess = [[0.0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            hess[i][j] = hess[j][i] = next(entries)
-    return grad, hess
+    return grad, [[flat[k] for k in row] for row in _SYMMETRIC[len(columns)]]
 
 
 def _eigen(hess) -> tuple[list, list]:
@@ -524,7 +530,9 @@ def _counts_total(values) -> float:
         raise ConfigRangeError("the counts total is beyond float range") from None
 
 
-def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
+def _fit(corrected_counts, settings, inversion=True) -> tuple[np.ndarray, FitDiagnostics]:
+    """The fit behind mle_reconstruct.  inversion=False skips the four-setting
+    inversion, for counts already known not to take the exact path."""
     counts = _checked_counts(corrected_counts, "corrected counts")
     if len(settings) < 4 or counts.shape != (len(settings),):
         raise IllPosedError(
@@ -542,7 +550,7 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
     exact = False
-    if len(settings) == 4:
+    if len(settings) == 4 and inversion:
         g, exact = _linear_inversion_psd(np.array(n), design)
     if exact:
         path, steps = "exact", 0
@@ -589,11 +597,12 @@ def _p_estimates(corrected, settings) -> np.ndarray:
     floats each row's reconstruct_run gives, NaN for an all-zero row.
 
     With four settings the exact paths of all rows are solved together, in
-    one call of _exact_fits; the other rows go to _fit.
+    one call of _exact_fits; the other rows go to _fit, which need not
+    invert again the rows whose inversion was not PSD.
     """
     corrected = _checked_counts(corrected, "corrected counts")
     p = np.full(len(corrected), math.nan)
-    fit = np.ones(len(corrected), dtype=bool)
+    fit = psd = np.ones(len(corrected), dtype=bool)
     if len(settings) == 4 and len(corrected):
         totals = [_counts_total(row) for row in corrected.tolist()]
         exps = np.frexp(totals)[1]
@@ -604,7 +613,7 @@ def _p_estimates(corrected, settings) -> np.ndarray:
         p[exact] = degree_of_polarization_grid(g[exact])
         fit = ~exact
     for k in np.flatnonzero(fit):
-        recon = CoherenceMatrix(_fit(corrected[k], settings)[0])
+        recon = CoherenceMatrix(_fit(corrected[k], settings, inversion=psd[k])[0])
         if recon.trace > 0.0:
             p[k] = degree_of_polarization(recon)
     return p

@@ -269,6 +269,35 @@ def test_check_coherence_on_stacked_matrices():
         CoherenceMatrix(np.full((2, 2), np.nan))
 
 
+def test_one_matrix_gets_the_stacked_verdict():
+    """A single matrix is checked on Python scalars, a stack on arrays: 3000
+    random matrices, many within rounding of a threshold and scaled from
+    1e-300 to 1e300, get the same verdict both ways."""
+    def verdict(m):
+        try:
+            check_coherence(m)
+        except ParameterError as err:
+            return str(err)
+        return "ok"
+
+    rng = np.random.default_rng(47)
+    for k in range(3000):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) * (k % 3 != 0)
+        g = a @ a.conj().T
+        nudge = rng.normal() * 1e-9 * np.abs(g).max()
+        if k % 4 == 1:
+            g = np.outer(a[:, 0], a[:, 0].conj()) + nudge * np.eye(2)
+        elif k % 4 == 2:
+            g[0, 1] += nudge
+        elif k % 4 == 3:
+            g[0, 0] += 1j * nudge
+        g = g * 10.0 ** rng.integers(-300, 301)
+        assert verdict(g) == verdict(g[None])
+    huge = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert verdict(huge) == verdict(huge[None])
+
+
 def test_coherence_matrix_accessors():
     g = CoherenceMatrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
     assert g.gxx == 0.5 and g.gyy == 0.5
