@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config/usage error, 3 range error, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -37,6 +38,7 @@ def _csv_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+@functools.cache  # parse_args leaves the parser as it was: build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polsim",
