@@ -304,7 +304,9 @@ def _fit(corrected_counts, settings, inversion=True) -> tuple[np.ndarray, FitDia
                 path = "interior"
                 entries = ((x[0] + x[1]) / 2.0, (x[0] - x[1]) / 2.0, x[2] / 2.0, -x[3] / 2.0)
         if path == "boundary":
-            # outside the cone, the direction of x keeps every c_k >= mu_k / |S| > 0
+            # start from the direction of a Stokes vector outside the cone,
+            # where every c_k >= mu_k / |S| > 0: the interior fit's, else the
+            # inversion's, which four settings reach here only outside it
             if len(settings) == 4 or x[0] >= math.hypot(x[1], x[2], x[3]):
                 x = [sum(map(mul, row, n)) for row in data.inverse]
             entries, mu, boundary_steps = boundary_newton(data, n, x[1:])
