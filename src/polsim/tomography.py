@@ -118,8 +118,8 @@ def _scalars(keys) -> SettingRows:
     columns = tuple(zip(*rows))
     outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(4) for j in range(i, 4))
     return SettingRows(rows, columns, outer, tuple(map(sum, columns)),
-                    tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
-                    tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
+                       tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
+                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
 
 
 def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
@@ -249,9 +249,10 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     more, damped Newton in Stokes coordinates finds a mixed optimum.  Else
     the optimum is pure, s0 is closed form for each Bloch direction, and
     second-order steps on the Bloch sphere find it, from the direction of
-    the least-squares inversion.  Counts are scaled by a power of two for
-    the fit; a subnormal total that rounds G off the cone raises
-    ParameterError, and a total beyond float range ConfigRangeError.
+    the interior fit or of the least-squares inversion.  Counts are scaled
+    by a power of two for the fit; a subnormal total that rounds G off the
+    cone raises ParameterError, and a total beyond float range
+    ConfigRangeError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
