@@ -177,49 +177,28 @@ def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
 
 
-def _linear_inversion_psd(counts, design) -> tuple[np.ndarray, bool]:
-    """Least-squares inversion projected onto the PSD cone, and whether the
-    inversion was PSD before the projection."""
-    sol, *_ = np.linalg.lstsq(design, counts, rcond=None)
-    g = np.array([[sol[0], sol[2] + 1j * sol[3]],
-                  [sol[2] - 1j * sol[3], sol[1]]])
-    vals, vecs = np.linalg.eigh(g)
-    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T, bool(vals[0] >= 0.0)
-
-
-def _cholesky_round_trip(g: np.ndarray) -> np.ndarray:
-    """g as L L^dagger from its triangular factor, bit for bit as the exact path returns it."""
-    t0 = math.sqrt(max(g[0, 0].real, 0.0))
-    t2, t3 = (g[1, 0].real / t0, g[1, 0].imag / t0) if t0 > 0.0 else (0.0, 0.0)
-    t = np.array([t0, math.sqrt(max(g[1, 1].real - t2 * t2 - t3 * t3, 0.0)), t2, t3])
-    gxy = t[0] * (t[2] - 1j * t[3])
-    return np.array([[t[0] * t[0], gxy],
-                     [gxy.conjugate(), t[1] * t[1] + t[2] * t[2] + t[3] * t[3]]])
-
-
-def _exact_fits(n, exps, design) -> tuple[np.ndarray, np.ndarray]:
-    """_linear_inversion_psd and _cholesky_round_trip for every row of n,
-    four counts each scaled by 2^-exps, with the same arithmetic on arrays:
-    whether each inversion was PSD, and its projection scaled back by 2^exps
-    as L L^dagger.  One lstsq serves every row: a 2-D right-hand side gives
-    each column the bits of its own call."""
-    sol = np.linalg.lstsq(design, n.T, rcond=None)[0]
-    g = np.empty((len(n), 2, 2), dtype=complex)
-    g[:, 0, 0], g[:, 1, 1] = sol[0], sol[1]
-    g[:, 0, 1], g[:, 1, 0] = sol[2] + 1j * sol[3], sol[2] - 1j * sol[3]
+def _exact_fits(n, exps, design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact path of every row of n, four counts each scaled by 2^-exps:
+    whether its least-squares inversion is PSD, the inversion projected onto
+    the PSD cone, and that projection scaled back by 2^exps and returned as
+    L L^dagger from its triangular factor.  Each row has its own lstsq, the
+    eigen-decompositions and products loop over the stacked matrices and
+    the factor is taken row by row, so a row's bits do not depend on the
+    rows beside it."""
+    sols = (np.linalg.lstsq(design, row, rcond=None)[0].tolist() for row in n)
+    g = np.array([[[a, complex(c, d)], [complex(c, 0.0 - d), b]] for a, b, c, d in sols])
     vals, vecs = np.linalg.eigh(g)
     g = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    # 2^1024 is beyond float range: the top binade scales in two halves
-    scaled = g * np.ldexp(1.0, np.minimum(exps, 1023))[:, None, None]
-    scaled[exps == 1024] *= 2.0
-    t0 = np.sqrt(np.maximum(scaled[:, 0, 0].real, 0.0))
-    t2 = np.divide(scaled[:, 1, 0].real, t0, out=np.zeros_like(t0), where=t0 > 0.0)
-    t3 = np.divide(scaled[:, 1, 0].imag, t0, out=np.zeros_like(t0), where=t0 > 0.0)
-    t1 = np.sqrt(np.maximum(scaled[:, 1, 1].real - t2 * t2 - t3 * t3, 0.0))
-    scaled[:, 0, 0], scaled[:, 1, 1] = t0 * t0, t1 * t1 + t2 * t2 + t3 * t3
-    scaled[:, 0, 1] = t0 * (t2 - 1j * t3)
-    scaled[:, 1, 0] = scaled[:, 0, 1].conjugate()
-    return vals[:, 0] >= 0.0, scaled
+    with np.errstate(over="ignore"):  # _fit reports a fit beyond float range
+        parts = np.ldexp(g.view(float).reshape(len(n), 8), exps[:, None]).tolist()
+    matrices = []
+    for gxx, _, _, _, re, im, gyy, _ in parts:
+        t0 = math.sqrt(max(gxx, 0.0))
+        t2, t3 = (re / t0, im / t0) if t0 > 0.0 else (0.0, 0.0)
+        t1 = math.sqrt(max(gyy - t2 * t2 - t3 * t3, 0.0))
+        gxy = complex(t0 * t2, -(t0 * t3))
+        matrices.append([[t0 * t0, gxy], [gxy.conjugate(), t1 * t1 + t2 * t2 + t3 * t3]])
+    return vals[:, 0] >= 0.0, g, np.array(matrices, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -264,9 +243,8 @@ def _counts_total(values) -> float:
         raise ConfigRangeError("the counts total is beyond float range") from None
 
 
-def _fit(corrected_counts, settings, inversion=True) -> tuple[np.ndarray, FitDiagnostics]:
-    """The fit behind mle_reconstruct.  inversion=False skips the four-setting
-    inversion, for counts already known not to take the exact path."""
+def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
+    """The fit behind mle_reconstruct."""
     counts = _checked_counts(corrected_counts, "corrected counts")
     if len(settings) < 4 or counts.shape != (len(settings),):
         raise IllPosedError(
@@ -284,13 +262,10 @@ def _fit(corrected_counts, settings, inversion=True) -> tuple[np.ndarray, FitDia
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
     exact = False
-    if len(settings) == 4 and inversion:
-        g, exact = _linear_inversion_psd(np.array(n), design)
+    if len(settings) == 4:
+        (exact,), (g,), (matrix,) = _exact_fits(np.array([n]), np.array([exp]), design)
     if exact:
         path, steps = "exact", 0
-        # 2^1024 is beyond float range: the top binade scales in two halves
-        matrix = _cholesky_round_trip(g * math.ldexp(1.0, exp) if exp < 1024
-                                      else g * 2.0**1023 * 2.0)
         (gxx, gxy), (gyx, gyy) = g.tolist()
         trace = gxx.real + gyy.real
         x = (trace, gxx.real - gyy.real, 2.0 * gxy.real, 2.0 * gyx.imag)
@@ -333,23 +308,22 @@ def _p_estimates(corrected, settings) -> np.ndarray:
     floats each row's reconstruct_run gives, NaN for an all-zero row.
 
     With four settings the exact paths of all rows are solved together, in
-    one call of _exact_fits; the other rows go to _fit, which need not
-    invert again the rows whose inversion was not PSD.
+    one call of _exact_fits; the other rows go to _fit.
     """
     corrected = _checked_counts(corrected, "corrected counts")
     p = np.full(len(corrected), math.nan)
-    fit = psd = np.ones(len(corrected), dtype=bool)
+    fit = np.ones(len(corrected), dtype=bool)
     if len(settings) == 4 and len(corrected):
         totals = [_counts_total(row) for row in corrected.tolist()]
         exps = np.frexp(totals)[1]
-        psd, g = _exact_fits(np.ldexp(corrected, -exps[:, None]), exps,
-                             _projector_components(settings)[0])
+        psd, _, g = _exact_fits(np.ldexp(corrected, -exps[:, None]), exps,
+                                _projector_components(settings)[0])
         exact = psd & (np.array(totals) > 0.0) & (g[:, 0, 0].real + g[:, 1, 1].real > 0.0)
         check_coherence(g[exact])  # as each row's CoherenceMatrix would
         p[exact] = degree_of_polarization_grid(g[exact])
         fit = ~exact
     for k in np.flatnonzero(fit):
-        recon = CoherenceMatrix(_fit(corrected[k], settings, inversion=psd[k])[0])
+        recon = CoherenceMatrix(_fit(corrected[k], settings)[0])
         if recon.trace > 0.0:
             p[k] = degree_of_polarization(recon)
     return p

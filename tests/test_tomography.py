@@ -473,8 +473,8 @@ def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
 def test_batched_rows_equal_each_rows_own_fit():
     """600 four-setting tables, 1 to 1e12 counts per unit trace, mixed and
     pure targets, with and without dark counts: P from the batch, whose
-    exact rows share one lstsq, equals each row's reconstruct_run bit for
-    bit, and an all-zero row gives NaN."""
+    exact rows are solved together, equals each row's reconstruct_run bit
+    for bit, and an all-zero row gives NaN."""
     rng = np.random.default_rng(36)
     for trial in range(150):
         det = DetectorModel(kappa=10 ** rng.uniform(0, 12), dark_rate=(0.0, 1.0)[trial % 2],
