@@ -34,6 +34,7 @@ class SettingRows(NamedTuple):
 
 
 _NEWTON_STEPS = 100
+_RESTARTS = 2           # boundary fits restarted from a failing certificate
 _DECREMENT_TOL = 1e-28  # squared Newton decrement at which a fit stops
 INTERIOR_KKT = 1e-9    # largest certificate an interior fit is accepted with
 
@@ -168,7 +169,40 @@ def _sphere_step(vals, grad, u, reg) -> tuple[list, float]:
     return [w0, w1, w2], model
 
 
+def _tangential(hess, u) -> list:
+    """P H P, P = I - u u^T: the part of a 3x3 Hessian along the sphere at u."""
+    hu = [_dot3(row, u) for row in hess]
+    uhu = _dot3(hu, u)
+    return [[hess[i][j] - hu[i] * u[j] - u[i] * hu[j] + uhu * u[i] * u[j] for j in range(3)]
+            for i in range(3)]
+
+
+def _nll(n, mu) -> float:
+    return math.fsum(mu) - math.fsum(c * math.log(m) for c, m in zip(n, mu) if c > 0.0)
+
+
 def boundary_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
+    """Best pure G from the Bloch direction u, by _sphere_newton.  h need
+    not be convex on the sphere: where the fit ends at a local minimum that
+    fails the certificate, the gradient y of the conic KKT conditions points
+    its vector part away from the optimum (y_vec = -y0 u there), so the fit
+    starts again from -y_vec, up to _RESTARTS times, and keeps the likelier
+    end.  Returns G's entries, the expected counts and the steps of all
+    starts."""
+    entries, mu, steps = _sphere_newton(data, n, u)
+    for _ in range(_RESTARTS):
+        y = _dual(data, n, mu)
+        if y is None or kkt_residual(data, n, mu, entries[0] + entries[1]) <= INTERIOR_KKT:
+            break
+        again, mu_again, more = _sphere_newton(data, n, [-y[1], -y[2], -y[3]])
+        steps += more
+        if not _nll(n, mu_again) < _nll(n, mu):
+            break
+        entries, mu = again, mu_again
+    return entries, mu, steps
+
+
+def _sphere_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
     """Best pure G, with Stokes vector s0 (1, u) for a unit Bloch vector u.
     With c_k = a_k . (1, u), s0 = N / sum c is closed form and leaves
     h(u) = N log sum c - sum n log c.  The c_k are linear in u, so each step
@@ -179,6 +213,11 @@ def boundary_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
     and the radius shrinks when it does not.  Where a few counts far larger
     than the rest make a narrow curved valley, a line search along a tangent
     direction would crawl; the model on the sphere follows the valley.
+    Where the model's minimum over the sphere lies beyond the trust radius,
+    as it does on the far side where N log sum c curves down off the
+    sphere, the step first uses the Hessian's tangential part, which gives
+    the same second-order model along the sphere, and only then the
+    multiplier.
     Every c_k is taken as a_0 |u + s_k|^2 / 2, s_k the setting's pass
     direction, which keeps its precision where u nears -s_k.  Returns G's
     entries (gxx, gyy, Re gxy, Im gxy), every setting's expected count and
@@ -241,7 +280,7 @@ def boundary_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
         tangent = math.sqrt(sum((gi - radial * ui) * (gi - radial * ui)
                                 for gi, ui in zip(grad, u)))
         g_basis, u_basis = [_dot3(q, grad) for q in vecs], [_dot3(q, u) for q in vecs]
-        reg = 0.0
+        reg, projected = 0.0, False
         for _ in range(100):
             w_basis, model = _sphere_step(vals, g_basis, u_basis, reg)
             if not -2.0 * model > _DECREMENT_TOL:
@@ -253,7 +292,12 @@ def boundary_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
             d = [(di - ui * excess / (1.0 + norm)) / norm for di, ui in zip(d, u)]
             length = math.sqrt(_dot3(d, d))
             if length > radius:  # the model's minimum lies beyond where it is trusted
-                reg = max(2.0 * reg, tangent / radius)
+                if not projected:
+                    projected = True
+                    vals, vecs = _eigen(_tangential(hess, u))
+                    g_basis, u_basis = [_dot3(q, grad) for q in vecs], [_dot3(q, u) for q in vecs]
+                else:
+                    reg = max(2.0 * reg, tangent / radius)
                 continue
             if not length:  # a step below float resolution
                 return (*pure_fit(u), steps)
@@ -274,10 +318,17 @@ def kkt_residual(data: SettingRows, n, mu, trace) -> float:
     x is optimal when the gradient y = A^T (1 - n / mu) lies in the
     self-dual cone and x . y = sum mu - N = 0; the negative log-likelihood's
     excess over its minimum is at most trace max(|y_vec| - y0, 0) + |x . y|."""
-    if not all(m > 0.0 for c, m in zip(n, mu) if c > 0.0):
+    y = _dual(data, n, mu)
+    if y is None:
         return math.inf
-    ratios = [c / m if c > 0.0 else 0.0 for c, m in zip(n, mu)]
-    y = [s - sum(map(mul, ratios, col)) for s, col in zip(data.sigma, data.columns)]
     total = sum(n)
     gap = trace * max(math.hypot(y[1], y[2], y[3]) - y[0], 0.0) + abs(sum(mu) - total)
     return gap / total
+
+
+def _dual(data: SettingRows, n, mu) -> list | None:
+    """y = A^T (1 - n / mu), None where a setting that counted expects none."""
+    if not all(m > 0.0 for c, m in zip(n, mu) if c > 0.0):
+        return None
+    ratios = [c / m if c > 0.0 else 0.0 for c, m in zip(n, mu)]
+    return [s - sum(map(mul, ratios, col)) for s, col in zip(data.sigma, data.columns)]

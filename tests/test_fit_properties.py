@@ -1,16 +1,19 @@
 """Property tests of the maximum-likelihood fit over arbitrary non-negative
 counts, for the four default settings and a six-setting set."""
 
+import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import SIX_SETTINGS
-from polsim.errors import ParameterError
+from polsim.errors import IllPosedError, ParameterError
 from polsim.tomography import (
     DEFAULT_SETTINGS,
+    MeasurementSetting,
     _fit,
     mle_reconstruct,
     projector_from_setting,
@@ -70,3 +73,50 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
         positive = counts[counts > 0]
         if positive.min() * SPAN >= positive.max():
             assert diag.kkt_residual <= CERTIFICATE_BOUND
+
+
+@pytest.mark.parametrize("angles, counts", [
+    # pass directions crowded together: every c_k is small at the optimum
+    ([(2.5187, 1.8458), (1.0712, 0.1721), (0.8172, 2.9750), (0.4516, 2.6618)],
+     [2.0, 45184.0, 0.0, 10306.0]),
+    # the first start ends in a local minimum on the sphere that is not the optimum
+    ([(2.1055906669700177, 0.414618673626504), (2.0047469585858146, 2.890601774489228),
+      (0.000376913551733391, 2.947161789802476), (0.9761653767302622, 1.2469868575742815),
+      (2.9516690331511044, 2.50253589494966), (1.2091912390736546, 3.077468420004499),
+      (0.10239826449912644, 2.074988916643214)],
+     [0.0, 0.0, 0.018699236539599928, 0.32160080956138215, 0.0, 0.07328539398223255, 0.0]),
+])
+def test_boundary_fit_certifies_the_pure_optimum(angles, counts):
+    settings = tuple(MeasurementSetting(str(k), qwp, pol) for k, (qwp, pol) in enumerate(angles))
+    _, diag = _fit(np.array(counts), settings)
+    assert diag.path == "boundary" and diag.newton_steps < 100
+    assert diag.kkt_residual <= CERTIFICATE_BOUND
+
+
+def test_random_analyzer_sets_reach_a_certified_optimum():
+    """600 tables on 4 to 8 analyzer settings at random angles, with small
+    integer counts, counts spanning up to 1e8, fractional counts with zeros,
+    and counts with one zero: every fit is PSD, and every Newton fit whose
+    positive counts span at most SPAN certifies its optimality."""
+    rng = np.random.default_rng(37)
+    newton = 0
+    for trial in range(600):
+        k = int(rng.integers(4, 9))
+        settings = tuple(MeasurementSetting(str(i), *rng.uniform(0.0, math.pi, 2))
+                         for i in range(k))
+        counts = (rng.integers(0, 50, k).astype(float),
+                  np.floor(10 ** rng.uniform(0, 8, k)),
+                  rng.uniform(0.0, 1.0, k) * (rng.uniform(size=k) < 0.7),
+                  np.floor(10 ** rng.uniform(0, 6, k)) * (np.arange(k) != trial % k))[trial % 4]
+        try:
+            matrix, diag = _fit(counts, settings)
+        except IllPosedError:  # a degenerate draw of angles
+            continue
+        if diag.path == "zero":
+            continue
+        assert np.linalg.eigvalsh(matrix).min() >= -1e-12 * np.trace(matrix).real
+        positive = counts[counts > 0]
+        if diag.path != "exact" and positive.min() * SPAN >= positive.max():
+            newton += 1
+            assert diag.kkt_residual <= CERTIFICATE_BOUND, (counts, settings, diag)
+    assert newton >= 500
