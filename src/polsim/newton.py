@@ -183,12 +183,11 @@ def _nll(n, mu) -> float:
 
 def boundary_newton(data: SettingRows, n, u) -> tuple[tuple, list, int]:
     """Best pure G from the Bloch direction u, by _sphere_newton.  h need
-    not be convex on the sphere: where the fit ends at a local minimum that
-    fails the certificate, the gradient y of the conic KKT conditions points
-    its vector part away from the optimum (y_vec = -y0 u there), so the fit
-    starts again from -y_vec, up to _RESTARTS times, and keeps the likelier
-    end.  Returns G's entries, the expected counts and the steps of all
-    starts."""
+    not be convex on the sphere, and the fit can end at a local minimum that
+    fails the certificate.  At a pure optimum s0 (1, u) the certificate's
+    gradient y has y_vec = -y0 u, so the fit then starts again from -y_vec,
+    up to _RESTARTS times, and keeps the likelier end.  Returns G's
+    entries, the expected counts and the steps of all starts."""
     entries, mu, steps = _sphere_newton(data, n, u)
     for _ in range(_RESTARTS):
         y = _dual(data, n, mu)
