@@ -100,6 +100,10 @@ ANALYTIC_CSV = (
 # on the ideal device the marker formula and the closed form are one
 # identity (the bridge), so the two sweeps print the same numbers
 GEDANKEN_CSV = ANALYTIC_CSV.replace(",analytic,", ",gedanken,")
+# the pipeline prints the same digits as the closed form except at the
+# P = 0 corner, where each side writes its own rounding residue
+NUMERIC_CSV = ANALYTIC_CSV.replace(",analytic,", ",numeric,").replace(
+    "90,0,numeric,6.12323399574e-17,0", "90,0,numeric,2.77880903236e-16,0")
 
 # equal gain magnitudes with different phases, a complex T, idler loss and
 # all three path phases: beta and |T_eff| depend on the phase of T at each
@@ -137,6 +141,24 @@ NONIDEAL_CSV = (
     "90,0.584,analytic,0.5256,0\n"
     "90,0.688,analytic,0.6192,0\n"
     "90,1,analytic,0.9,0\n"
+)
+NONIDEAL_NUMERIC_CSV = NONIDEAL_CSV.replace(",analytic,", ",numeric,")
+
+# -0 and 0 compare equal, so the sorted axes keep them in the order given;
+# each prints as it was given, and the exact modes write one row per point
+# whatever --replicates says
+SIGNED_ZERO_ARGV = ("--gamma=0,-0,30", "--t=-0,0,0.5", "--replicates", "3")
+SIGNED_ZERO_CSV = (
+    "gamma_deg,t_abs,mode,p_value,p_stderr\n"
+    "0,-0,analytic,1,0\n"
+    "0,0,analytic,1,0\n"
+    "0,0.5,analytic,1,0\n"
+    "-0,-0,analytic,1,0\n"
+    "-0,0,analytic,1,0\n"
+    "-0,0.5,analytic,1,0\n"
+    "30,-0,analytic,0.866025403784,0\n"
+    "30,0,analytic,0.866025403784,0\n"
+    "30,0.5,analytic,0.953254218878,0\n"
 )
 
 FOUR_SETTING_TABLE = (
@@ -183,6 +205,7 @@ def test_seeded_sweep_csv_is_pinned(tmp_path, argv, expected):
 @pytest.mark.parametrize("mode, expected", [
     ("analytic", ANALYTIC_CSV),
     ("gedanken", GEDANKEN_CSV),
+    ("numeric", NUMERIC_CSV),
 ])
 def test_closed_form_sweep_csv_is_pinned(tmp_path, mode, expected):
     out = tmp_path / "rows.csv"
@@ -197,6 +220,23 @@ def test_analytic_sweep_on_a_non_ideal_config_is_pinned(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg), "--mode", "analytic",
                      *NONIDEAL_ARGV, "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii") == NONIDEAL_CSV
+
+
+def test_numeric_sweep_on_a_non_ideal_config_is_pinned(tmp_path):
+    cfg = tmp_path / "nonideal.cfg"
+    cfg.write_text(NONIDEAL_CONFIG, encoding="ascii")
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--mode", "numeric",
+                     *NONIDEAL_ARGV, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == NONIDEAL_NUMERIC_CSV
+
+
+@pytest.mark.parametrize("mode", ["analytic", "gedanken", "numeric"])
+def test_signed_zero_sweep_csv_is_pinned(tmp_path, mode):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--mode", mode, *SIGNED_ZERO_ARGV, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == SIGNED_ZERO_CSV.replace(
+        ",analytic,", f",{mode},")
 
 
 @pytest.mark.parametrize("table, dark_cps, expected", [

@@ -98,8 +98,10 @@ def test_numeric_mode_agrees_with_analytic():
 
 
 def test_replicates_only_multiply_stochastic_modes():
-    det = sweep(make_spec(mode="analytic", replicates=3))
-    assert len(det) == 9  # 3 gammas x 3 t values, replicates collapsed
+    for mode in ("analytic", "numeric", "gedanken"):
+        det = sweep(make_spec(mode=mode, replicates=3))
+        assert len(det) == 9  # 3 gammas x 3 t values, replicates collapsed
+        assert det == sweep(make_spec(mode=mode, replicates=1))
     mc = sweep(make_spec(
         mode="montecarlo", replicates=3, mc_samples=2000,
         gammas_deg=(30.0,), t_values=(0.5,),
