@@ -20,7 +20,7 @@ import numpy as np
 from .config import format_config, load_config
 from .errors import ConfigRangeError, PolsimError, ZeroTraceError
 from .gedanken import degree_of_polarization_gedanken
-from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, run_sweep
+from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
 from .tomography import reconstruct_run, read_counts_table
 from .zwm import (
     ZwmConfig,
@@ -96,7 +96,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         mc_samples=args.samples,
     )
-    text = format_rows(run_sweep(spec, cfg, detector))
+    text = format_rows(spec, *sweep_grid(spec, cfg, detector))
     if args.out is None:
         sys.stdout.write(text)
     else:

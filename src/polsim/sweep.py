@@ -91,20 +91,18 @@ def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
     return p, stderr
 
 
-def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
-    """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
-    (gamma, t, replicate)."""
+def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
+    """(p, se): each row's P indexed [gamma][t][replicate], one replicate in the
+    exact modes, and its stderr, None where that is 0 (every mode but montecarlo,
+    which keeps its few rows as nested lists of Python floats)."""
     gammas = np.radians(spec.gammas_deg)
-    if spec.mode not in ("tomography", "montecarlo"):
-        if spec.mode == "analytic":
-            p = analytic_p_grid(cfg, gammas, spec.t_values)
-        elif spec.mode == "gedanken":
-            p = degree_of_polarization_gedanken_grid(gammas, spec.t_values)
-        else:
-            p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
-        return [(gamma_deg, t_abs, spec.mode, p_value, 0.0)
-                for gamma_deg, p_row in zip(spec.gammas_deg, p.tolist())
-                for t_abs, p_value in zip(spec.t_values, p_row)]
+    if spec.mode == "analytic":
+        return analytic_p_grid(cfg, gammas, spec.t_values)[..., None], None
+    if spec.mode == "gedanken":
+        return degree_of_polarization_gedanken_grid(gammas, spec.t_values)[..., None], None
+    if spec.mode == "numeric":
+        p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
+        return p[..., None], None
     if spec.mode == "tomography":
         g = coherence_grid(cfg, gammas, spec.t_values)
         trace = g[..., 0, 0].real + g[..., 1, 1].real
@@ -121,16 +119,27 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
                 raise ZeroTraceError(
                     "degree of polarization undefined at zero intensity: all "
                     "background-corrected counts are zero")
-        p = _p_estimates(corrected, DEFAULT_SETTINGS).tolist()
-        return [(spec.gammas_deg[ig], spec.t_values[it], spec.mode, p_value, 0.0)
-                for (ig, it, _), p_value in zip(_row_keys(spec), p)]
-    rows = []
+        p = _p_estimates(corrected, DEFAULT_SETTINGS)
+        return p.reshape(len(spec.gammas_deg), len(spec.t_values), spec.replicates), None
+    p = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
+    se = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
     for ig, it, rep in _row_keys(spec):
         seed_seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(ig, it, rep))
-        p, se = _mc_p_estimate(cfg, spec.gammas_deg[ig], spec.t_values[it],
-                               spec.mc_samples, seed_seq)
-        rows.append((spec.gammas_deg[ig], spec.t_values[it], spec.mode, p, se))
-    return rows
+        p[ig][it][rep], se[ig][it][rep] = _mc_p_estimate(
+            cfg, spec.gammas_deg[ig], spec.t_values[it], spec.mc_samples, seed_seq)
+    return p, se
+
+
+def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
+    """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
+    (gamma, t, replicate): the `sweep_grid` result as rows, for library callers."""
+    p, se = sweep_grid(spec, cfg, detector)
+    if se is None:
+        p, se = p.tolist(), np.zeros(p.shape).tolist()
+    return [(gamma_deg, t_abs, spec.mode, p_value, p_stderr)
+            for gamma_deg, p_g, se_g in zip(spec.gammas_deg, p, se)
+            for t_abs, p_t, se_t in zip(spec.t_values, p_g, se_g)
+            for p_value, p_stderr in zip(p_t, se_t)]
 
 
 def _row_keys(spec: SweepSpec):
@@ -139,15 +148,16 @@ def _row_keys(spec: SweepSpec):
             for it in range(len(spec.t_values)) for rep in range(spec.replicates)]
 
 
-def format_rows(rows) -> str:
-    # each distinct coordinate is formatted once; zeros are keyed by repr (-0.0)
-    coords = {}
-    lines = [CSV_HEADER]
-    for gamma_deg, t_abs, mode, p, se in rows:
-        g_key, t_key = gamma_deg or repr(gamma_deg), t_abs or repr(t_abs)
-        if g_key not in coords:
-            coords[g_key] = f"{gamma_deg:.10g}"
-        if t_key not in coords:
-            coords[t_key] = f"{t_abs:.10g}"
-        lines.append(f"{coords[g_key]},{coords[t_key]},{mode},{p:.12g},{se:.12g}")
-    return "\n".join(lines) + "\n"
+def format_rows(spec: SweepSpec, p, se=None) -> str:
+    """The CSV text of a `sweep_grid` result: each axis value formatted once,
+    each gamma's rows one template joined on its prefix, one % for every value."""
+    cell = f",{spec.mode},%.12g," + ("%.12g\n" if se is not None else f"{0.0:.12g}\n")
+    t_cells = ["", *(f"{t_abs:.10g}{cell}" for t_abs in spec.t_values
+                     for _ in range(len(p[0][0])))]
+    template = "".join(f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg)
+    if se is None:
+        values = p.ravel().tolist()
+    else:
+        values = [v for p_g, se_g in zip(p, se) for p_t, se_t in zip(p_g, se_g)
+                  for pair in zip(p_t, se_t) for v in pair]
+    return f"{CSV_HEADER}\n{template % tuple(values)}"

@@ -16,6 +16,7 @@ from polsim.sweep import (
     SweepSpec,
     format_rows,
     run_sweep,
+    sweep_grid,
 )
 from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, expected_counts_grid
 from polsim.zwm import CoherenceMatrix, ZwmConfig, analytic_p_general
@@ -211,7 +212,8 @@ def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):
 
 
 def test_format_rows_layout():
-    text = format_rows(sweep(make_spec(gammas_deg=(90.0,), t_values=(0.5,))))
+    spec = make_spec(gammas_deg=(90.0,), t_values=(0.5,))
+    text = format_rows(spec, *sweep_grid(spec, ZwmConfig(), DETECTOR))
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 2
@@ -219,15 +221,26 @@ def test_format_rows_layout():
     fields = lines[1].split(",")
     assert fields[:3] == ["90", "0.5", "analytic"]
     assert float(fields[3]) == pytest.approx(0.5, abs=1e-12)
-    assert float(fields[4]) == 0.0
+    assert fields[4] == "0"
 
 
 def test_format_rows_formats_every_coordinate_as_given():
-    """Coordinates are formatted once per distinct value; -0.0 and 0.0
-    compare equal but print differently, and each keeps its own text."""
-    rows = [(-0.0, 0.0, "analytic", 1.0, 0.0), (-0.0, -0.0, "analytic", 1.0, 0.0),
-            (0.0, -0.0, "montecarlo", 0.5, 0.01), (0.0, 0.25, "montecarlo", 0.5, 0.0),
-            (12.5, 0.25, "numeric", 1 / 3, 0.0)]
-    expected = "".join(f"{g:.10g},{t:.10g},{mode},{p:.12g},{se:.12g}\n"
-                       for g, t, mode, p, se in rows)
-    assert format_rows(rows) == CSV_HEADER + "\n" + expected
+    """Each axis value is formatted once; -0.0 and 0.0 compare equal but
+    print differently, and each keeps its own text.  The exact modes write a
+    0 stderr, montecarlo its own, one row per replicate."""
+    gammas, ts = (-0.0, 0.0, 12.5), (0.0, -0.0, 0.25)
+    p = np.arange(9.0).reshape(3, 3, 1) / 7.0
+    spec = make_spec(mode="numeric", gammas_deg=gammas, t_values=ts)
+    expected = "".join(f"{g:.10g},{t:.10g},numeric,{p[ig, it, 0]:.12g},0\n"
+                       for ig, g in enumerate(gammas) for it, t in enumerate(ts))
+    assert format_rows(spec, p) == CSV_HEADER + "\n" + expected
+    assert expected.startswith("-0,0,numeric,0,0\n-0,-0,numeric,0.142857142857,0\n")
+    spec = make_spec(mode="montecarlo", gammas_deg=gammas, t_values=ts, replicates=2)
+    p_mc = [[[ig + it / 3.0, -0.0] for it in range(3)] for ig in range(3)]
+    se_mc = [[[0.01, 1e-20] for _ in range(3)] for _ in range(3)]
+    expected = "".join(f"{g:.10g},{t:.10g},montecarlo,{p_mc[ig][it][rep]:.12g},"
+                       f"{se_mc[ig][it][rep]:.12g}\n"
+                       for ig, g in enumerate(gammas) for it, t in enumerate(ts)
+                       for rep in range(2))
+    assert format_rows(spec, p_mc, se_mc) == CSV_HEADER + "\n" + expected
+    assert "\n0,-0,montecarlo,1.33333333333,0.01\n0,-0,montecarlo,-0,1e-20\n" in expected
