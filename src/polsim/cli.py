@@ -100,9 +100,16 @@ def _cmd_sweep(args) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     return 0
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PolsimError(f"cannot write {path}: {exc}") from None
 
 
 def _selftest_checks():
@@ -177,8 +184,7 @@ def _cmd_tomo(args) -> int:
     row = ",".join(f"{v:.12g}" for v in (
         run.p_estimate, g.gxx.real, g.gyy.real, g.gxy.real, g.gxy.imag,
         s0, s1, s2, s3))
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + row + "\n")
+    _write_out(args.out, header + "\n" + row + "\n")
     print(f"tomo: P = {run.p_estimate:.6f} written to {args.out}")
     return 0
 

@@ -120,7 +120,7 @@ def load_config(path: str | None) -> tuple[ZwmConfig, DetectorModel, dict[str, f
         try:
             with open(path, encoding="ascii") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         values = parse_config_text(text)
     zwm, detector = build_configs(values)

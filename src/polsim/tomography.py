@@ -389,7 +389,7 @@ def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]
     try:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read counts file {path}: {exc}") from None
     rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:

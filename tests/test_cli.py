@@ -5,8 +5,10 @@ import io
 import math
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,16 @@ def test_unknown_key_in_config_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
                    "--gamma", "0", "--t", "1") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_ascii_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "accent.cfg"
+    path.write_text("# caf\u00e9\neta_idler = 0.9\n", encoding="utf-8")
+    assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
+                   "--gamma", "0", "--t", "1") == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot read config file {path}" in err
+    assert "Traceback" not in err
 
 
 def test_out_of_range_gamma_argument_exits_3(capsys):
@@ -394,6 +406,88 @@ def test_tomo_missing_counts_file_exits_2(tmp_path, capsys):
     assert run_cli("tomo", "--counts", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "x.csv")) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_tomo_non_ascii_counts_exits_2(tmp_path, capsys):
+    path = tmp_path / "accent.txt"
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    "H 0 0 49821\nV 0 90 17\nD 45 45 25006\nR 0 45 \u00e9\n",
+                    encoding="utf-8")
+    out = tmp_path / "x.csv"
+    assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == 2
+    assert f"error: cannot read counts file {path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+UNWRITABLE = {"missing-directory": "no/such/dir/out.csv", "directory": "."}
+
+
+@pytest.mark.parametrize("where", UNWRITABLE, ids=list(UNWRITABLE))
+def test_sweep_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
+    out = tmp_path / UNWRITABLE[where]
+    assert run_cli("sweep", "--mode", "analytic", "--gamma", "0,30", "--t", "0.5",
+                   "--out", str(out)) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", UNWRITABLE, ids=list(UNWRITABLE))
+def test_tomo_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
+    counts_path, _ = tomo_fixture_counts(tmp_path, dark_rate=0.0)
+    out = tmp_path / UNWRITABLE[where]
+    assert run_cli("tomo", "--counts", str(counts_path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}: " in captured.err
+    assert "written to" not in captured.out
+
+
+COUNTS_HEADER = "label  qwp_angle_deg  polarizer_angle_deg  raw_count"
+# rows a detector could write: the six analyzer settings of a real table, so
+# that settings repeat, and settings at arbitrary finite angles
+good_row = st.tuples(
+    st.sampled_from(["H 0 0", "V 0 90", "D 45 45", "A 45 -45", "R 0 45", "L 0 -45"])
+    | st.tuples(st.text(st.characters(codec="ascii", categories=["L", "N"]), min_size=1,
+                        max_size=3),
+                st.floats(-360.0, 360.0).map(repr),
+                st.floats(-360.0, 360.0).map(repr)).map(" ".join),
+    st.integers(0, 10**6).map(str),
+).map(" ".join)
+# and anything else: any label, and numbers that are huge, negative,
+# non-integer or non-finite, or words
+number_text = st.one_of(
+    st.integers(-10, 10**6).map(str),
+    st.integers(10**300, 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["0", "45", "-45", "90", "1e400", "-0", "1_000", "0x10", "x"]),
+)
+free_row = st.tuples(st.text(min_size=1, max_size=3), number_text, number_text,
+                     number_text).map(" ".join)
+huge_row = st.tuples(st.sampled_from(["H 0 0", "V 0 90", "D 45 45", "R 0 45"]),
+                     st.integers(10**300, 10**310).map(str)).map(" ".join)
+row_tables = st.one_of(
+    st.lists(good_row, min_size=4, max_size=8),
+    st.lists(st.one_of(good_row, huge_row, free_row), max_size=8),
+).map(lambda rows: "\n".join([COUNTS_HEADER, *rows, ""]).encode("utf-8"))
+raw_tables = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda raw: COUNTS_HEADER.encode("ascii") + b"\n" + raw),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(row_tables | raw_tables)
+def test_tomo_on_any_counts_table_exits_cleanly_with_p_a_fraction(table):
+    """Any counts file, as rows or as raw bytes, ends in exit 0, 2 or 3 with
+    no traceback, and on exit 0 the written P lies in [0, 1]."""
+    with tempfile.TemporaryDirectory() as scratch:
+        counts, out = Path(scratch, "counts.txt"), Path(scratch, "recon.csv")
+        counts.write_bytes(table)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run_cli("tomo", "--counts", str(counts), "--out", str(out))
+        assert rc in (0, 2, 3), (rc, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 0:
+            assert 0.0 <= float(out.read_text().splitlines()[1].split(",")[0]) <= 1.0
 
 
 def test_console_script_is_wired():
