@@ -7,13 +7,16 @@ batched solve then fits every row whose four-setting inversion is PSD, and
 a Newton fit each of the others.  The montecarlo mode samples each row.
 Every stochastic row derives its generator from (seed, gamma index, t
 index, replicate), so a fixed seed reproduces the output byte for byte
-regardless of grid shape or replicate count.
+regardless of grid shape or replicate count.  `format_rows` writes the CSV
+from the `sweep_grid` result in one pass; `run_sweep` is its rows view for
+library callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -152,12 +155,9 @@ def format_rows(spec: SweepSpec, p, se=None) -> str:
     """The CSV text of a `sweep_grid` result: each axis value formatted once,
     each gamma's rows one template joined on its prefix, one % for every value."""
     cell = f",{spec.mode},%.12g," + ("%.12g\n" if se is not None else f"{0.0:.12g}\n")
-    t_cells = ["", *(f"{t_abs:.10g}{cell}" for t_abs in spec.t_values
-                     for _ in range(len(p[0][0])))]
-    template = "".join(f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg)
-    if se is None:
-        values = p.ravel().tolist()
-    else:
-        values = [v for p_g, se_g in zip(p, se) for p_t, se_t in zip(p_g, se_g)
-                  for pair in zip(p_t, se_t) for v in pair]
+    t_cells = ["", *(text for t_abs in spec.t_values
+                     for text in [f"{t_abs:.10g}{cell}"] * len(p[0][0]))]
+    template = "".join([f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg])
+    values = p.ravel().tolist() if se is None else [
+        v for p_t, se_t in zip(chain(*p), chain(*se)) for pair in zip(p_t, se_t) for v in pair]
     return f"{CSV_HEADER}\n{template % tuple(values)}"
