@@ -111,9 +111,7 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     path.write_text("# caf\u00e9\neta_idler = 0.9\n", encoding="utf-8")
     assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
                    "--gamma", "0", "--t", "1") == 2
-    err = capsys.readouterr().err
-    assert f"error: cannot read config file {path}" in err
-    assert "Traceback" not in err
+    assert f"error: cannot read config file {path}" in capsys.readouterr().err
 
 
 def test_out_of_range_gamma_argument_exits_3(capsys):
@@ -422,7 +420,7 @@ def test_tomo_non_ascii_counts_exits_2(tmp_path, capsys):
 UNWRITABLE = {"missing-directory": "no/such/dir/out.csv", "directory": "."}
 
 
-@pytest.mark.parametrize("where", UNWRITABLE, ids=list(UNWRITABLE))
+@pytest.mark.parametrize("where", UNWRITABLE)
 def test_sweep_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
     out = tmp_path / UNWRITABLE[where]
     assert run_cli("sweep", "--mode", "analytic", "--gamma", "0,30", "--t", "0.5",
@@ -430,7 +428,7 @@ def test_sweep_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
     assert f"error: cannot write {out}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", UNWRITABLE, ids=list(UNWRITABLE))
+@pytest.mark.parametrize("where", UNWRITABLE)
 def test_tomo_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
     counts_path, _ = tomo_fixture_counts(tmp_path, dark_rate=0.0)
     out = tmp_path / UNWRITABLE[where]
