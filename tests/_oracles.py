@@ -25,7 +25,10 @@ use.
 tomography_point_matrix, setting_means and tomography_row_oracle are one
 tomography sweep row computed on its own, as the sweep did before it evaluated the whole
 grid at once: the config moved to the point, a normalized CoherenceMatrix,
-one trace per setting, then the draw and the fit.
+one trace per setting, then the draw and the fit.  montecarlo_row_oracle is
+one montecarlo sweep row the same way: the row's SeedSequence spawns one
+child per extremum, each sampled through a GedankenConfig and
+monte_carlo_detection, and the two estimates combine into P and its stderr.
 """
 
 import cmath
@@ -38,6 +41,7 @@ from scipy.optimize import minimize
 
 from polsim.elements import polarizer_jones, waveplate_jones
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
+from polsim.gedanken import GedankenConfig, monte_carlo_detection
 from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, reconstruct_run
 from polsim.zwm import (CoherenceMatrix, ImperfectionConfig, ZwmConfig, coherence_matrix,
                         t_phase)
@@ -319,3 +323,20 @@ def tomography_row_oracle(cfg, gamma_deg, t_abs, detector, seed_seq) -> float:
     g = tomography_point_matrix(cfg, gamma_deg, t_abs)
     raw = np.random.default_rng(seed_seq).poisson(setting_means(g, DEFAULT_SETTINGS, detector))
     return reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+
+
+def montecarlo_row_oracle(cfg, gamma_deg, t_abs, samples, seed_seq) -> tuple[float, float]:
+    """(P, stderr) of one montecarlo sweep row drawn from seed_seq: the
+    extrema at theta = gamma/2 and gamma/2 + pi/2 with marker quality |T|,
+    P = max(p_max - p_min, 0) / (p_max + p_min) and its first-order stderr."""
+    gamma = math.radians(gamma_deg)
+    common = dict(gamma=gamma, m=t_abs, phi1=cfg.phi_s1, phi2=cfg.phi_s2)
+    (p_max, se_max), (p_min, se_min) = (
+        monte_carlo_detection(GedankenConfig(theta=theta, **common), samples, child)
+        for theta, child in zip((gamma / 2.0, gamma / 2.0 + math.pi / 2.0),
+                                seed_seq.spawn(2)))
+    total = p_max + p_min
+    if total == 0.0:
+        raise ZeroTraceError("no detection at either extremum")
+    return (max(p_max - p_min, 0.0) / total,
+            2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2)

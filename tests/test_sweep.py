@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (SIX_SETTINGS, fresh_projector, random_config, setting_means,
-                      tomography_point_matrix, tomography_row_oracle)
+from _oracles import (SIX_SETTINGS, fresh_projector, montecarlo_row_oracle, random_config,
+                      setting_means, tomography_point_matrix, tomography_row_oracle)
 from polsim import tomography, zwm
-from polsim.errors import ConfigRangeError, ParameterError
+from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
 from polsim.sweep import (
     CSV_HEADER,
     DEFAULT_MC_SAMPLES,
@@ -173,6 +173,40 @@ def test_tomography_rows_equal_the_per_row_oracle():
                 for it, t_abs in enumerate(spec.t_values)
                 for rep in range(2)]
         assert run_sweep(spec, cfg, det) == want
+
+
+def test_montecarlo_rows_equal_the_per_row_oracle():
+    """Every montecarlo row is the P and stderr that the per-row route gives:
+    the row's SeedSequence spawns one child per extremum, each sampled
+    through a GedankenConfig.  Random grids, replicates, seeds, phases and
+    --samples up to 2^62; where the oracle finds no detection at either
+    extremum (a one-sample grid may), the sweep raises ZeroTraceError too."""
+    rng = np.random.default_rng(608)
+    zero = 0
+    for k in range(40):
+        cfg = random_config(rng)
+        gammas = rng.choice([0.0, 90.0, *rng.uniform(0, 90, 2)], rng.integers(1, 4), False)
+        ts = rng.choice([0.0, 1.0, *rng.uniform(0, 1, 2)], rng.integers(1, 4), False)
+        spec = make_spec(mode="montecarlo", replicates=int(rng.integers(1, 4)),
+                         seed=int(rng.integers(0, 2**63)),
+                         mc_samples=1 if k % 5 == 0 else int(2 ** rng.uniform(0, 62)),
+                         gammas_deg=tuple(gammas.tolist()), t_values=tuple(ts.tolist()))
+        try:
+            want = [[[montecarlo_row_oracle(cfg, gamma_deg, t_abs, spec.mc_samples,
+                                            np.random.SeedSequence(entropy=spec.seed,
+                                                                   spawn_key=(ig, it, rep)))
+                      for rep in range(spec.replicates)]
+                     for it, t_abs in enumerate(spec.t_values)]
+                    for ig, gamma_deg in enumerate(spec.gammas_deg)]
+        except ZeroTraceError:
+            with pytest.raises(ZeroTraceError):
+                sweep_grid(spec, cfg, DETECTOR)
+            zero += 1
+            continue
+        p, se = sweep_grid(spec, cfg, DETECTOR)
+        assert [[list(zip(p_t, se_t)) for p_t, se_t in zip(p_g, se_g)]
+                for p_g, se_g in zip(p, se)] == want
+    assert 1 <= zero <= 8
 
 
 def test_expected_counts_grid_equals_per_setting_traces():
