@@ -10,7 +10,10 @@ probability splits into a flagged (incoherent) part and a coherent part:
 
 with path amplitudes a1 = exp(i*phi1) cos(theta - gamma)/2 and
 a2 = exp(i*phi2) cos(theta)/2.  monte_carlo_detection draws the branch
-counts of N samples, in time and memory independent of N.
+counts of N samples, in time and memory independent of N.  The montecarlo
+sweep calls the same sampler, _sample_detection, without a GedankenConfig:
+its SweepSpec validated the grid once, and each extremum draws from the
+child SeedSequence (seed; gamma index, t index, replicate, extremum).
 """
 
 from __future__ import annotations
@@ -59,15 +62,15 @@ def _check_ranges(gammas, ms) -> None:
             f"gamma = {bad_gamma[0]} rad has cos < 0; not a valid erasure angle")
 
 
-def _amplitudes(cfg: GedankenConfig) -> tuple[complex, complex]:
-    a1 = cmath.exp(1j * cfg.phi1) * math.cos(cfg.theta - cfg.gamma) / 2.0
-    a2 = cmath.exp(1j * cfg.phi2) * math.cos(cfg.theta) / 2.0
+def _amplitudes(gamma, phi1, phi2, theta) -> tuple[complex, complex]:
+    a1 = cmath.exp(1j * phi1) * math.cos(theta - gamma) / 2.0
+    a2 = cmath.exp(1j * phi2) * math.cos(theta) / 2.0
     return a1, a2
 
 
 def detection_probability(cfg: GedankenConfig) -> float:
     """Closed-form detection probability of the three-branch bookkeeping."""
-    a1, a2 = _amplitudes(cfg)
+    a1, a2 = _amplitudes(cfg.gamma, cfg.phi1, cfg.phi2, cfg.theta)
     return abs(a1) ** 2 * (1.0 - cfg.m**2) + abs(a1 * cfg.m + a2) ** 2
 
 
@@ -123,12 +126,17 @@ def monte_carlo_detection(
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ParameterError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
-    a1, a2 = _amplitudes(cfg)
+    return _sample_detection(cfg.gamma, cfg.m, cfg.phi1, cfg.phi2, cfg.theta, samples, seed)
+
+
+def _sample_detection(gamma, m, phi1, phi2, theta, samples, seed) -> tuple[float, float]:
+    """monte_carlo_detection on parameters the caller has checked."""
+    a1, a2 = _amplitudes(gamma, phi1, phi2, theta)
     # squared moduli (>= 0) that rounding may put an ulp above 1
     p_flagged = min(2.0 * abs(a1) ** 2, 1.0)
-    p_coherent = min(2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2), 1.0)
+    p_coherent = min(2.0 * abs(a1 * m + a2) ** 2 / (1.0 + m**2), 1.0)
     rng = np.random.default_rng(seed)
-    n_flag = rng.binomial(rng.binomial(samples, 0.5), 1.0 - cfg.m**2)
+    n_flag = rng.binomial(rng.binomial(samples, 0.5), 1.0 - m**2)
     hits = rng.binomial(n_flag, p_flagged) + rng.binomial(samples - n_flag, p_coherent)
     p_hat = hits / samples
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -4,9 +4,12 @@ The analytic, gedanken and numeric modes evaluate the whole grid as one
 array expression.  The tomography mode computes the coherence matrix and
 the expected counts of every grid point at once and draws each row; one
 batched solve then fits every row whose four-setting inversion is PSD, and
-a Newton fit each of the others.  The montecarlo mode samples each row.
-Every stochastic row derives its generator from (seed, gamma index, t
-index, replicate), so a fixed seed reproduces the output byte for byte
+a Newton fit each of the others.  The montecarlo mode samples the two
+extrema of each row with gedanken's scalar sampler, on the grid SweepSpec
+validated once.  Every stochastic row derives its generator from (seed;
+gamma index, t index, replicate), and a montecarlo extremum k from the
+child SeedSequence (seed; gamma index, t index, replicate, k), the stream
+it has always drawn, so a fixed seed reproduces the output byte for byte
 regardless of grid shape or replicate count.  `format_rows` writes the CSV
 from the `sweep_grid` result in one pass; `run_sweep` is its rows view for
 library callers.
@@ -21,8 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigRangeError, ParameterError, ZeroTraceError
-from .gedanken import (MAX_SAMPLES, GedankenConfig,
-                       degree_of_polarization_gedanken_grid, monte_carlo_detection)
+from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_gedanken_grid
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
@@ -72,22 +74,19 @@ class SweepSpec:
         object.__setattr__(self, "t_values", tuple(sorted(self.t_values)))
 
 
-def _mc_p_estimate(cfg: ZwmConfig, gamma_deg: float, m: float,
-                   samples: int, seed_seq) -> tuple[float, float]:
-    gamma = math.radians(gamma_deg)
-    children = seed_seq.spawn(2)
-    common = dict(m=m, phi1=cfg.phi_s1, phi2=cfg.phi_s2, gamma=gamma)
-    p_max, se_max = monte_carlo_detection(
-        GedankenConfig(theta=gamma / 2.0, **common), samples, children[0]
-    )
-    p_min, se_min = monte_carlo_detection(
-        GedankenConfig(theta=gamma / 2.0 + math.pi / 2.0, **common), samples, children[1]
-    )
+def _mc_p_estimate(cfg: ZwmConfig, spec: SweepSpec, ig: int, it: int,
+                   rep: int) -> tuple[float, float]:
+    gamma, m = math.radians(spec.gammas_deg[ig]), spec.t_values[it]
+    # extremum k draws from the child k that spawn(2) of the row's SeedSequence gives
+    (p_max, se_max), (p_min, se_min) = (
+        _sample_detection(gamma, m, cfg.phi_s1, cfg.phi_s2, theta, spec.mc_samples,
+                          np.random.SeedSequence(entropy=spec.seed, spawn_key=(ig, it, rep, k)))
+        for k, theta in enumerate((gamma / 2.0, gamma / 2.0 + math.pi / 2.0)))
     total = p_max + p_min
     if total == 0.0:
         raise ZeroTraceError(
             f"degree of polarization undefined at zero intensity: no detection "
-            f"at either extremum in {samples} samples each")
+            f"at either extremum in {spec.mc_samples} samples each")
     # sampling noise can put p_min above p_max near P = 0; P is bounded at 0
     p = max(p_max - p_min, 0.0) / total
     stderr = 2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2
@@ -98,6 +97,12 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     """(p, se): each row's P indexed [gamma][t][replicate], one replicate in the
     exact modes, and its stderr, None where that is 0 (every mode but montecarlo,
     which keeps its few rows as nested lists of Python floats)."""
+    if spec.mode == "montecarlo":
+        p = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
+        se = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
+        for ig, it, rep in _row_keys(spec):
+            p[ig][it][rep], se[ig][it][rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
+        return p, se
     gammas = np.radians(spec.gammas_deg)
     if spec.mode == "analytic":
         return analytic_p_grid(cfg, gammas, spec.t_values)[..., None], None
@@ -106,31 +111,23 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     if spec.mode == "numeric":
         p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
         return p[..., None], None
-    if spec.mode == "tomography":
-        g = coherence_grid(cfg, gammas, spec.t_values)
-        trace = g[..., 0, 0].real + g[..., 1, 1].real
-        if np.any(trace <= 0.0):
-            raise ZeroTraceError("degree of polarization undefined at zero intensity")
-        # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
-        mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
-        corrected = []
-        for ig, it, rep in _row_keys(spec):
-            raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
-                entropy=spec.seed, spawn_key=(ig, it, rep)))
-            corrected.append(background_correct(raw, detector))
-            if not corrected[-1].any():
-                raise ZeroTraceError(
-                    "degree of polarization undefined at zero intensity: all "
-                    "background-corrected counts are zero")
-        p = _p_estimates(corrected, DEFAULT_SETTINGS)
-        return p.reshape(len(spec.gammas_deg), len(spec.t_values), spec.replicates), None
-    p = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
-    se = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
+    g = coherence_grid(cfg, gammas, spec.t_values)
+    trace = g[..., 0, 0].real + g[..., 1, 1].real
+    if np.any(trace <= 0.0):
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
+    # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
+    mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
+    corrected = []
     for ig, it, rep in _row_keys(spec):
-        seed_seq = np.random.SeedSequence(entropy=spec.seed, spawn_key=(ig, it, rep))
-        p[ig][it][rep], se[ig][it][rep] = _mc_p_estimate(
-            cfg, spec.gammas_deg[ig], spec.t_values[it], spec.mc_samples, seed_seq)
-    return p, se
+        raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
+            entropy=spec.seed, spawn_key=(ig, it, rep)))
+        corrected.append(background_correct(raw, detector))
+        if not corrected[-1].any():
+            raise ZeroTraceError(
+                "degree of polarization undefined at zero intensity: all "
+                "background-corrected counts are zero")
+    p = _p_estimates(corrected, DEFAULT_SETTINGS)
+    return p.reshape(len(spec.gammas_deg), len(spec.t_values), spec.replicates), None
 
 
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:

@@ -153,12 +153,12 @@ def test_monte_carlo_certain_and_dark_extrema(samples):
 def test_monte_carlo_clamps_branch_probabilities_rounded_above_one(monkeypatch):
     # first p_coherent, then p_flagged one ulp above 1
     one_ulp_up = 0.5 * (1.0 + 2.0**-52)
-    monkeypatch.setattr(gedanken, "_amplitudes", lambda cfg: (one_ulp_up, one_ulp_up))
+    monkeypatch.setattr(gedanken, "_amplitudes", lambda *angles: (one_ulp_up, one_ulp_up))
     cfg = GedankenConfig(gamma=0.0, m=1.0)
     assert monte_carlo_detection(cfg, 1000, 5) == (1.0, 0.0)
     cfg = GedankenConfig(gamma=0.0, m=0.0)
     monkeypatch.setattr(gedanken, "_amplitudes",
-                        lambda cfg: (math.sqrt(0.5) * (1.0 + 2.0**-52), 0.0))
+                        lambda *angles: (math.sqrt(0.5) * (1.0 + 2.0**-52), 0.0))
     assert monte_carlo_detection(cfg, 1000, 5)[0] == pytest.approx(0.5, abs=0.1)
 
 

@@ -45,7 +45,7 @@ def mc_hits(cfg, samples, seed):
 def branch_thresholds(cfg):
     """The documented branch probabilities: marker report, flagged and
     coherent detection."""
-    a1, a2 = _amplitudes(cfg)
+    a1, a2 = _amplitudes(cfg.gamma, cfg.phi1, cfg.phi2, cfg.theta)
     return (1.0 - cfg.m**2, 2.0 * abs(a1) ** 2,
             2.0 * abs(a1 * cfg.m + a2) ** 2 / (1.0 + cfg.m**2))
 
