@@ -119,7 +119,15 @@ def _scalars(keys) -> SettingRows:
     outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(4) for j in range(i, 4))
     return SettingRows(rows, columns, outer, tuple(map(sum, columns)),
                        tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
-                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
+                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows),
+                       2.0**-40 * float(np.linalg.cond(stokes)))
+
+
+def _inversion(data: SettingRows, n) -> tuple[list, bool]:
+    """The least-squares Stokes vector of n, and whether |S| - S0 > slack (|S| + |S0|),
+    which leaves _exact_fits' inversion, within about cond eps |S|, off the cone too."""
+    x = [sum(map(mul, row, n)) for row in data.inverse]
+    return x, math.hypot(x[1], x[2], x[3]) * (1.0 - data.slack) > x[0] + data.slack * abs(x[0])
 
 
 def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
@@ -261,8 +269,9 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     total = _counts_total(values)
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
+    inversion, outside = _inversion(data, n)
     exact = False
-    if len(settings) == 4:
+    if len(settings) == 4 and not outside:
         (exact,), (g,), (matrix,) = _exact_fits(np.array([n]), np.array([exp]), design)
     if exact:
         path, steps = "exact", 0
@@ -284,7 +293,7 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
             # where every c_k >= mu_k / |S| > 0: the interior fit's, else the
             # inversion's, which four settings reach here only outside it
             if len(settings) == 4 or x[0] >= math.hypot(x[1], x[2], x[3]):
-                x = [sum(map(mul, row, n)) for row in data.inverse]
+                x = inversion
             entries, mu, boundary_steps = boundary_newton(data, n, x[1:])
             steps += boundary_steps
         trace = entries[0] + entries[1]
@@ -307,21 +316,23 @@ def _p_estimates(corrected, settings) -> np.ndarray:
     """P of the fit of every row of corrected counts (rows x settings): the
     floats each row's reconstruct_run gives, NaN for an all-zero row.
 
-    With four settings the exact paths of all rows are solved together, in
-    one call of _exact_fits; the other rows go to _fit.
+    With four settings the rows not clearly outside the cone solve their exact
+    paths together, in one call of _exact_fits; the other rows go to _fit.
     """
     corrected = _checked_counts(corrected, "corrected counts")
     p = np.full(len(corrected), math.nan)
     fit = np.ones(len(corrected), dtype=bool)
     if len(settings) == 4 and len(corrected):
-        totals = [_counts_total(row) for row in corrected.tolist()]
-        exps = np.frexp(totals)[1]
-        psd, _, g = _exact_fits(np.ldexp(corrected, -exps[:, None]), exps,
-                                _projector_components(settings)[0])
-        exact = psd & (np.array(totals) > 0.0) & (g[:, 0, 0].real + g[:, 1, 1].real > 0.0)
-        check_coherence(g[exact])  # as each row's CoherenceMatrix would
-        p[exact] = degree_of_polarization_grid(g[exact])
-        fit = ~exact
+        exps = np.frexp([_counts_total(row) for row in corrected.tolist()])[1]
+        n = np.ldexp(corrected, -exps[:, None])
+        data = _scalars(tuple(map(_angle_key, settings)))
+        near = np.flatnonzero([not _inversion(data, row)[1] for row in n.tolist()])
+        if near.size:  # not when every row's inversion is outside the cone
+            psd, _, g = _exact_fits(n[near], exps[near], _projector_components(settings)[0])
+            exact = psd & (g[:, 0, 0].real + g[:, 1, 1].real > 0.0)
+            check_coherence(g[exact])  # as each row's CoherenceMatrix would
+            p[near[exact]] = degree_of_polarization_grid(g[exact])
+            fit[near[exact]] = False
     for k in np.flatnonzero(fit):
         recon = CoherenceMatrix(_fit(corrected[k], settings)[0])
         if recon.trace > 0.0:

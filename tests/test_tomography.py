@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
+from polsim import tomography
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -487,6 +488,86 @@ def test_batched_rows_equal_each_rows_own_fit():
         got = _p_estimates(corrected, DEFAULT_SETTINGS).tolist()
         assert np.array_equal(got, want, equal_nan=True)
     assert math.isnan(_p_estimates(np.zeros((1, 4)), DEFAULT_SETTINGS)[0])
+
+
+def random_four_settings(rng, crowded):
+    """Four settings at random angles; crowded ones lie within 1e-5 to 0.1 rad
+    of one setting, so their pass directions nearly coincide."""
+    angles = rng.uniform(0.0, math.pi, (4, 2))
+    if crowded:
+        angles = angles[0] + 10 ** rng.uniform(-5, -1) * rng.uniform(-1, 1, (4, 2))
+    return tuple(MeasurementSetting(str(k), q, p) for k, (q, p) in enumerate(angles))
+
+
+def near_cone_tables(rng, settings):
+    """Pure-state means at 1e2 to 1e12 counts, on the cone up to rounding,
+    and the same means with one count moved 1 to 4 ulps up or down."""
+    tables = []
+    for scale in 10.0 ** np.arange(2, 13):
+        g = scale * bloch_matrix(1.0, rng.normal(size=3)) / 2.0
+        means = np.maximum([np.trace(fresh_projector(s) @ g).real for s in settings], 0.0)
+        nudged = means.copy()
+        k = rng.integers(4)
+        nudged[k] += rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) * np.spacing(means[k])
+        tables += [means, nudged]
+    return tables
+
+
+def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd(monkeypatch):
+    """_fit skips its exact attempt where the cached least-squares inversion
+    lies clearly outside the cone.  Its path must still be exact exactly when
+    the inversion is PSD: on pure-state means at 1e2 to 1e12 counts, those
+    means a few ulps inside or outside the cone, and Poisson tables, under
+    H V D R and random four-setting sets, crowded ones included (condition
+    numbers from 3.2 to above 1e8).  An exact fit is _exact_fits' own matrix
+    bit for bit, and the batch gives each table's own P, also a batch of
+    tables whose inversions all lie outside, which never calls _exact_fits."""
+    calls, conds = [], []
+    exact_fits = tomography._exact_fits
+
+    def counted(n, *args):
+        calls.append(len(n))
+        return exact_fits(n, *args)
+
+    monkeypatch.setattr(tomography, "_exact_fits", counted)
+    rng = np.random.default_rng(38)
+    paths = {"exact": 0, "boundary": 0}
+    near = {True: 0, False: 0}
+    skipped = 0
+    for trial in range(40):
+        settings = random_four_settings(rng, trial % 2 == 1) if trial else DEFAULT_SETTINGS
+        try:
+            design, stokes = _projector_components(settings)
+        except IllPosedError:
+            continue
+        conds.append(np.linalg.cond(stokes))
+        cone = near_cone_tables(rng, settings)
+        tables = cone + [poisson_table(rng, settings, p, 10 ** rng.uniform(1, 8), (38, trial, k))
+                         for k, p in enumerate([1.0, 1.0, 1.0, 0.9, 0.5, 0.0])]
+        outside, each = [], []
+        for k, counts in enumerate(tables):
+            calls.clear()
+            matrix, diag = _fit(counts, settings)
+            each.append(degree_of_polarization(CoherenceMatrix(matrix)))
+            psd = inversion_is_psd(counts, settings)
+            assert diag.path == ("exact" if psd else "boundary"), (trial, k)
+            paths[diag.path] += 1
+            if k < len(cone):
+                near[psd] += 1
+            if not calls:
+                outside.append(k)
+            if psd:
+                exp = math.frexp(math.fsum(counts))[1]
+                want = exact_fits(np.ldexp(counts, -exp)[None], np.array([exp]), design)[2][0]
+                assert np.array_equal(matrix, want)
+        assert np.array_equal(_p_estimates(tables, settings), each)
+        calls.clear()
+        assert np.array_equal(_p_estimates([tables[k] for k in outside], settings),
+                              [each[k] for k in outside])
+        assert not calls
+        skipped += len(outside)
+    assert len(conds) >= 35 and max(conds) > 1e8
+    assert min(paths.values()) >= 300 and min(near.values()) >= 300 and skipped >= 80
 
 
 @pytest.mark.parametrize("counts", [
