@@ -22,8 +22,8 @@ class SettingRows(NamedTuple):
     """The Stokes rows of a settings tuple as Python floats, for the Newton
     fits: the rows a_k, their four columns, the columns of a_i a_j for i <= j
     (the last six are those with i, j >= 1), the column sums, the rows of the
-    pseudo-inverse, which maps counts to the least-squares Stokes vector, each
-    setting's a_0 and pass direction a_vec / a_0, and 4096 eps cond (slack)."""
+    pseudo-inverse, which maps counts to the least-squares Stokes vector, and
+    each setting's a_0 and pass direction a_vec / a_0."""
 
     rows: tuple
     columns: tuple
@@ -31,7 +31,6 @@ class SettingRows(NamedTuple):
     sigma: tuple
     inverse: tuple
     passes: tuple
-    slack: float
 
 
 _NEWTON_STEPS = 100

@@ -2,15 +2,14 @@
 
 The analytic, gedanken and numeric modes evaluate the whole grid as one
 array expression.  The tomography mode computes the coherence matrix and
-the expected counts of every grid point at once and draws each row; one
-batched solve then fits every row whose four-setting inversion is PSD, and
-a Newton fit each of the others.  The montecarlo mode samples the two
-extrema of each row with gedanken's scalar sampler, on the grid SweepSpec
-validated once.  Every stochastic row derives its generator from (seed;
-gamma index, t index, replicate), and a montecarlo extremum k from the
-child SeedSequence (seed; gamma index, t index, replicate, k), the stream
-it has always drawn, so a fixed seed reproduces the output byte for byte
-regardless of grid shape or replicate count.  `format_rows` writes the CSV
+the expected counts of every grid point at once, then draws each row and
+fits it as a single reconstruction would.  The montecarlo mode samples the
+two extrema of each row with gedanken's scalar sampler, on the grid
+SweepSpec validated once.  Every stochastic row derives its generator from
+(seed; gamma index, t index, replicate), and a montecarlo extremum k from
+the child SeedSequence (seed; gamma index, t index, replicate, k), the
+stream it has always drawn, so a fixed seed reproduces the output byte for
+byte regardless of grid shape or replicate count.  `format_rows` writes the CSV
 from the `sweep_grid` result in one pass; `run_sweep` is its rows view for
 library callers.
 """

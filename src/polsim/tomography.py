@@ -21,8 +21,7 @@ from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .newton import (INTERIOR_KKT, SettingRows, boundary_newton, dot, interior_newton,
                      kkt_residual)
-from .zwm import (CoherenceMatrix, check_coherence, degree_of_polarization,
-                  degree_of_polarization_grid)
+from .zwm import CoherenceMatrix, check_coherence, degree_of_polarization
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
@@ -87,47 +86,26 @@ def projector_from_setting(setting: MeasurementSetting) -> np.ndarray:
     return _projector(*_angle_key(setting))
 
 
-def _projector_components(settings) -> tuple[np.ndarray, np.ndarray]:
-    """Per-setting fit data, read-only and cached: the inversion design rows
-    (pxx, pyy, 2 Re pxy, 2 Im pxy) and the Stokes rows a_k with expected
-    count mu_k = a_k . (S0, S1, S2, S3).
+@functools.lru_cache(maxsize=64)
+def _scalars(keys) -> SettingRows:
+    """The fit data for the settings with these angle keys, cached:
+    the Stokes rows a_k, with expected count mu_k = a_k . (S0, S1, S2, S3),
+    their products and their pseudo-inverse.
 
     Raises IllPosedError, on every call, when the projectors cannot
     identify G.
     """
-    return _components(tuple(_angle_key(s) for s in settings))
-
-
-@functools.lru_cache(maxsize=64)
-def _components(keys) -> tuple[np.ndarray, np.ndarray]:
     pis = np.array([_projector(*key) for key in keys])
     pxx, pyy, pxy = pis[:, 0, 0].real, pis[:, 1, 1].real, pis[:, 0, 1]
-    design = np.column_stack([pxx, pyy, 2.0 * pxy.real, 2.0 * pxy.imag])
     stokes = np.column_stack([(pxx + pyy) / 2.0, (pxx - pyy) / 2.0, pxy.real, -pxy.imag])
     if np.linalg.matrix_rank(stokes, tol=1e-10 * np.abs(stokes).max()) < 4:
         raise IllPosedError("projector set is degenerate; cannot identify G")
-    for a in (design, stokes):
-        a.setflags(write=False)
-    return design, stokes
-
-
-@functools.lru_cache(maxsize=64)
-def _scalars(keys) -> SettingRows:
-    stokes = _components(keys)[1]
     rows = tuple(map(tuple, stokes.tolist()))
     columns = tuple(zip(*rows))
     outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(4) for j in range(i, 4))
     return SettingRows(rows, columns, outer, tuple(map(sum, columns)),
                        tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
-                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows),
-                       2.0**-40 * float(np.linalg.cond(stokes)))
-
-
-def _inversion(data: SettingRows, n) -> tuple[list, bool]:
-    """The least-squares Stokes vector of n, and whether |S| - S0 > slack (|S| + |S0|),
-    which leaves _exact_fits' inversion, within about cond eps |S|, off the cone too."""
-    x = [sum(map(mul, row, n)) for row in data.inverse]
-    return x, math.hypot(x[1], x[2], x[3]) * (1.0 - data.slack) > x[0] + data.slack * abs(x[0])
+                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
 
 
 def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
@@ -185,30 +163,6 @@ def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
 
 
-def _exact_fits(n, exps, design) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact path of every row of n, four counts each scaled by 2^-exps:
-    whether its least-squares inversion is PSD, the inversion projected onto
-    the PSD cone, and that projection scaled back by 2^exps and returned as
-    L L^dagger from its triangular factor.  Each row has its own lstsq, the
-    eigen-decompositions and products loop over the stacked matrices and
-    the factor is taken row by row, so a row's bits do not depend on the
-    rows beside it."""
-    sols = (np.linalg.lstsq(design, row, rcond=None)[0].tolist() for row in n)
-    g = np.array([[[a, complex(c, d)], [complex(c, 0.0 - d), b]] for a, b, c, d in sols])
-    vals, vecs = np.linalg.eigh(g)
-    g = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore"):  # _fit reports a fit beyond float range
-        parts = np.ldexp(g.view(float).reshape(len(n), 8), exps[:, None]).tolist()
-    matrices = []
-    for gxx, _, _, _, re, im, gyy, _ in parts:
-        t0 = math.sqrt(max(gxx, 0.0))
-        t2, t3 = (re / t0, im / t0) if t0 > 0.0 else (0.0, 0.0)
-        t1 = math.sqrt(max(gyy - t2 * t2 - t3 * t3, 0.0))
-        gxy = complex(t0 * t2, -(t0 * t3))
-        matrices.append([[t0 * t0, gxy], [gxy.conjugate(), t1 * t1 + t2 * t2 + t3 * t3]])
-    return vals[:, 0] >= 0.0, g, np.array(matrices, dtype=complex)
-
-
 @dataclass(frozen=True)
 class FitDiagnostics:
     """How a tomography fit reached its answer.
@@ -231,14 +185,15 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
 
     The expected counts are linear in the Stokes vector of G, so the Poisson
     negative log-likelihood is convex over the PSD cone; its minimum is found
-    exactly.  All-zero counts give the zero matrix.  With four settings a PSD
-    linear inversion reproduces every count and is returned as is.  With
-    more, damped Newton in Stokes coordinates finds a mixed optimum.  Else
-    the optimum is pure, s0 is closed form for each Bloch direction, and
-    second-order steps on the Bloch sphere find it, from the direction of
-    the interior fit or of the least-squares inversion.  Counts are scaled
-    by a power of two for the fit; a subnormal total that rounds G off the
-    cone raises ParameterError, and a total beyond float range
+    exactly.  All-zero counts give the zero matrix.  With four settings the
+    least-squares Stokes vector, from the cached pseudo-inverse and refined
+    once by its residual, reproduces every count, and inside the cone it is
+    the answer.  With more, damped Newton in Stokes coordinates finds a mixed
+    optimum.  Else the optimum is pure, s0 is closed form for each Bloch
+    direction, and second-order steps on the Bloch sphere find it, from the
+    direction of the interior fit or of the least-squares vector.  Counts are
+    scaled by a power of two for the fit; a subnormal total that rounds G off
+    the cone raises ParameterError, and a total or a fit beyond float range
     ConfigRangeError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
@@ -259,9 +214,7 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
             f"need >= 4 settings with matching counts, got {len(settings)} "
             f"settings and counts of shape {counts.shape}"
         )
-    keys = tuple(_angle_key(s) for s in settings)
-    design = _components(keys)[0]
-    data = _scalars(keys)
+    data = _scalars(tuple(_angle_key(s) for s in settings))
     values = counts.tolist()
     if not max(values) > 0.0:
         return np.zeros((2, 2), dtype=complex), FitDiagnostics("zero")
@@ -269,72 +222,54 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     total = _counts_total(values)
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
-    inversion, outside = _inversion(data, n)
-    exact = False
-    if len(settings) == 4 and not outside:
-        (exact,), (g,), (matrix,) = _exact_fits(np.array([n]), np.array([exp]), design)
-    if exact:
-        path, steps = "exact", 0
-        (gxx, gxy), (gyx, gyy) = g.tolist()
-        trace = gxx.real + gyy.real
-        x = (trace, gxx.real - gyy.real, 2.0 * gxy.real, 2.0 * gyx.imag)
-        mu = [dot(a, x) for a in data.rows]
+    # the least-squares Stokes vector, refined once by its residual
+    x = [sum(map(mul, row, n)) for row in data.inverse]
+    residual = [c - dot(a, x) for a, c in zip(data.rows, n)]
+    x = [xi + sum(map(mul, row, residual)) for xi, row in zip(x, data.inverse)]
+    path, steps = "boundary", 0
+    if len(settings) > 4:
+        interior, steps = interior_newton(data, n)
+        if interior[0] < math.hypot(interior[1], interior[2], interior[3]):
+            x = interior
+        elif kkt_residual(data, n, [dot(a, interior) for a in data.rows],
+                          interior[0]) <= INTERIOR_KKT:
+            path, x = "interior", interior
+    elif x[0] >= math.hypot(x[1], x[2], x[3]):
+        path = "exact"
+    if path == "boundary":
+        # start from the direction of a Stokes vector outside the cone, where
+        # every c_k >= mu_k / |S| > 0: the interior fit's when it left the
+        # cone, else the inversion's
+        entries, mu, boundary_steps = boundary_newton(data, n, x[1:])
+        steps += boundary_steps
     else:
-        path, steps = "boundary", 0
-        if len(settings) > 4:
-            x, steps = interior_newton(data, n)
-            mu = [dot(a, x) for a in data.rows]
-            if x[0] >= math.hypot(x[1], x[2], x[3]) and \
-                    kkt_residual(data, n, mu, x[0]) <= INTERIOR_KKT:
-                path = "interior"
-                entries = ((x[0] + x[1]) / 2.0, (x[0] - x[1]) / 2.0, x[2] / 2.0, -x[3] / 2.0)
-        if path == "boundary":
-            # start from the direction of a Stokes vector outside the cone,
-            # where every c_k >= mu_k / |S| > 0: the interior fit's, else the
-            # inversion's, which four settings reach here only outside it
-            if len(settings) == 4 or x[0] >= math.hypot(x[1], x[2], x[3]):
-                x = inversion
-            entries, mu, boundary_steps = boundary_newton(data, n, x[1:])
-            steps += boundary_steps
-        trace = entries[0] + entries[1]
+        mu = [dot(a, x) for a in data.rows]
+        entries = ((x[0] + x[1]) / 2.0, (x[0] - x[1]) / 2.0, x[2] / 2.0, -x[3] / 2.0)
+    try:
         gxx, gyy, re, im = (math.ldexp(v, exp) for v in entries)
-        matrix = np.array([[gxx, complex(re, im)], [complex(re, -im), gyy]])
-    if not math.isfinite(matrix[0, 0].real + matrix[1, 1].real + 2.0 * abs(matrix[0, 1])):
-        raise ConfigRangeError(f"the fit to the counts total {total:g} is beyond float range")
+        if not math.isfinite(gxx + gyy + 2.0 * math.hypot(re, im)):
+            raise OverflowError
+    except OverflowError:
+        raise ConfigRangeError(f"the fit to the counts total {total:g} is beyond "
+                               "float range") from None
+    matrix = np.array([[gxx, complex(re, im)], [complex(re, -im), gyy]])
     if total < sys.float_info.min:  # scaling back may round G off the cone
         try:
             check_coherence(matrix)
-            if not matrix[0, 0].real + matrix[1, 1].real > 0.0:
+            if not gxx + gyy > 0.0:
                 raise ParameterError("zero trace")
         except ParameterError:
             raise ParameterError("corrected counts are below float resolution: "
                                  f"their total {total:g} is subnormal") from None
-    return matrix, FitDiagnostics(path, steps, kkt_residual(data, n, mu, trace))
+    return matrix, FitDiagnostics(path, steps, kkt_residual(data, n, mu, entries[0] + entries[1]))
 
 
 def _p_estimates(corrected, settings) -> np.ndarray:
     """P of the fit of every row of corrected counts (rows x settings): the
-    floats each row's reconstruct_run gives, NaN for an all-zero row.
-
-    With four settings the rows not clearly outside the cone solve their exact
-    paths together, in one call of _exact_fits; the other rows go to _fit.
-    """
-    corrected = _checked_counts(corrected, "corrected counts")
+    floats each row's reconstruct_run gives, NaN for an all-zero row."""
     p = np.full(len(corrected), math.nan)
-    fit = np.ones(len(corrected), dtype=bool)
-    if len(settings) == 4 and len(corrected):
-        exps = np.frexp([_counts_total(row) for row in corrected.tolist()])[1]
-        n = np.ldexp(corrected, -exps[:, None])
-        data = _scalars(tuple(map(_angle_key, settings)))
-        near = np.flatnonzero([not _inversion(data, row)[1] for row in n.tolist()])
-        if near.size:  # not when every row's inversion is outside the cone
-            psd, _, g = _exact_fits(n[near], exps[near], _projector_components(settings)[0])
-            exact = psd & (g[:, 0, 0].real + g[:, 1, 1].real > 0.0)
-            check_coherence(g[exact])  # as each row's CoherenceMatrix would
-            p[near[exact]] = degree_of_polarization_grid(g[exact])
-            fit[near[exact]] = False
-    for k in np.flatnonzero(fit):
-        recon = CoherenceMatrix(_fit(corrected[k], settings)[0])
+    for k, row in enumerate(corrected):
+        recon = CoherenceMatrix(_fit(row, settings)[0])
         if recon.trace > 0.0:
             p[k] = degree_of_polarization(recon)
     return p

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
-from polsim import tomography
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -18,9 +17,10 @@ from polsim.tomography import (
     DetectorModel,
     FitDiagnostics,
     MeasurementSetting,
+    _angle_key,
     _fit,
     _p_estimates,
-    _projector_components,
+    _scalars,
     background_correct,
     expected_counts,
     mle_reconstruct,
@@ -98,19 +98,24 @@ def test_cached_projectors_are_read_only():
     assert pi is projector_from_setting(MeasurementSetting("other", math.pi / 4, math.pi / 4))
     with pytest.raises(ValueError):
         pi[0, 0] = 2.0
-    components = _projector_components(DEFAULT_SETTINGS)
-    assert components is _projector_components(DEFAULT_SETTINGS)
-    for a in components:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 2.0
+    keys = tuple(map(_angle_key, DEFAULT_SETTINGS))
+    data = _scalars(keys)
+    assert data is _scalars(keys)
+
+    def frozen(value):  # tuples of floats all the way down
+        return isinstance(value, float) or (isinstance(value, tuple)
+                                            and all(map(frozen, value)))
+
+    assert frozen(data)
+    with pytest.raises(AttributeError):
+        data.inverse = ()
 
 
 def test_degenerate_settings_raise_on_every_call():
     degenerate = (DEFAULT_SETTINGS[0],) * 3 + (DEFAULT_SETTINGS[1],)
     for _ in range(3):
         with pytest.raises(IllPosedError):
-            _projector_components(degenerate)
+            _scalars(tuple(map(_angle_key, degenerate)))
         with pytest.raises(IllPosedError):
             mle_reconstruct(np.ones(4), degenerate)
 
@@ -368,9 +373,11 @@ def assert_at_least_as_likely(matrix, oracle, counts, settings):
 
 def test_exact_path_matches_the_optimizer_oracle():
     """400 four-setting tables at the sweep's count scale (up to 1e5 per
-    setting): mixed and pure targets, and all-zero tables.  On the exact path
-    the matrix equals the optimizer-only fit bit for bit; a boundary fit is
-    at least as likely as the optimizer's and certifies its optimality."""
+    setting): mixed and pure targets, and all-zero tables.  An exact fit
+    reproduces every count to 1e-13 of the total, is at least as likely as
+    the optimizer-only fit and differs from it by at most 1e-12 of the
+    total; a boundary fit is at least as likely as the optimizer's and
+    certifies its optimality."""
     rng = np.random.default_rng(31)
     paths = {"exact": 0, "boundary": 0, "zero": 0}
     for trial in range(400):
@@ -389,6 +396,12 @@ def test_exact_path_matches_the_optimizer_oracle():
         if diag.path == "boundary":
             assert_at_least_as_likely(matrix, oracle, counts, DEFAULT_SETTINGS)
             assert diag.kkt_residual <= CERTIFICATE_BOUND
+        elif diag.path == "exact":
+            mu = np.array([np.trace(fresh_projector(s) @ matrix).real
+                           for s in DEFAULT_SETTINGS])
+            assert np.abs(mu - counts).max() <= 1e-13 * counts.sum()
+            assert_at_least_as_likely(matrix, oracle, counts, DEFAULT_SETTINGS)
+            assert np.abs(matrix - oracle).max() <= 1e-12 * counts.sum()
         else:
             assert np.array_equal(matrix, oracle)
     assert paths["zero"] == 8
@@ -473,9 +486,9 @@ def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
 
 def test_batched_rows_equal_each_rows_own_fit():
     """600 four-setting tables, 1 to 1e12 counts per unit trace, mixed and
-    pure targets, with and without dark counts: P from the batch, whose
-    exact rows are solved together, equals each row's reconstruct_run bit
-    for bit, and an all-zero row gives NaN."""
+    pure targets, with and without dark counts: P of the sweep's rows
+    equals each row's reconstruct_run bit for bit, and an all-zero row
+    gives NaN."""
     rng = np.random.default_rng(36)
     for trial in range(150):
         det = DetectorModel(kappa=10 ** rng.uniform(0, 12), dark_rate=(0.0, 1.0)[trial % 2],
@@ -513,61 +526,46 @@ def near_cone_tables(rng, settings):
     return tables
 
 
-def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd(monkeypatch):
-    """_fit skips its exact attempt where the cached least-squares inversion
-    lies clearly outside the cone.  Its path must still be exact exactly when
-    the inversion is PSD: on pure-state means at 1e2 to 1e12 counts, those
+def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
+    """Four-setting fits on pure-state means at 1e2 to 1e12 counts, those
     means a few ulps inside or outside the cone, and Poisson tables, under
     H V D R and random four-setting sets, crowded ones included (condition
-    numbers from 3.2 to above 1e8).  An exact fit is _exact_fits' own matrix
-    bit for bit, and the batch gives each table's own P, also a batch of
-    tables whose inversions all lie outside, which never calls _exact_fits."""
-    calls, conds = [], []
-    exact_fits = tomography._exact_fits
-
-    def counted(n, *args):
-        calls.append(len(n))
-        return exact_fits(n, *args)
-
-    monkeypatch.setattr(tomography, "_exact_fits", counted)
+    numbers from 3.2 to above 1e8).  On a Poisson table the path is exact
+    exactly when the least-squares inversion is PSD.  On the cone, where
+    both paths reach the MLE, either may be taken, and the fit's excess
+    negative log-likelihood is at most 1e-20 per count.  Every fit on
+    settings with condition number below 1e6 certifies its optimality, and
+    the sweep's P of each table equals the table's own fit bit for bit."""
     rng = np.random.default_rng(38)
     paths = {"exact": 0, "boundary": 0}
     near = {True: 0, False: 0}
-    skipped = 0
+    conds = []
     for trial in range(40):
         settings = random_four_settings(rng, trial % 2 == 1) if trial else DEFAULT_SETTINGS
         try:
-            design, stokes = _projector_components(settings)
+            cond = np.linalg.cond(_scalars(tuple(map(_angle_key, settings))).rows)
         except IllPosedError:
             continue
-        conds.append(np.linalg.cond(stokes))
+        conds.append(cond)
         cone = near_cone_tables(rng, settings)
         tables = cone + [poisson_table(rng, settings, p, 10 ** rng.uniform(1, 8), (38, trial, k))
                          for k, p in enumerate([1.0, 1.0, 1.0, 0.9, 0.5, 0.0])]
-        outside, each = [], []
+        each = []
         for k, counts in enumerate(tables):
-            calls.clear()
             matrix, diag = _fit(counts, settings)
             each.append(degree_of_polarization(CoherenceMatrix(matrix)))
             psd = inversion_is_psd(counts, settings)
-            assert diag.path == ("exact" if psd else "boundary"), (trial, k)
             paths[diag.path] += 1
             if k < len(cone):
                 near[psd] += 1
-            if not calls:
-                outside.append(k)
-            if psd:
-                exp = math.frexp(math.fsum(counts))[1]
-                want = exact_fits(np.ldexp(counts, -exp)[None], np.array([exp]), design)[2][0]
-                assert np.array_equal(matrix, want)
+                assert excess_nll(matrix, counts, settings) <= 1e-20 * counts.sum(), (trial, k)
+            else:
+                assert diag.path == ("exact" if psd else "boundary"), (trial, k)
+            if cond < 1e6:
+                assert diag.kkt_residual <= CERTIFICATE_BOUND, (trial, k)
         assert np.array_equal(_p_estimates(tables, settings), each)
-        calls.clear()
-        assert np.array_equal(_p_estimates([tables[k] for k in outside], settings),
-                              [each[k] for k in outside])
-        assert not calls
-        skipped += len(outside)
     assert len(conds) >= 35 and max(conds) > 1e8
-    assert min(paths.values()) >= 300 and min(near.values()) >= 300 and skipped >= 80
+    assert min(paths.values()) >= 300 and min(near.values()) >= 300
 
 
 @pytest.mark.parametrize("counts", [
@@ -586,9 +584,7 @@ def test_six_setting_fits_are_scale_stationary(counts):
 
 
 def test_fit_is_equivariant_under_powers_of_two():
-    """Scaling every count by 2^k scales the fit by 2^k exactly.  The exact
-    path's Cholesky round trip takes square roots, which stay exact only
-    under even powers; odd powers change it within an ulp."""
+    """Scaling every count by 2^k scales the fit by 2^k exactly, on every path."""
     rng = np.random.default_rng(35)
     for trial in range(24):
         setting_set = (DEFAULT_SETTINGS, SIX_SETTINGS)[trial % 2]
@@ -597,11 +593,30 @@ def test_fit_is_equivariant_under_powers_of_two():
         matrix, diag = _fit(counts, setting_set)
         for k in range(-40, 41):
             scaled, scaled_diag = _fit(2.0**k * counts, setting_set)
-            if diag.path != "exact" or k % 2 == 0:
-                assert np.array_equal(scaled, 2.0**k * matrix) and scaled_diag == diag
-            else:
-                np.testing.assert_allclose(scaled, 2.0**k * matrix, rtol=0,
-                                           atol=4e-16 * 2.0**k * np.trace(matrix).real)
+            assert np.array_equal(scaled, 2.0**k * matrix) and scaled_diag == diag
+
+
+def test_fits_beyond_float_range_are_range_errors():
+    """Crowded settings turn counts with a total below the float limit into a
+    fit beyond it: on the exact, interior and boundary paths alike that is a
+    ConfigRangeError, not an OverflowError.  The same counts scaled down show
+    which path each table takes."""
+    rng = np.random.default_rng(39)
+    paths = set()
+    for k, p in [(4, 1.0 - 1e-4), (6, 1.0 - 1e-4), (4, None), (6, None)]:
+        angles = rng.uniform(0.0, math.pi, 2) + 1e-3 * rng.uniform(-1, 1, (k, 2))
+        settings = tuple(MeasurementSetting(str(i), q, r) for i, (q, r) in enumerate(angles))
+        if p is None:
+            counts = rng.uniform(0.0, 1.0, k)
+        else:  # nearly pure, opposite the first setting's pass direction
+            pi = fresh_projector(settings[0])
+            g = bloch_matrix(p, [pi[1, 1].real - pi[0, 0].real, -2 * pi[0, 1].real,
+                                 2 * pi[0, 1].imag])
+            counts = np.array([np.trace(fresh_projector(s) @ g).real for s in settings])
+        paths.add(_fit(counts, settings)[1].path)
+        with pytest.raises(ConfigRangeError, match="beyond float range"):
+            _fit(np.ldexp(counts, 1020 - math.frexp(counts.sum())[1]), settings)
+    assert paths == {"exact", "interior", "boundary"}
 
 
 # ---------------------------------------------------------------------------
