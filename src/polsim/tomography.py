@@ -19,8 +19,7 @@ import numpy as np
 
 from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
-from .newton import (INTERIOR_KKT, SettingRows, boundary_newton, dot, interior_newton,
-                     kkt_residual)
+from .newton import SettingRows, ball_newton, dot, kkt_residual
 from .zwm import CoherenceMatrix, check_coherence, degree_of_polarization
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
@@ -102,7 +101,7 @@ def _scalars(keys) -> SettingRows:
         raise IllPosedError("projector set is degenerate; cannot identify G")
     rows = tuple(map(tuple, stokes.tolist()))
     columns = tuple(zip(*rows))
-    outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(4) for j in range(i, 4))
+    outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(1, 4) for j in range(i, 4))
     return SettingRows(rows, columns, outer, tuple(map(sum, columns)),
                        tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
                        tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
@@ -170,7 +169,7 @@ class FitDiagnostics:
     path: "zero" (all counts zero), "exact" (four settings and a PSD linear
       inversion, which is the MLE), "interior" (a mixed optimum, more than
       four settings) or "boundary" (a pure optimum).
-    newton_steps: Newton iterations, interior and boundary together.
+    newton_steps: iterations of the Newton fit over the Bloch ball.
     kkt_residual: the conic KKT certificate, a bound on the excess of the
       negative log-likelihood over its minimum, per count.
     """
@@ -188,12 +187,12 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     exactly.  All-zero counts give the zero matrix.  With four settings the
     least-squares Stokes vector, from the cached pseudo-inverse and refined
     once by its residual, reproduces every count, and inside the cone it is
-    the answer.  With more, damped Newton in Stokes coordinates finds a mixed
-    optimum.  Else the optimum is pure, s0 is closed form for each Bloch
-    direction, and second-order steps on the Bloch sphere find it, from the
-    direction of the interior fit or of the least-squares vector.  Counts are
-    scaled by a power of two for the fit; a subnormal total that rounds G off
-    the cone raises ParameterError, and a total or a fit beyond float range
+    the answer.  Else s0 is closed form for each Bloch vector v, |v| <= 1,
+    and second-order steps over the Bloch ball find the optimum, mixed or
+    pure: from the unpolarized state, or with four settings on the sphere
+    from the least-squares direction.  Counts are scaled by a power of two
+    for the fit; a subnormal total that rounds G off the cone raises
+    ParameterError, and a total or a fit beyond float range
     ConfigRangeError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
@@ -222,29 +221,20 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     total = _counts_total(values)
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
-    # the least-squares Stokes vector, refined once by its residual
-    x = [sum(map(mul, row, n)) for row in data.inverse]
-    residual = [c - dot(a, x) for a, c in zip(data.rows, n)]
-    x = [xi + sum(map(mul, row, residual)) for xi, row in zip(x, data.inverse)]
-    path, steps = "boundary", 0
-    if len(settings) > 4:
-        interior, steps = interior_newton(data, n)
-        if interior[0] < math.hypot(interior[1], interior[2], interior[3]):
-            x = interior
-        elif kkt_residual(data, n, [dot(a, interior) for a in data.rows],
-                          interior[0]) <= INTERIOR_KKT:
-            path, x = "interior", interior
-    elif x[0] >= math.hypot(x[1], x[2], x[3]):
-        path = "exact"
-    if path == "boundary":
-        # start from the direction of a Stokes vector outside the cone, where
-        # every c_k >= mu_k / |S| > 0: the interior fit's when it left the
-        # cone, else the inversion's
-        entries, mu, boundary_steps = boundary_newton(data, n, x[1:])
-        steps += boundary_steps
-    else:
-        mu = [dot(a, x) for a in data.rows]
+    x = None
+    if len(settings) == 4:
+        # the least-squares Stokes vector, refined once by its residual
+        x = [sum(map(mul, row, n)) for row in data.inverse]
+        residual = [c - dot(a, x) for a, c in zip(data.rows, n)]
+        x = [xi + sum(map(mul, row, residual)) for xi, row in zip(x, data.inverse)]
+    if x is not None and x[0] >= math.hypot(x[1], x[2], x[3]):
+        path, steps, mu = "exact", 0, [dot(a, x) for a in data.rows]
         entries = ((x[0] + x[1]) / 2.0, (x[0] - x[1]) / 2.0, x[2] / 2.0, -x[3] / 2.0)
+    else:
+        # four settings start on the sphere from the inversion's direction,
+        # where every c_k >= mu_k / |S| > 0; more from the unpolarized state
+        entries, mu, steps, pure = ball_newton(data, n, None if x is None else x[1:])
+        path = "boundary" if pure else "interior"
     try:
         gxx, gyy, re, im = (math.ldexp(v, exp) for v in entries)
         if not math.isfinite(gxx + gyy + 2.0 * math.hypot(re, im)):
@@ -256,8 +246,8 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     if total < sys.float_info.min:  # scaling back may round G off the cone
         try:
             check_coherence(matrix)
-            if not gxx + gyy > 0.0:
-                raise ParameterError("zero trace")
+            if not (gxx + gyy > 0.0 and np.linalg.eigvalsh(matrix)[0] >= -1e-12 * (gxx + gyy)):
+                raise ParameterError("zero trace, or an eigenvalue below -1e-12 tr G")
         except ParameterError:
             raise ParameterError("corrected counts are below float resolution: "
                                  f"their total {total:g} is subnormal") from None

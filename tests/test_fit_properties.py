@@ -40,8 +40,12 @@ SPAN = 1e8
 @given(tables)
 @example((DEFAULT_SETTINGS, [5e-324, 0.0, 0.0, 0.0]))
 @example((DEFAULT_SETTINGS, [5e-324, 5e-324, 0.0, 0.0]))
+@example((DEFAULT_SETTINGS, [0.0, 0.0, 2.2250738585e-313, 2.2250738585e-313]))  # a ulp off the cone
 @example((SIX_SETTINGS, [1e-13, 3.0, 3.0, 3.0, 37.0, 37.0]))  # pure start orthogonal to H
 @example((SIX_SETTINGS, [1.0, 2.0, 2.0, 0.0, 14058082.0, 84763918.0]))  # a curved valley
+# mixed optima 5e-8 and 1e-7 inside the sphere, where a pure fit falls short
+@example((SIX_SETTINGS, [13.0, 13.0, 13.0, 13.0, 513839924.71908844, 13.0]))
+@example((SIX_SETTINGS, [51.0, 51.0, 51.0, 51.0, 51.0, 958536949.7275444]))
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)
@@ -85,6 +89,11 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
       (2.9516690331511044, 2.50253589494966), (1.2091912390736546, 3.077468420004499),
       (0.10239826449912644, 2.074988916643214)],
      [0.0, 0.0, 0.018699236539599928, 0.32160080956138215, 0.0, 0.07328539398223255, 0.0]),
+    # the descent on the sphere stops at a local minimum with certificate 0.24,
+    # and the fit reaches the optimum through the ball
+    ([(1.1175062584550697, 2.4278367500121476), (2.562278859663463, 0.38916590099520165),
+      (2.353661265825826, 0.4248385246949252), (1.8612456877201018, 0.19206516850867575)],
+     [0.5645357523275017, 0.9102315383642169, 0.3243045204467787, 0.1115886963385474]),
 ])
 def test_boundary_fit_certifies_the_pure_optimum(angles, counts):
     settings = tuple(MeasurementSetting(str(k), qwp, pol) for k, (qwp, pol) in enumerate(angles))
@@ -96,8 +105,9 @@ def test_boundary_fit_certifies_the_pure_optimum(angles, counts):
 def test_random_analyzer_sets_reach_a_certified_optimum():
     """600 tables on 4 to 8 analyzer settings at random angles, with small
     integer counts, counts spanning up to 1e8, fractional counts with zeros,
-    and counts with one zero: every fit is PSD, and every Newton fit whose
-    positive counts span at most SPAN certifies its optimality."""
+    and counts with one zero: every fit is PSD, every Newton fit stops
+    before the step cap, and every one whose positive counts span at most
+    SPAN certifies its optimality."""
     rng = np.random.default_rng(37)
     newton = 0
     for trial in range(600):
@@ -115,6 +125,7 @@ def test_random_analyzer_sets_reach_a_certified_optimum():
         if diag.path == "zero":
             continue
         assert np.linalg.eigvalsh(matrix).min() >= -1e-12 * np.trace(matrix).real
+        assert diag.path == "exact" or diag.newton_steps < 100, (counts, settings, diag)
         positive = counts[counts > 0]
         if diag.path != "exact" and positive.min() * SPAN >= positive.max():
             newton += 1

@@ -531,11 +531,12 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
     means a few ulps inside or outside the cone, and Poisson tables, under
     H V D R and random four-setting sets, crowded ones included (condition
     numbers from 3.2 to above 1e8).  On a Poisson table the path is exact
-    exactly when the least-squares inversion is PSD.  On the cone, where
-    both paths reach the MLE, either may be taken, and the fit's excess
-    negative log-likelihood is at most 1e-20 per count.  Every fit on
-    settings with condition number below 1e6 certifies its optimality, and
-    the sweep's P of each table equals the table's own fit bit for bit."""
+    exactly when the least-squares inversion is PSD, and a Newton fit stops
+    before the step cap.  On the cone, where both paths reach the MLE,
+    either may be taken, and the fit's excess negative log-likelihood is at
+    most 1e-20 per count.  Every fit on settings with condition number
+    below 1e6 certifies its optimality, and the sweep's P of each table
+    equals the table's own fit bit for bit."""
     rng = np.random.default_rng(38)
     paths = {"exact": 0, "boundary": 0}
     near = {True: 0, False: 0}
@@ -561,11 +562,23 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
                 assert excess_nll(matrix, counts, settings) <= 1e-20 * counts.sum(), (trial, k)
             else:
                 assert diag.path == ("exact" if psd else "boundary"), (trial, k)
+                assert diag.newton_steps < 100, (trial, k)
             if cond < 1e6:
                 assert diag.kkt_residual <= CERTIFICATE_BOUND, (trial, k)
         assert np.array_equal(_p_estimates(tables, settings), each)
     assert len(conds) >= 35 and max(conds) > 1e8
     assert min(paths.values()) >= 300 and min(near.values()) >= 300
+
+
+def test_a_direction_no_count_sees_stays_unpolarized():
+    """H V D A R L counts 2 2 0 0 1 8: D and A count nothing, so no count
+    sees S2 and every S2 inside the cone is equally likely.  The fit keeps
+    S2 = 0, the least polarized of these optima, at P = 7/9 = |S3| / S0."""
+    matrix, diag = _fit(np.array([2.0, 2.0, 0.0, 0.0, 1.0, 8.0]), SIX_SETTINGS)
+    trace = np.trace(matrix).real
+    assert diag.path == "interior" and diag.kkt_residual <= CERTIFICATE_BOUND
+    assert abs(matrix[0, 1].real) <= 1e-12 * trace
+    assert degree_of_polarization(CoherenceMatrix(matrix)) == pytest.approx(7.0 / 9.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("counts", [
