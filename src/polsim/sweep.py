@@ -3,22 +3,22 @@
 The analytic, gedanken and numeric modes evaluate the whole grid as one
 array expression.  The tomography mode computes the coherence matrix and
 the expected counts of every grid point at once, then draws each row and
-fits it as a single reconstruction would.  The montecarlo mode samples the
-two extrema of each row with gedanken's scalar sampler, on the grid
-SweepSpec validated once.  Every stochastic row derives its generator from
-(seed; gamma index, t index, replicate), and a montecarlo extremum k from
-the child SeedSequence (seed; gamma index, t index, replicate, k), the
-stream it has always drawn, so a fixed seed reproduces the output byte for
-byte regardless of grid shape or replicate count.  `format_rows` writes the CSV
-from the `sweep_grid` result in one pass; `run_sweep` is its rows view for
-library callers.
+reconstructs it with reconstruct_run, the call behind `polsim tomo`.  The
+montecarlo mode samples the two extrema of each row with gedanken's scalar
+sampler, on the grid SweepSpec validated once.  Every stochastic row
+derives its generator from (seed; gamma index, t index, replicate), and a
+montecarlo extremum k from the child SeedSequence (seed; gamma index,
+t index, replicate, k), the stream it has always drawn, so a fixed seed
+reproduces the output byte for byte regardless of grid shape or replicate
+count.  `sweep_grid` returns (P, stderr) float arrays in every mode;
+`format_rows` writes the CSV from them in one pass, and `run_sweep` is
+their rows view for library callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,10 +27,9 @@ from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_ged
 from .tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
-    _p_estimates,
     _poisson_draw,
-    background_correct,
     expected_counts_grid,
+    reconstruct_run,
 )
 from .zwm import ZwmConfig, analytic_p_grid, coherence_grid, degree_of_polarization_grid
 
@@ -93,15 +92,9 @@ def _mc_p_estimate(cfg: ZwmConfig, spec: SweepSpec, ig: int, it: int,
 
 
 def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
-    """(p, se): each row's P indexed [gamma][t][replicate], one replicate in the
-    exact modes, and its stderr, None where that is 0 (every mode but montecarlo,
-    which keeps its few rows as nested lists of Python floats)."""
-    if spec.mode == "montecarlo":
-        p = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
-        se = [[[0.0] * spec.replicates for _ in spec.t_values] for _ in spec.gammas_deg]
-        for ig, it, rep in _row_keys(spec):
-            p[ig][it][rep], se[ig][it][rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
-        return p, se
+    """(p, se): each row's P as a float array indexed [gamma, t, replicate], one
+    replicate in the exact modes, and its stderr, None where that is 0 (every
+    mode but montecarlo)."""
     gammas = np.radians(spec.gammas_deg)
     if spec.mode == "analytic":
         return analytic_p_grid(cfg, gammas, spec.t_values)[..., None], None
@@ -110,41 +103,38 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     if spec.mode == "numeric":
         p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
         return p[..., None], None
+    p = np.zeros((len(spec.gammas_deg), len(spec.t_values), spec.replicates))
+    if spec.mode == "montecarlo":
+        se = np.zeros(p.shape)
+        for ig, it, rep in np.ndindex(p.shape):
+            p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
+        return p, se
     g = coherence_grid(cfg, gammas, spec.t_values)
     trace = g[..., 0, 0].real + g[..., 1, 1].real
     if np.any(trace <= 0.0):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
-    corrected = []
-    for ig, it, rep in _row_keys(spec):
+    for ig, it, rep in np.ndindex(p.shape):
         raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(ig, it, rep)))
-        corrected.append(background_correct(raw, detector))
-        if not corrected[-1].any():
+        p[ig, it, rep] = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+        if math.isnan(p[ig, it, rep]):
             raise ZeroTraceError(
                 "degree of polarization undefined at zero intensity: all "
                 "background-corrected counts are zero")
-    p = _p_estimates(corrected, DEFAULT_SETTINGS)
-    return p.reshape(len(spec.gammas_deg), len(spec.t_values), spec.replicates), None
+    return p, None
 
 
 def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[tuple]:
     """Rows of (gamma_deg, t_abs, mode, p_value, p_stderr), ordered by
     (gamma, t, replicate): the `sweep_grid` result as rows, for library callers."""
     p, se = sweep_grid(spec, cfg, detector)
-    if se is None:
-        p, se = p.tolist(), np.zeros(p.shape).tolist()
+    pairs = np.stack((p, np.zeros(p.shape) if se is None else se), -1).tolist()
     return [(gamma_deg, t_abs, spec.mode, p_value, p_stderr)
-            for gamma_deg, p_g, se_g in zip(spec.gammas_deg, p, se)
-            for t_abs, p_t, se_t in zip(spec.t_values, p_g, se_g)
-            for p_value, p_stderr in zip(p_t, se_t)]
-
-
-def _row_keys(spec: SweepSpec):
-    """(gamma index, t index, replicate) of every stochastic row, in row order."""
-    return [(ig, it, rep) for ig in range(len(spec.gammas_deg))
-            for it in range(len(spec.t_values)) for rep in range(spec.replicates)]
+            for gamma_deg, pairs_g in zip(spec.gammas_deg, pairs)
+            for t_abs, pairs_t in zip(spec.t_values, pairs_g)
+            for p_value, p_stderr in pairs_t]
 
 
 def format_rows(spec: SweepSpec, p, se=None) -> str:
@@ -152,8 +142,7 @@ def format_rows(spec: SweepSpec, p, se=None) -> str:
     each gamma's rows one template joined on its prefix, one % for every value."""
     cell = f",{spec.mode},%.12g," + ("%.12g\n" if se is not None else f"{0.0:.12g}\n")
     t_cells = ["", *(text for t_abs in spec.t_values
-                     for text in [f"{t_abs:.10g}{cell}"] * len(p[0][0]))]
+                     for text in [f"{t_abs:.10g}{cell}"] * p.shape[2])]
     template = "".join([f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg])
-    values = p.ravel().tolist() if se is None else [
-        v for p_t, se_t in zip(chain(*p), chain(*se)) for pair in zip(p_t, se_t) for v in pair]
+    values = (p if se is None else np.stack((p, se), -1)).ravel().tolist()
     return f"{CSV_HEADER}\n{template % tuple(values)}"

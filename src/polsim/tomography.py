@@ -254,17 +254,6 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     return matrix, FitDiagnostics(path, steps, kkt_residual(data, n, mu, entries[0] + entries[1]))
 
 
-def _p_estimates(corrected, settings) -> np.ndarray:
-    """P of the fit of every row of corrected counts (rows x settings): the
-    floats each row's reconstruct_run gives, NaN for an all-zero row."""
-    p = np.full(len(corrected), math.nan)
-    for k, row in enumerate(corrected):
-        recon = CoherenceMatrix(_fit(row, settings)[0])
-        if recon.trace > 0.0:
-            p[k] = degree_of_polarization(recon)
-    return p
-
-
 @dataclass(frozen=True)
 class TomographyRun:
     """Bundle of everything one reconstruction consumed and produced."""
@@ -289,8 +278,8 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
     p = degree_of_polarization(recon) if recon.trace > 0.0 else math.nan
     return TomographyRun(
         settings=tuple(settings),
-        raw_counts=tuple(float(c) for c in np.asarray(raw_counts, dtype=float)),
-        corrected_counts=tuple(float(c) for c in corrected),
+        raw_counts=tuple(np.asarray(raw_counts, dtype=float).tolist()),
+        corrected_counts=tuple(corrected.tolist()),
         reconstruction=recon,
         p_estimate=p,
         diagnostics=diagnostics,

@@ -270,10 +270,10 @@ def test_format_rows_formats_every_coordinate_as_given():
     assert format_rows(spec, p) == CSV_HEADER + "\n" + expected
     assert expected.startswith("-0,0,numeric,0,0\n-0,-0,numeric,0.142857142857,0\n")
     spec = make_spec(mode="montecarlo", gammas_deg=gammas, t_values=ts, replicates=2)
-    p_mc = [[[ig + it / 3.0, -0.0] for it in range(3)] for ig in range(3)]
-    se_mc = [[[0.01, 1e-20] for _ in range(3)] for _ in range(3)]
-    expected = "".join(f"{g:.10g},{t:.10g},montecarlo,{p_mc[ig][it][rep]:.12g},"
-                       f"{se_mc[ig][it][rep]:.12g}\n"
+    p_mc = np.array([[[ig + it / 3.0, -0.0] for it in range(3)] for ig in range(3)])
+    se_mc = np.array([[[0.01, 1e-20] for _ in range(3)] for _ in range(3)])
+    expected = "".join(f"{g:.10g},{t:.10g},montecarlo,{p_mc[ig, it, rep]:.12g},"
+                       f"{se_mc[ig, it, rep]:.12g}\n"
                        for ig, g in enumerate(gammas) for it, t in enumerate(ts)
                        for rep in range(2))
     assert format_rows(spec, p_mc, se_mc) == CSV_HEADER + "\n" + expected

@@ -19,7 +19,6 @@ from polsim.tomography import (
     MeasurementSetting,
     _angle_key,
     _fit,
-    _p_estimates,
     _scalars,
     background_correct,
     expected_counts,
@@ -484,25 +483,6 @@ def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
     assert sum(paths.values()) >= 2000 and min(paths.values()) >= 300
 
 
-def test_batched_rows_equal_each_rows_own_fit():
-    """600 four-setting tables, 1 to 1e12 counts per unit trace, mixed and
-    pure targets, with and without dark counts: P of the sweep's rows
-    equals each row's reconstruct_run bit for bit, and an all-zero row
-    gives NaN."""
-    rng = np.random.default_rng(36)
-    for trial in range(150):
-        det = DetectorModel(kappa=10 ** rng.uniform(0, 12), dark_rate=(0.0, 1.0)[trial % 2],
-                            integration_time=1.0)
-        p = (1.0, rng.uniform(0.0, 1.0))[trial // 2 % 2]
-        g = CoherenceMatrix(bloch_matrix(p, rng.normal(size=3)) / 2.0)
-        raw = [simulate_counts(g, DEFAULT_SETTINGS, det, (36, trial, k)) for k in range(4)]
-        corrected = [background_correct(r, det) for r in raw]
-        want = [reconstruct_run(DEFAULT_SETTINGS, r, det).p_estimate for r in raw]
-        got = _p_estimates(corrected, DEFAULT_SETTINGS).tolist()
-        assert np.array_equal(got, want, equal_nan=True)
-    assert math.isnan(_p_estimates(np.zeros((1, 4)), DEFAULT_SETTINGS)[0])
-
-
 def random_four_settings(rng, crowded):
     """Four settings at random angles; crowded ones lie within 1e-5 to 0.1 rad
     of one setting, so their pass directions nearly coincide."""
@@ -535,8 +515,8 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
     before the step cap.  On the cone, where both paths reach the MLE,
     either may be taken, and the fit's excess negative log-likelihood is at
     most 1e-20 per count.  Every fit on settings with condition number
-    below 1e6 certifies its optimality, and the sweep's P of each table
-    equals the table's own fit bit for bit."""
+    below 1e6 certifies its optimality, and reconstruct_run's P of each table equals the table's own fit bit for
+    bit."""
     rng = np.random.default_rng(38)
     paths = {"exact": 0, "boundary": 0}
     near = {True: 0, False: 0}
@@ -551,10 +531,10 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
         cone = near_cone_tables(rng, settings)
         tables = cone + [poisson_table(rng, settings, p, 10 ** rng.uniform(1, 8), (38, trial, k))
                          for k, p in enumerate([1.0, 1.0, 1.0, 0.9, 0.5, 0.0])]
-        each = []
         for k, counts in enumerate(tables):
             matrix, diag = _fit(counts, settings)
-            each.append(degree_of_polarization(CoherenceMatrix(matrix)))
+            assert (reconstruct_run(settings, counts, UNIT).p_estimate
+                    == degree_of_polarization(CoherenceMatrix(matrix))), (trial, k)
             psd = inversion_is_psd(counts, settings)
             paths[diag.path] += 1
             if k < len(cone):
@@ -565,7 +545,6 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
                 assert diag.newton_steps < 100, (trial, k)
             if cond < 1e6:
                 assert diag.kkt_residual <= CERTIFICATE_BOUND, (trial, k)
-        assert np.array_equal(_p_estimates(tables, settings), each)
     assert len(conds) >= 35 and max(conds) > 1e8
     assert min(paths.values()) >= 300 and min(near.values()) >= 300
 
