@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 config/usage error, 3 range error, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
 import functools
 import math
 import sys
@@ -88,6 +90,8 @@ def _cmd_sweep(args) -> int:
     if args.mode is None or args.gamma is None or args.t is None:
         print("sweep requires --mode, --gamma and --t", file=sys.stderr)
         return 2
+    # the grid sets |T|; its phase is t_phase_rad's whatever t_mag is, 0 included
+    cfg = dataclasses.replace(cfg, t=cmath.exp(1j * values["t_phase_rad"]))
     spec = SweepSpec(
         gammas_deg=tuple(args.gamma),
         t_values=tuple(args.t),

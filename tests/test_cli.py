@@ -73,6 +73,24 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     assert out.read_text() == stdout_text
 
 
+@pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
+def test_sweep_takes_the_phase_of_t_whatever_t_mag_is(tmp_path, mode):
+    """The grid sets |T|, so t_mag does not change a sweep, and t_phase_rad
+    applies at every grid point even where t_mag = 0."""
+    texts = []
+    for t_mag in (0, 1):
+        cfg, out = tmp_path / f"t{t_mag}.cfg", tmp_path / f"t{t_mag}.csv"
+        cfg.write_text(f"t_mag = {t_mag}\nt_phase_rad = 1\n")
+        assert run_cli("sweep", "--config", str(cfg), "--mode", mode, "--gamma", "30,60",
+                       "--t", "0,0.5", "--replicates", "2", "--out", str(out)) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    no_phase = tmp_path / "no_phase.csv"
+    assert run_cli("sweep", "--mode", mode, "--gamma", "30,60", "--t", "0,0.5",
+                   "--replicates", "2", "--out", str(no_phase)) == 0
+    assert no_phase.read_text() != texts[0]
+
+
 def test_print_config_round_trips_defaults(capsys):
     assert run_cli("sweep", "--print-config") == 0
     echoed = parse_config_text(capsys.readouterr().out)
