@@ -47,6 +47,8 @@ class GedankenConfig:
     theta: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.phi1, self.phi2, self.theta))):
+            raise ParameterError("phases and the analyzer angle must be finite")
         _check_ranges(self.gamma, self.m)
 
 

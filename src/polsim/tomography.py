@@ -34,6 +34,10 @@ class MeasurementSetting:
     qwp_angle: float
     polarizer_angle: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.qwp_angle) and math.isfinite(self.polarizer_angle)):
+            raise ParameterError("analyzer angles must be finite")
+
 
 DEFAULT_SETTINGS = (
     MeasurementSetting("H", 0.0, 0.0),
@@ -57,6 +61,8 @@ class DetectorModel:
     integration_time: float = 15.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.kappa, self.dark_rate, self.integration_time))):
+            raise ParameterError("count rates and integration_time must be finite")
         if self.kappa < 0 or self.dark_rate < 0:
             raise ParameterError("count rates must be non-negative")
         if self.integration_time <= 0:

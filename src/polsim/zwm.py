@@ -40,6 +40,11 @@ def _check_unit_interval(value: float, name: str) -> None:
         raise ParameterError(f"{name} = {value} outside [0, 1]")
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and math.cos(gamma) >= -_COS_TOL):
+        raise ParameterError(f"gamma = {gamma} rad is not finite with cos >= 0")
+
+
 @dataclass(frozen=True)
 class ImperfectionConfig:
     """Device imperfections, all 1.0 for the ideal instrument.
@@ -81,14 +86,16 @@ class ZwmConfig:
     imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
 
     def __post_init__(self):
+        for name in ("g1", "g2", "t", "phi_s1", "phi_s2", "phi_i"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} = {getattr(self, name)} is not finite")
         for name in ("g1", "g2"):
             mag = abs(complex(getattr(self, name)))
             if not 0.0 < mag <= 0.1:
                 raise ParameterError(f"|{name}| = {mag} outside (0, 0.1]")
         if abs(complex(self.t)) > 1.0 + _COS_TOL:
             raise ParameterError(f"|t| = {abs(complex(self.t))} exceeds 1")
-        if math.cos(self.gamma) < -_COS_TOL:
-            raise ParameterError(f"gamma = {self.gamma} rad has cos < 0")
+        _check_gamma(self.gamma)
 
     @property
     def t_eff(self) -> complex:
@@ -372,8 +379,7 @@ def analytic_p_general(cfg: ZwmConfig) -> float:
 def analytic_p_special(t_abs: float, gamma: float) -> float:
     """Equal-phase special case P = (|T| + cos g)/(1 + |T| cos g)."""
     _check_unit_interval(t_abs, "t_abs")
-    if math.cos(gamma) < -_COS_TOL:
-        raise ParameterError(f"gamma = {gamma} rad has cos < 0")
+    _check_gamma(gamma)
     c = math.cos(gamma)
     return (t_abs + c) / (1.0 + t_abs * c)
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from polsim.errors import ParameterError, ZeroTraceError
+from polsim.gedanken import GedankenConfig
+from polsim.tomography import DetectorModel, MeasurementSetting
 from polsim.zwm import (
     CoherenceMatrix,
     ImperfectionConfig,
@@ -75,6 +77,36 @@ def test_config_validation():
         ImperfectionConfig(eta_idler=1.2)
     with pytest.raises(ParameterError):
         ImperfectionConfig(mu_overlap=-0.1)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ZwmConfig(gamma=INF),
+    lambda: ZwmConfig(gamma=NAN),
+    lambda: ZwmConfig(t=NAN),
+    lambda: ZwmConfig(t=complex(0.5, NAN)),
+    lambda: ZwmConfig(g1=complex(NAN, 0.01)),
+    lambda: ZwmConfig(phi_s1=NAN),
+    lambda: ZwmConfig(phi_i=INF),
+    lambda: ImperfectionConfig(bs_tx=NAN),
+    lambda: DetectorModel(kappa=NAN),
+    lambda: DetectorModel(kappa=INF),
+    lambda: DetectorModel(dark_rate=NAN),
+    lambda: DetectorModel(integration_time=NAN),
+    lambda: DetectorModel(integration_time=INF),
+    lambda: MeasurementSetting("H", NAN, 0.0),
+    lambda: MeasurementSetting("H", 0.0, INF),
+    lambda: GedankenConfig(0.1, 0.5, phi1=NAN),
+    lambda: GedankenConfig(NAN, 0.5),
+    lambda: analytic_p_special(0.5, INF),
+    lambda: analytic_p_special(0.5, NAN),
+    lambda: analytic_p_special(NAN, 0.5),
+])
+def test_library_constructors_reject_non_finite_values(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 def test_coherence_grid_rejects_points_outside_the_config_ranges():
