@@ -176,8 +176,9 @@ class FitDiagnostics:
       inversion, which is the MLE), "interior" (a mixed optimum, more than
       four settings) or "boundary" (a pure optimum).
     newton_steps: iterations of the Newton fit over the Bloch ball.
-    kkt_residual: the conic KKT certificate, a bound on the excess of the
-      negative log-likelihood over its minimum, per count.
+    kkt_residual: a bound on the excess of the negative log-likelihood over
+      its minimum, per count: the smaller of the conic KKT certificate and
+      the gap to the saturated model mu = n.
     """
 
     path: str

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
+from polsim.newton import _dual, dot, kkt_residual
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -460,6 +461,27 @@ def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
     assert _fit(np.zeros(6), SIX_SETTINGS)[1] == FitDiagnostics("zero")
 
 
+@pytest.mark.parametrize("tilt", [1e-17, 2e-17, 3e-17, 4e-17])
+def test_certificate_holds_at_pure_points_the_likelihood_cannot_tell_apart(tilt):
+    """The noiseless P = 1 H V D A R L table counts 1.87e-28 at V, of 1.5e5,
+    from the projectors' rounding.  Pure points tilted 1e-17 to 4e-17 from H
+    toward V expect a count of that size there, so every likelihood agrees to
+    1e-32 per count, but the conic bound weighs that count by n / mu and
+    reads 0.1 to 2.  The saturated gap keeps the certificate at its size."""
+    counts = [np.trace(fresh_projector(s) @ (2.5e4 * bloch_matrix(1.0))).real
+              for s in SIX_SETTINGS]
+    data = _scalars(tuple(map(_angle_key, SIX_SETTINGS)))
+    exp = math.frexp(math.fsum(counts))[1]
+    n = [math.ldexp(c, -exp) for c in counts]
+    v = (1.0, 0.0, -tilt)
+    s0 = sum(n) / sum(a[0] + a[1] * v[0] + a[2] * v[1] + a[3] * v[2] for a in data.rows)
+    mu = [dot(a, (s0, *(s0 * vi for vi in v))) for a in data.rows]
+    y = _dual(data, n, mu)
+    conic = s0 * max(math.hypot(*y[1:]) - y[0], 0.0) + abs(sum(mu) - sum(n))
+    assert 0.1 < conic / sum(n) < 2.0
+    assert 0.0 <= kkt_residual(data, n, mu, s0) <= 2e-33
+
+
 def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
     """2016 seeded tables, four and six settings: pure, near-pure (1 - P down
     to 1e-6) and mixed targets, 1 to 1e8 counts per unit trace, and a count
@@ -514,8 +536,9 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
     exactly when the least-squares inversion is PSD, and a Newton fit stops
     before the step cap.  On the cone, where both paths reach the MLE,
     either may be taken, and the fit's excess negative log-likelihood is at
-    most 1e-20 per count.  Every fit on settings with condition number
-    below 1e6 certifies its optimality, and reconstruct_run's P of each table equals the table's own fit bit for
+    most 1e-20 per count.  Every exact fit, and every fit on settings with
+    condition number below 1e6, certifies its optimality, and
+    reconstruct_run's P of each table equals the table's own fit bit for
     bit."""
     rng = np.random.default_rng(38)
     paths = {"exact": 0, "boundary": 0}
@@ -543,7 +566,7 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
             else:
                 assert diag.path == ("exact" if psd else "boundary"), (trial, k)
                 assert diag.newton_steps < 100, (trial, k)
-            if cond < 1e6:
+            if cond < 1e6 or diag.path == "exact":
                 assert diag.kkt_residual <= CERTIFICATE_BOUND, (trial, k)
     assert len(conds) >= 35 and max(conds) > 1e8
     assert min(paths.values()) >= 300 and min(near.values()) >= 300
