@@ -11,15 +11,13 @@ Exit codes: 0 success, 2 config/usage error, 3 range error, 4 selftest failure.
 from __future__ import annotations
 
 import argparse
-import cmath
-import dataclasses
 import functools
 import math
 import sys
 
 import numpy as np
 
-from .config import format_config, load_config
+from .config import build_configs, format_config, load_config
 from .errors import ConfigRangeError, PolsimError, ZeroTraceError
 from .gedanken import degree_of_polarization_gedanken
 from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
@@ -90,8 +88,8 @@ def _cmd_sweep(args) -> int:
     if args.mode is None or args.gamma is None or args.t is None:
         print("sweep requires --mode, --gamma and --t", file=sys.stderr)
         return 2
-    # the grid sets |T|; its phase is t_phase_rad's whatever t_mag is, 0 included
-    cfg = dataclasses.replace(cfg, t=cmath.exp(1j * values["t_phase_rad"]))
+    # the grid sets |T|, and at t_mag = 1 T keeps the phase t_phase_rad gives it
+    cfg, _ = build_configs({**values, "t_mag": 1.0})
     spec = SweepSpec(
         gammas_deg=tuple(args.gamma),
         t_values=tuple(args.t),

@@ -282,39 +282,26 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
 
 def kkt_residual(data: SettingRows, n, mu, trace) -> float:
     """A bound per count on the excess of the negative log-likelihood of a fit
-    with expected counts mu = a x over its minimum: the smaller of two.
-    The conic KKT bound: x is optimal when the gradient y = A^T (1 - n / mu)
-    lies in the self-dual cone and x . y = sum mu - N = 0, and the excess
-    is at most trace max(|y_vec| - y0, 0) + |x . y|.  The saturated gap: no
-    fit beats mu = n, so the excess is at most sum_k (mu_k - n_k - n_k log
-    (mu_k / n_k)), half the Poisson deviance, which is quadratic in mu's
-    error where the conic bound, weighing each count by n_k / mu_k, is
-    linear in it."""
+    with expected counts mu = a x over its minimum, the smaller of two.  The
+    conic KKT bound: x is optimal when y = A^T (1 - n / mu) lies in the
+    self-dual cone and x . y = sum mu - N = 0, and the excess is at most
+    trace max(|y_vec| - y0, 0) + |x . y|.  The saturated gap: no fit beats
+    mu = n, so the excess is at most half the Poisson deviance, which is
+    quadratic in mu's error where the conic bound is linear in it."""
+    if any(c > 0.0 and not m > 0.0 for c, m in zip(n, mu)):  # a counted setting expects none
+        return math.inf
     total = sum(n)
-    y = _dual(data, n, mu)
-    conic = math.inf if y is None else (
-        trace * max(math.hypot(y[1], y[2], y[3]) - y[0], 0.0) + abs(sum(mu) - total))
-    return min(conic, _saturated_gap(n, mu)) / total
-
-
-def _saturated_gap(n, mu) -> float:
-    """sum_k n_k (r_k - 1 - log r_k), r = mu / n, plus |mu_k| where n_k = 0."""
-    gap = 0.0
-    for c, m in zip(n, mu):
-        if c == 0.0:
-            gap += abs(m)  # a rounding-level negative mu_k counts as far off as it is
-        elif m <= 0.0:
-            return math.inf
-        else:
-            d = (m - c) / c  # r - 1; its log1p is accurate near r = 1, where the gap cancels
-            log_r = math.log1p(d) if abs(d) < 0.5 else math.log(m) - math.log(c)
-            gap += c * (d - log_r)
-    return gap
-
-
-def _dual(data: SettingRows, n, mu) -> list | None:
-    """y = A^T (1 - n / mu), None where a setting that counted expects none."""
-    if not all(m > 0.0 for c, m in zip(n, mu) if c > 0.0):
-        return None
     ratios = [c / m if c > 0.0 else 0.0 for c, m in zip(n, mu)]
-    return [s - sum(map(mul, ratios, col)) for s, col in zip(data.sigma, data.columns)]
+    y = [s - sum(map(mul, ratios, col)) for s, col in zip(data.sigma, data.columns)]
+    conic = trace * max(math.hypot(y[1], y[2], y[3]) - y[0], 0.0) + abs(sum(mu) - total)
+    return min(conic, sum(map(_deviance_term, n, mu))) / total
+
+
+def _deviance_term(c, m) -> float:
+    """n (r - 1 - log r) with r = mu / n, or |mu| where n = 0, which counts a
+    rounding-level negative mu as far off as it is.  Near r = 1, where the
+    terms cancel, log r is log1p(r - 1)."""
+    if c == 0.0:
+        return abs(m)
+    d = (m - c) / c
+    return c * (d - (math.log1p(d) if abs(d) < 0.5 else math.log(m) - math.log(c)))

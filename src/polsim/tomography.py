@@ -61,12 +61,10 @@ class DetectorModel:
     integration_time: float = 15.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.kappa, self.dark_rate, self.integration_time))):
-            raise ParameterError("count rates and integration_time must be finite")
-        if self.kappa < 0 or self.dark_rate < 0:
-            raise ParameterError("count rates must be non-negative")
-        if self.integration_time <= 0:
-            raise ParameterError("integration_time must be positive")
+        if not (0.0 <= self.kappa < math.inf and 0.0 <= self.dark_rate < math.inf):
+            raise ParameterError("count rates must be finite and non-negative")
+        if not 0.0 < self.integration_time < math.inf:
+            raise ParameterError("integration_time must be finite and positive")
 
 
 def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:

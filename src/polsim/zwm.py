@@ -42,7 +42,7 @@ def _check_unit_interval(value: float, name: str) -> None:
 
 def _check_gamma(gamma: float) -> None:
     if not (math.isfinite(gamma) and math.cos(gamma) >= -_COS_TOL):
-        raise ParameterError(f"gamma = {gamma} rad is not finite with cos >= 0")
+        raise ParameterError(f"gamma = {gamma} rad must be finite with cos(gamma) >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,16 +86,15 @@ class ZwmConfig:
     imperfections: ImperfectionConfig = field(default_factory=ImperfectionConfig)
 
     def __post_init__(self):
-        for name in ("g1", "g2", "t", "phi_s1", "phi_s2", "phi_i"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} = {getattr(self, name)} is not finite")
         for name in ("g1", "g2"):
             mag = abs(complex(getattr(self, name)))
             if not 0.0 < mag <= 0.1:
                 raise ParameterError(f"|{name}| = {mag} outside (0, 0.1]")
-        if abs(complex(self.t)) > 1.0 + _COS_TOL:
-            raise ParameterError(f"|t| = {abs(complex(self.t))} exceeds 1")
+        if not abs(complex(self.t)) <= 1.0 + _COS_TOL:
+            raise ParameterError(f"|t| = {abs(complex(self.t))} is not in [0, 1]")
         _check_gamma(self.gamma)
+        if not all(map(math.isfinite, (self.phi_s1, self.phi_s2, self.phi_i))):
+            raise ParameterError("path phases must be finite")
 
     @property
     def t_eff(self) -> complex:
