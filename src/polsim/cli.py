@@ -88,8 +88,8 @@ def _cmd_sweep(args) -> int:
     if args.mode is None or args.gamma is None or args.t is None:
         print("sweep requires --mode, --gamma and --t", file=sys.stderr)
         return 2
-    # the grid sets |T|, and at t_mag = 1 T keeps the phase t_phase_rad gives it
-    cfg, _ = build_configs({**values, "t_mag": 1.0})
+    if values["t_mag"] != 1.0:  # the grid sets |T|; at t_mag = 1, T has t_phase_rad's phase
+        cfg, _ = build_configs({**values, "t_mag": 1.0})
     spec = SweepSpec(
         gammas_deg=tuple(args.gamma),
         t_values=tuple(args.t),
