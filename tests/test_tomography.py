@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
-from polsim.newton import dot, kkt_residual
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
     IllPosedError,
     ParameterError,
 )
+from polsim.newton import dot, kkt_residual
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     DetectorModel,
