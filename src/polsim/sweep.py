@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -103,10 +104,9 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     if spec.mode == "numeric":
         p = degree_of_polarization_grid(coherence_grid(cfg, gammas, spec.t_values))
         return p[..., None], None
-    p = np.zeros((len(spec.gammas_deg), len(spec.t_values), spec.replicates))
+    p, se = np.zeros((2, len(spec.gammas_deg), len(spec.t_values), spec.replicates))
     if spec.mode == "montecarlo":
-        se = np.zeros(p.shape)
-        for ig, it, rep in np.ndindex(p.shape):
+        for ig, it, rep in product(*map(range, p.shape)):
             p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
         return p, se
     g = coherence_grid(cfg, gammas, spec.t_values)
@@ -115,7 +115,7 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
-    for ig, it, rep in np.ndindex(p.shape):
+    for ig, it, rep in product(*map(range, p.shape)):
         raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(ig, it, rep)))
         p[ig, it, rep] = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
@@ -144,5 +144,6 @@ def format_rows(spec: SweepSpec, p, se=None) -> str:
     t_cells = ["", *(text for t_abs in spec.t_values
                      for text in [f"{t_abs:.10g}{cell}"] * p.shape[2])]
     template = "".join([f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg])
-    values = (p if se is None else np.stack((p, se), -1)).ravel().tolist()
+    values = p.ravel().tolist() if se is None else [
+        v for pair in zip(p.ravel().tolist(), se.ravel().tolist()) for v in pair]
     return f"{CSV_HEADER}\n{template % tuple(values)}"
