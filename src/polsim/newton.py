@@ -142,14 +142,11 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
     the radius shrinks when it does not.  A narrow curved valley on the
     sphere, which a few counts far larger than the rest make, is straight
     in this model.
-    The fit starts from v = 0, or on the sphere from the direction u, and
-    then keeps to the sphere until its steps stop; it goes on into the ball
-    only if the certificate there exceeds _SPHERE_KKT, for on the sphere
-    alone h can have local minima.  From then on, a step from the sphere
-    may go inside wherever the certificate exceeds it.  A gradient
-    component at the rounding level of its terms counts as zero, and the
-    fit stops after a step whose gain is below h's rounding if the
-    gradient along the steps allowed did not then fall.  Near the sphere the
+    The fit starts from v = 0, or on the sphere from the direction u.  On
+    the sphere alone h can have local minima, so a step from the sphere may
+    go inside wherever the certificate there exceeds _SPHERE_KKT.  The fit
+    stops after a step whose gain is below h's rounding if the gradient
+    along the steps allowed did not then fall.  Near the sphere the
     rounding of v can leave an interior fit just outside its optimum, where
     2 grad h . v / N exceeds _SPHERE_KKT; it then ends a rounding step
     further in, where the certificate holds.
@@ -191,7 +188,7 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
                 change -= count * math.log1p(dc / ck)
         return change
 
-    free, pure, v = u is None, u is not None, [0.0, 0.0, 0.0]
+    pure, v = u is not None, [0.0, 0.0, 0.0]
     if pure:
         norm = math.sqrt(_dot3(u, u))
         v = [ui / norm for ui in u] if norm > 0.0 else [1.0, 0.0, 0.0]
@@ -215,18 +212,15 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
             break
         grad, hess = derivatives
         # N log sum c adds N sigma / sum c to the gradient and a rank-one term
-        # to the Hessian; a gradient component at the rounding level of its
-        # terms counts as zero
+        # to the Hessian
         scale = total / csum
         grad = [gi + scale * si for gi, si in zip(grad, sigma)]
-        grad = [gi if abs(gi) > 2.0**-52 * (sum(map(mul, w, map(abs, col))) + scale * abs(si))
-                else 0.0 for gi, col, si in zip(grad, columns, sigma)]
         hess = [[hij - scale * si * sj / csum for hij, sj in zip(row, sigma)]
                 for row, si in zip(hess, sigma)]
         vals, vecs = _eigen(hess)
         radial = _dot3(grad, v)
         failing = 2.0 * radial > _SPHERE_KKT * total
-        inside = not pure or free and failing
+        inside = not pure or failing
         slope = math.sqrt(sum((gi - (0.0 if inside else radial) * vi) ** 2
                               for gi, vi in zip(grad, v)))
         g_basis, v_basis = [_dot3(q, grad) for q in vecs], [_dot3(q, v) for q in vecs]
@@ -274,9 +268,7 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
         if not moved:
             if not pure and failing:  # just outside the optimum, by v's rounding
                 v = [vi * (1.0 - 2.0**-52) for vi in v]
-            if free or not failing:
-                break
-            free, radius, steady = True, 1.0, math.inf
+            break
     return (*fitted(v, pure), steps, pure)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polsim import cli
@@ -491,6 +491,9 @@ raw_tables = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(row_tables | raw_tables)
+# a pure optimum at V, with counts spanning 1.7e17
+@example("\n".join([COUNTS_HEADER, "H 0 0 1", "V 0 90 6845211938", "D 45 45 0", "A 45 -45 0",
+                    "R 0 45 165871889913479296", "L 0 -45 165871889913479296", ""]).encode("ascii"))
 def test_tomo_on_any_counts_table_exits_cleanly_with_p_a_fraction(table):
     """Any counts file, as rows or as raw bytes, ends in exit 0, 2 or 3 with
     no traceback, and on exit 0 the written P lies in [0, 1]."""

@@ -46,6 +46,8 @@ SPAN = 1e8
 # mixed optima 5e-8 and 1e-7 inside the sphere, where a pure fit falls short
 @example((SIX_SETTINGS, [13.0, 13.0, 13.0, 13.0, 513839924.71908844, 13.0]))
 @example((SIX_SETTINGS, [51.0, 51.0, 51.0, 51.0, 51.0, 958536949.7275444]))
+# a pure optimum at V, with an H count 2e-299 of the others
+@example((SIX_SETTINGS, [5.086671366274852e-292, 1.0, 0.0, 0.0, 25165825.0, 25165825.0]))
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)
@@ -100,6 +102,21 @@ def test_boundary_fit_certifies_the_pure_optimum(angles, counts):
     _, diag = _fit(np.array(counts), settings)
     assert diag.path == "boundary" and diag.newton_steps < 100
     assert diag.kkt_residual <= CERTIFICATE_BOUND
+
+
+@pytest.mark.parametrize("counts", [
+    # a step whose gain is below the likelihood's rounding: it stops there
+    # rather than run to the step cap
+    [0.0, 0.0, 941490.0, 0.02082236297015839, 0.0, 0.0],
+    # a mixed optimum that v's rounding leaves just outside: the fit ends a
+    # rounding step further in
+    [0.0, 0.0, 0.0, 0.0, 53624.0, 0.0008166347420547318],
+    # a pure optimum that the fit reaches only once its trust radius has grown
+    [0.0, 0.0, 24599.0, 12316.0, 193230563.0, 4.0],
+], ids=["stop-below-rounding", "rounding-step-inside", "radius-growth"])
+def test_six_setting_fit_stops_at_a_certified_optimum(counts):
+    _, diag = _fit(np.array(counts), SIX_SETTINGS)
+    assert diag.newton_steps < 100 and diag.kkt_residual <= CERTIFICATE_BOUND
 
 
 def test_random_analyzer_sets_reach_a_certified_optimum():

@@ -35,6 +35,7 @@ from polsim.zwm import (
     ZwmConfig,
     coherence_matrix,
     degree_of_polarization,
+    stokes_parameters,
 )
 
 NO_DARK = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
@@ -572,15 +573,24 @@ def test_four_setting_path_is_exact_exactly_when_the_inversion_is_psd():
     assert min(paths.values()) >= 300 and min(near.values()) >= 300
 
 
-def test_a_direction_no_count_sees_stays_unpolarized():
-    """H V D A R L counts 2 2 0 0 1 8: D and A count nothing, so no count
-    sees S2 and every S2 inside the cone is equally likely.  The fit keeps
-    S2 = 0, the least polarized of these optima, at P = 7/9 = |S3| / S0."""
-    matrix, diag = _fit(np.array([2.0, 2.0, 0.0, 0.0, 1.0, 8.0]), SIX_SETTINGS)
-    trace = np.trace(matrix).real
+@pytest.mark.parametrize("counts, unseen", [
+    ([2.0, 2.0, 0.0, 0.0, 1.0, 8.0], 2),
+    # the Hessian's S1 eigenvalue is zero only up to rounding
+    ([0.0, 0.0, 14291.0, 22434.0, 154805.0, 560932.0], 1),
+], ids=["no-S2", "no-S1"])
+def test_a_direction_no_count_sees_stays_unpolarized(counts, unseen):
+    """H V D A R L counts where one pair counts nothing, so no count sees
+    its Stokes component and every value of it inside the cone is equally
+    likely.  The fit keeps it 0, the least polarized of these optima, and
+    each pair that counted gives its component's fraction of S0, as
+    (n+ - n-) / (n+ + n-): at 2 2 0 0 1 8, P = 7/9 = |S3| / S0."""
+    matrix, diag = _fit(np.array(counts), SIX_SETTINGS)
+    s0, *s = stokes_parameters(CoherenceMatrix(matrix))
     assert diag.path == "interior" and diag.kkt_residual <= CERTIFICATE_BOUND
-    assert abs(matrix[0, 1].real) <= 1e-12 * trace
-    assert degree_of_polarization(CoherenceMatrix(matrix)) == pytest.approx(7.0 / 9.0, abs=1e-12)
+    assert abs(s[unseen - 1]) <= 1e-12 * s0
+    fractions = [(a - b) / (a + b) if a + b else 0.0 for a, b in zip(counts[::2], counts[1::2])]
+    assert degree_of_polarization(CoherenceMatrix(matrix)) == pytest.approx(
+        math.hypot(*fractions), abs=1e-12)
 
 
 @pytest.mark.parametrize("counts", [
