@@ -37,6 +37,7 @@ from .zwm import ZwmConfig, analytic_p_grid, coherence_grid, degree_of_polarizat
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
 DEFAULT_MC_SAMPLES = 100_000
+MAX_ROWS = 10**7  # rows a sweep may write; their P and stderr take 16 bytes a row
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,10 @@ class SweepSpec:
             raise ConfigRangeError("seed must be >= 0")
         if self.replicates < 1:
             raise ConfigRangeError("replicates must be >= 1")
+        rows = len(self.gammas_deg) * len(self.t_values) * (
+            self.replicates if self.mode in ("tomography", "montecarlo") else 1)
+        if rows > MAX_ROWS:
+            raise ConfigRangeError(f"the sweep would write {rows} rows, more than {MAX_ROWS}")
         if not 1 <= self.mc_samples <= MAX_SAMPLES:
             raise ConfigRangeError(f"samples must be in [1, {MAX_SAMPLES}]")
         object.__setattr__(self, "gammas_deg", tuple(sorted(self.gammas_deg)))

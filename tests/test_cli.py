@@ -276,6 +276,8 @@ def float_list(lo, hi):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(MODES), float_list(0.0, 90.0), float_list(0.0, 1.0),
        st.integers(1, 3), st.integers(1, 10_000), st.integers(min_value=0))
+@example("montecarlo", "0", "0", 10_000_000_000_000, 1, 0)  # more rows than memory holds
+@example("tomography", "0", "0", 10**20, 1, 0)  # more rows than an array may have
 def test_sweep_exits_cleanly_with_p_a_fraction(mode, gammas, ts, replicates,
                                                 samples, seed):
     """Any in-range sweep on the default config ends in exit 0, 2 or 3 with

@@ -12,6 +12,7 @@ from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
 from polsim.sweep import (
     CSV_HEADER,
     DEFAULT_MC_SAMPLES,
+    MAX_ROWS,
     MODES,
     SweepSpec,
     format_rows,
@@ -66,6 +67,14 @@ def test_spec_validation():
     for mode in MODES:
         with pytest.raises(ConfigRangeError):
             make_spec(mode=mode, seed=-1)
+    # at most MAX_ROWS rows, replicates counting only in the modes that draw them
+    for mode in ("montecarlo", "tomography"):
+        make_spec(mode=mode, replicates=MAX_ROWS // 9)
+        with pytest.raises(ConfigRangeError):
+            make_spec(mode=mode, replicates=MAX_ROWS // 9 + 1)
+    make_spec(mode="analytic", replicates=10**20)
+    with pytest.raises(ConfigRangeError):
+        make_spec(gammas_deg=(0.0,) * 3163, t_values=(0.5,) * 3163)
 
 
 def test_spec_sorts_its_axes():
