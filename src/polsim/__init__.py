@@ -43,7 +43,6 @@ from .zwm import (
     analytic_p_grid,
     analytic_p_special,
     beta,
-    check_coherence,
     coherence_grid,
     coherence_matrix,
     degree_of_polarization,

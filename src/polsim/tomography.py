@@ -20,7 +20,7 @@ import numpy as np
 from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .newton import SettingRows, ball_newton, dot, kkt_residual
-from .zwm import CoherenceMatrix, check_coherence, degree_of_polarization
+from .zwm import CoherenceMatrix, degree_of_polarization
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
@@ -250,7 +250,7 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     matrix = np.array([[gxx, complex(re, im)], [complex(re, -im), gyy]])
     if total < sys.float_info.min:  # scaling back may round G off the cone
         try:
-            check_coherence(matrix)
+            CoherenceMatrix(matrix)
             if not (gxx + gyy > 0.0 and np.linalg.eigvalsh(matrix)[0] >= -1e-12 * (gxx + gyy)):
                 raise ParameterError("zero trace, or an eigenvalue below -1e-12 tr G")
         except ParameterError:

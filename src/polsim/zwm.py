@@ -15,6 +15,9 @@ moments are M = conj(A) A^T, the detector fields a 2x4 map F of the signal
 modes, and G = conj(F) M F^T: the reduced-signal-state picture of induced
 coherence (Zou, Wang & Mandel, PRL 67, 318, 1991).  A depends on |T| only
 and F on gamma only, so a whole (gamma, |T|) grid is one array expression.
+G is a Gram matrix, so Hermitian and positive semidefinite by construction.
+It is not checked at run time: test_pipeline_matrices_satisfy_strict_invariants
+in tests/test_zwm.py pins it.
 
 The splitter's reflection phase is folded into the second arm's phase
 reference, so the interferometric phase of every cross term is exactly
@@ -180,58 +183,14 @@ def field_map(cfg: ZwmConfig, gammas) -> np.ndarray:
     return f
 
 
-def check_coherence(m: np.ndarray) -> None:
-    """Raise ParameterError unless every (..., 2, 2) matrix in m is finite,
-    Hermitian with a real diagonal and positive semidefinite, up to rounding
-    relative to its largest entry."""
-    if m.ndim < 2 or m.shape[-2:] != (2, 2):
-        raise ParameterError(f"coherence matrix must be 2x2, got {m.shape}")
-    if m.ndim == 2:
-        try:  # one matrix: the same tests on Python scalars, at a tenth of the cost
-            return _check_one(*m.ravel().tolist())
-        except OverflowError:  # an abs beyond float range, which numpy takes as inf
-            pass
-    if not np.all(np.isfinite(m)):
-        raise ParameterError("coherence matrix entries must be finite")
-    gxx, gxy, gyx, gyy = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    scale = np.abs(m).max(axis=(-2, -1))
-    tol = 1e-9 * scale
-    if np.any(np.abs(gyx - np.conj(gxy)) > tol):
-        raise ParameterError("coherence matrix is not Hermitian")
-    if np.any(np.maximum(np.abs(gxx.imag), np.abs(gyy.imag)) > tol):
-        raise ParameterError("coherence matrix diagonal must be real")
-    # smaller eigenvalue of the Hermitian part
-    trace = gxx.real + gyy.real
-    lowest = trace / 2.0 - np.hypot((gxx.real - gyy.real) / 2.0,
-                                    np.abs(gxy + np.conj(gyx)) / 2.0)
-    if np.any(lowest < -1e-9 * np.maximum(trace, scale)):
-        raise ParameterError("coherence matrix is not positive semidefinite")
-
-
-def _check_one(gxx, gxy, gyx, gyy) -> None:
-    if not all(map(cmath.isfinite, (gxx, gxy, gyx, gyy))):
-        raise ParameterError("coherence matrix entries must be finite")
-    scale = max(abs(gxx), abs(gxy), abs(gyx), abs(gyy))
-    if abs(gyx - gxy.conjugate()) > 1e-9 * scale:
-        raise ParameterError("coherence matrix is not Hermitian")
-    if max(abs(gxx.imag), abs(gyy.imag)) > 1e-9 * scale:
-        raise ParameterError("coherence matrix diagonal must be real")
-    trace = gxx.real + gyy.real
-    # abs of a complex is the C hypot, as numpy's
-    lowest = trace / 2.0 - abs(complex((gxx.real - gyy.real) / 2.0,
-                                       abs(gxy + gyx.conjugate()) / 2.0))
-    if lowest < -1e-9 * max(trace, scale):
-        raise ParameterError("coherence matrix is not positive semidefinite")
-
-
 def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """G[i, j] = <E_p^dagger E_q> at (gammas[i], t_abs[j]), shape (n_g, n_t, 2, 2).
 
     Every other setting (gains, phases, the phase of T, imperfections) is
     taken from cfg.  Per grid point G = conj(F) M F^T with the signal
     moments M = conj(A') A'^T, evaluated as the Gram matrix conj(B) B^T of
-    B = F A', which is Hermitian with a non-negative diagonal by
-    construction.
+    B = F A', which is Hermitian and positive semidefinite by construction,
+    so it is returned without a run-time check (see the module docstring).
     """
     gammas, t_abs = _check_grid(gammas, t_abs)
     f = field_map(cfg, gammas)
@@ -242,14 +201,14 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     # their magnitudes) is zero, so a dark fringe has exactly zero intensity
     parts = np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a))
     b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
-    g = np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
-    check_coherence(g)
-    return g
+    return np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
 
 
 @dataclass(frozen=True)
 class CoherenceMatrix:
-    """2x2 signal-beam coherence matrix G_pq = <E_p^dagger E_q>."""
+    """2x2 signal-beam coherence matrix G_pq = <E_p^dagger E_q>; building one is
+    the only validity check: ParameterError unless G is finite, Hermitian with a
+    real diagonal and positive semidefinite, up to 1e-9 of its largest entry."""
 
     matrix: np.ndarray
 
@@ -257,7 +216,25 @@ class CoherenceMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ParameterError(f"coherence matrix must be 2x2, got {m.shape}")
-        check_coherence(m)
+        entries = m.ravel().tolist()
+        if not all(map(cmath.isfinite, entries)):
+            raise ParameterError("coherence matrix entries must be finite")
+        # scaled by a power of two, exactly, so that no sum below overflows and
+        # no subnormal entry loses the precision the tests need
+        exp = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
+        gxx, gxy, gyx, gyy = (complex(math.ldexp(z.real, -exp), math.ldexp(z.imag, -exp))
+                              for z in entries)
+        scale = max(abs(gxx), abs(gxy), abs(gyx), abs(gyy))
+        if abs(gyx - gxy.conjugate()) > 1e-9 * scale:
+            raise ParameterError("coherence matrix is not Hermitian")
+        if max(abs(gxx.imag), abs(gyy.imag)) > 1e-9 * scale:
+            raise ParameterError("coherence matrix diagonal must be real")
+        # smaller eigenvalue of the Hermitian part
+        trace = gxx.real + gyy.real
+        lowest = trace / 2.0 - abs(complex((gxx.real - gyy.real) / 2.0,
+                                           abs(gxy + gyx.conjugate()) / 2.0))
+        if lowest < -1e-9 * max(trace, scale):
+            raise ParameterError("coherence matrix is not positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -12,6 +12,10 @@ field_map or _with_overlap, which must reproduce A, F and G from it.
 mc_detection_count_loop is the per-sample Monte-Carlo hit count whose law
 the branch-count draw in polsim.gedanken must follow.
 
+coherence_verdict_stacked is the coherence-matrix validity test written on
+numpy arrays for stacks of matrices; CoherenceMatrix, which runs the same
+tests on Python scalars, must give its verdict on every matrix in range.
+
 mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
 exact four-setting path, the projector cache and the convex Newton fit:
 every fit runs L-BFGS-B on the triangular-factor parameters G = L L^dagger
@@ -162,6 +166,29 @@ def mc_detection_count_loop(u_source, u_report, u_detect,
         elif u_detect[i] < p_coherent:
             hits += 1
     return hits
+
+
+def coherence_verdict_stacked(m: np.ndarray) -> str:
+    """The coherence-matrix validity test on numpy arrays, for a stack of
+    (..., 2, 2) matrices as polsim.zwm once ran it: "ok", or the message of
+    the first test some matrix fails.  It does not guard its sums against
+    overflow, so it is a reference only for matrices well inside float range."""
+    if not np.all(np.isfinite(m)):
+        return "coherence matrix entries must be finite"
+    gxx, gxy, gyx, gyy = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    scale = np.abs(m).max(axis=(-2, -1))
+    tol = 1e-9 * scale
+    if np.any(np.abs(gyx - np.conj(gxy)) > tol):
+        return "coherence matrix is not Hermitian"
+    if np.any(np.maximum(np.abs(gxx.imag), np.abs(gyy.imag)) > tol):
+        return "coherence matrix diagonal must be real"
+    # smaller eigenvalue of the Hermitian part
+    trace = gxx.real + gyy.real
+    lowest = trace / 2.0 - np.hypot((gxx.real - gyy.real) / 2.0,
+                                    np.abs(gxy + np.conj(gyx)) / 2.0)
+    if np.any(lowest < -1e-9 * np.maximum(trace, scale)):
+        return "coherence matrix is not positive semidefinite"
+    return "ok"
 
 
 _MU_FLOOR_REL = 1e-12

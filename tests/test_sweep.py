@@ -7,7 +7,7 @@ import pytest
 
 from _oracles import (SIX_SETTINGS, fresh_projector, montecarlo_row_oracle, random_config,
                       setting_means, tomography_point_matrix, tomography_row_oracle)
-from polsim import tomography, zwm
+from polsim import sweep as sweep_module
 from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
 from polsim.sweep import (
     CSV_HEADER,
@@ -240,18 +240,20 @@ def test_expected_counts_grid_equals_per_setting_traces():
 
 
 def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):
-    """One check for the grid's coherence matrices, then each row's
-    reconstruction once: the rows solved together as one stack, each row
-    fitted alone on its own."""
-    shapes = []
-    check = zwm.check_coherence
-    for module in (zwm, tomography):
-        monkeypatch.setattr(module, "check_coherence",
-                            lambda m: shapes.append(m.shape) or check(m))
+    """The grid's coherence matrices are Gram matrices and get no run-time
+    check; each row's reconstruction is checked exactly once, when it
+    becomes a CoherenceMatrix."""
+    checked, runs = [], []
+    check = CoherenceMatrix.__post_init__
+    monkeypatch.setattr(CoherenceMatrix, "__post_init__",
+                        lambda self: checked.append(self.matrix) or check(self))
+    fit = sweep_module.reconstruct_run
+    monkeypatch.setattr(sweep_module, "reconstruct_run",
+                        lambda *args: runs.append(fit(*args)) or runs[-1])
     rows = sweep(make_spec(mode="tomography", t_values=(0.5, 1.0), replicates=2))
-    assert len(rows) == 12
-    assert shapes[0] == (3, 2, 2, 2)
-    assert sum(math.prod(shape[:-2]) for shape in shapes[1:]) == 12
+    assert len(rows) == len(runs) == 12
+    assert len(checked) == 12
+    assert all(m is run.reconstruction.matrix for m, run in zip(checked, runs))
 
 
 def test_format_rows_layout():

@@ -23,7 +23,6 @@ from polsim.zwm import (
     analytic_p_general,
     analytic_p_special,
     beta,
-    check_coherence,
     coherence_grid,
     coherence_matrix,
     degree_of_polarization,
@@ -39,6 +38,7 @@ from _oracles import (
     BASIS,
     MODES,
     VACUUM,
+    coherence_verdict_stacked,
     random_config,
     reference_coherence,
     reference_fields,
@@ -274,45 +274,65 @@ def test_field_map_matches_the_dense_reference_fields():
 # ---------------------------------------------------------------------------
 
 def test_coherence_matrix_guards():
-    with pytest.raises(ParameterError):
-        CoherenceMatrix(np.eye(3))
-    with pytest.raises(ParameterError):
-        CoherenceMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))  # not Hermitian
-    with pytest.raises(ParameterError):
-        CoherenceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # negative eigenvalue
-    with pytest.raises(ParameterError):
-        CoherenceMatrix(np.array([[1.0 + 0.1j, 0.0], [0.0, 1.0]]))  # complex diagonal
+    for shape in ((3, 3), (4, 3, 3), (1, 2, 2), (4,)):
+        with pytest.raises(ParameterError, match="must be 2x2"):
+            CoherenceMatrix(np.zeros(shape))
+    with pytest.raises(ParameterError, match="must be finite"):
+        CoherenceMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(ParameterError, match="must be finite"):
+        CoherenceMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        CoherenceMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    with pytest.raises(ParameterError, match="not positive semidefinite"):
+        CoherenceMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ParameterError, match="diagonal must be real"):
+        CoherenceMatrix(np.array([[1.0 + 0.1j, 0.0], [0.0, 1.0]]))
+    for good, trace in ((np.eye(2), 2.0), ([[0.5, 0.25j], [-0.25j, 0.5]], 1.0),
+                        ([[1.0, 1.0], [1.0, 1.0]], 2.0)):  # the last is pure
+        assert CoherenceMatrix(np.array(good)).trace == trace
     g = CoherenceMatrix(np.zeros((2, 2)))  # exactly zero is allowed
     assert g.trace == 0.0
     with pytest.raises(ValueError):
         CoherenceMatrix(np.eye(2)).matrix[0, 0] = 5.0  # read-only view
 
 
-def test_check_coherence_on_stacked_matrices():
-    good = np.stack([np.eye(2), np.zeros((2, 2)), [[0.5, 0.25j], [-0.25j, 0.5]]])
-    check_coherence(good.astype(complex).reshape(3, 1, 2, 2))
-    for bad in ([[1.0, 0.5], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
-                [[1.0 + 0.1j, 0.0], [0.0, 1.0]]):
-        with pytest.raises(ParameterError):
-            check_coherence(np.concatenate([good, [bad]]).astype(complex))
-    with pytest.raises(ParameterError):
-        check_coherence(np.zeros((4, 3, 3)))
-    with pytest.raises(ParameterError):
-        CoherenceMatrix(np.full((2, 2), np.nan))
+def test_coherence_matrix_check_holds_at_the_ends_of_float_range():
+    """The check scales the entries by a power of two first.  Unscaled, sums
+    near the float limit overflow to an inf - inf NaN, which passes every
+    comparison, and subnormal entries lose the precision the test needs."""
+    offdiag = 1e308 + 1e308j
+    with pytest.raises(ParameterError, match="not positive semidefinite"):
+        # eigenvalues (1 +- sqrt 2) 1e308
+        CoherenceMatrix(np.array([[1e308, offdiag], [offdiag.conjugate(), 1e308]]))
+    # eigenvalues (1.7 +- sqrt 2) 1e308
+    g = CoherenceMatrix(np.array([[1.7e308, offdiag], [offdiag.conjugate(), 1.7e308]]))
+    assert g.gxx == 1.7e308
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        CoherenceMatrix(np.array([[1.7e308, offdiag], [-offdiag, 1.7e308]]))
+    # subnormal: smallest eigenvalue -3.1e-6 of the largest entry
+    offdiag = 1.9943e-319 + 2.418e-320j
+    with pytest.raises(ParameterError, match="not positive semidefinite"):
+        CoherenceMatrix(np.array([[8.577e-320, offdiag], [offdiag.conjugate(), 4.70514e-319]]))
+    # exactly singular: 5e-324 [[1, 2 + 4i], [2 - 4i, 20]]; and the smallest float
+    offdiag = 1e-323 + 2e-323j
+    assert CoherenceMatrix(np.array([[5e-324, offdiag], [offdiag.conjugate(), 1e-322]])).trace > 0
+    assert CoherenceMatrix(np.array([[5e-324, 0.0], [0.0, 0.0]])).trace == 5e-324
 
 
 def test_one_matrix_gets_the_stacked_verdict():
-    """A single matrix is checked on Python scalars, a stack on arrays: 3000
-    random matrices, many within rounding of a threshold and scaled from
-    1e-300 to 1e300, get the same verdict both ways."""
+    """CoherenceMatrix runs its tests on Python scalars, and the stacked
+    numpy test in tests/_oracles.py is its reference: 3000 random matrices,
+    many within rounding of a threshold and scaled from 1e-300 to 1e300, get
+    the same verdict both ways."""
     def verdict(m):
         try:
-            check_coherence(m)
+            CoherenceMatrix(m)
         except ParameterError as err:
             return str(err)
         return "ok"
 
     rng = np.random.default_rng(47)
+    verdicts = set()
     for k in range(3000):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) * (k % 3 != 0)
         g = a @ a.conj().T
@@ -324,10 +344,9 @@ def test_one_matrix_gets_the_stacked_verdict():
         elif k % 4 == 3:
             g[0, 0] += 1j * nudge
         g = g * 10.0 ** rng.integers(-300, 301)
-        assert verdict(g) == verdict(g[None])
-    huge = np.array([[1e308, 1e308 + 1e308j], [1e308 - 1e308j, 1e308]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert verdict(huge) == verdict(huge[None])
+        assert verdict(g) == coherence_verdict_stacked(g[None])
+        verdicts.add(verdict(g))
+    assert len(verdicts) == 4  # ok, and each of the three tests fails somewhere
 
 
 def test_coherence_matrix_accessors():
@@ -358,17 +377,25 @@ def test_partial_transmission_eigenvalue_ratio():
 
 
 def test_pipeline_matrices_satisfy_strict_invariants():
-    """G is a Gram matrix: exactly Hermitian with a real diagonal, PSD."""
+    """G is a Gram matrix: exactly Hermitian with a real diagonal, PSD.
+    coherence_grid does not check this at run time, so this test is its
+    guard: on random configs, on configs with every imperfection below 1, on
+    the |T| = 0 and gamma = 90 deg axes, and at a dark fringe, where G is
+    exactly 0."""
     rng = np.random.default_rng(17)
-    for _ in range(12):
-        cfg = random_config(rng)
-        g = coherence_grid(cfg, rng.uniform(0, math.pi / 2, size=5),
-                           rng.uniform(0, 1, size=4))
+    lossy = [dataclasses.replace(random_config(rng), imperfections=ImperfectionConfig(
+        *rng.uniform(0.0, 1.0, size=4))) for _ in range(4)]
+    lossy.append(ZwmConfig(imperfections=ImperfectionConfig(0.9, 0.8, 0.7, 0.6)))
+    dark = ZwmConfig(phi_s2=math.pi)
+    for cfg in [random_config(rng) for _ in range(12)] + lossy + [dark]:
+        g = coherence_grid(cfg, np.append(rng.uniform(0, math.pi / 2, size=5), [0.0, math.pi / 2]),
+                           np.append(rng.uniform(0, 1, size=4), [0.0, 1.0]))
         trace = g[..., 0, 0].real + g[..., 1, 1].real
         assert np.array_equal(g[..., 1, 0], np.conj(g[..., 0, 1]))
         assert not g[..., 0, 0].imag.any() and not g[..., 1, 1].imag.any()
         assert np.all(np.linalg.eigvalsh(g)[..., 0] >= -1e-12 * trace)
-        assert np.all(trace > 0.0)
+        assert np.all(trace >= 0.0)
+    assert not g[5, 5].any()  # dark's gamma = 0, |T| = 1 point: the two arms cancel
 
 
 def test_dense_oracle_reproduces_coherence_matrix():
