@@ -296,6 +296,32 @@ def test_coherence_matrix_guards():
         CoherenceMatrix(np.eye(2)).matrix[0, 0] = 5.0  # read-only view
 
 
+def test_check_coherence_on_stacked_matrices():
+    """CoherenceMatrix takes one 2x2 matrix and refuses a stack, so a stack is
+    checked matrix by matrix; the stacked reference in tests/_oracles.py gives
+    the verdict of the first matrix that fails."""
+    good = np.stack([np.eye(2), np.zeros((2, 2)),
+                     [[0.5, 0.25j], [-0.25j, 0.5]]]).astype(complex)
+    for m in good:
+        CoherenceMatrix(m)
+    assert coherence_verdict_stacked(good.reshape(3, 1, 2, 2)) == "ok"
+    with pytest.raises(ParameterError, match="must be 2x2"):
+        CoherenceMatrix(good)
+    for bad, message in (([[1.0, 0.5], [0.2, 1.0]], "not Hermitian"),
+                         ([[1.0, 2.0], [2.0, 1.0]], "not positive semidefinite"),
+                         ([[1.0 + 0.1j, 0.0], [0.0, 1.0]], "diagonal must be real")):
+        stack = np.concatenate([good, [bad]]).astype(complex)
+        assert coherence_verdict_stacked(stack).endswith(message)
+        for m in stack[:-1]:
+            CoherenceMatrix(m)
+        with pytest.raises(ParameterError, match=message):
+            CoherenceMatrix(stack[-1])
+    with pytest.raises(ParameterError, match="must be 2x2"):
+        CoherenceMatrix(np.zeros((4, 3, 3)))
+    with pytest.raises(ParameterError, match="must be finite"):
+        CoherenceMatrix(np.full((2, 2), np.nan))
+
+
 def test_coherence_matrix_check_holds_at_the_ends_of_float_range():
     """The check scales the entries by a power of two first.  Unscaled, sums
     near the float limit overflow to an inf - inf NaN, which passes every
