@@ -2,7 +2,6 @@
 signal beams, with erasable (rotation) and inerasable (idler transmission)
 which-path marking, plus simulated tomography of the result."""
 
-from .elements import polarizer_jones, waveplate_jones
 from .errors import (
     ConfigError,
     ConfigRangeError,
@@ -29,7 +28,6 @@ from .tomography import (
     expected_counts,
     expected_counts_grid,
     mle_reconstruct,
-    projector_from_setting,
     read_counts_table,
     reconstruct_run,
     simulate_counts,

@@ -128,5 +128,6 @@ def load_config(path: str | None) -> tuple[ZwmConfig, DetectorModel, dict[str, f
 
 
 def format_config(values: dict[str, float]) -> str:
-    """Canonical dump of the effective config (every key, defaults included)."""
-    return "\n".join(f"{key} = {values[key]:.12g}" for key in DEFAULTS) + "\n"
+    """Canonical dump of the effective config (every key, defaults included),
+    each value in its shortest form that parses back to the same float."""
+    return "\n".join(f"{key} = {float(values[key])!r}" for key in DEFAULTS) + "\n"

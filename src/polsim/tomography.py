@@ -17,10 +17,9 @@ from operator import mul
 
 import numpy as np
 
-from .elements import polarizer_jones, waveplate_jones
 from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
 from .newton import SettingRows, ball_newton, dot, kkt_residual
-from .zwm import CoherenceMatrix, degree_of_polarization
+from .zwm import CoherenceMatrix, _stokes_grid, degree_of_polarization
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
@@ -68,39 +67,38 @@ class DetectorModel:
 
 
 def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:
-    # the angles' exact bits: 0.0 == -0.0, but their projectors differ in signed zeros
+    # the angles' exact bits: 0.0 == -0.0, but their rows differ in signed zeros
     return float(setting.qwp_angle).hex(), float(setting.polarizer_angle).hex()
 
 
-@functools.lru_cache(maxsize=256)
-def _projector(qwp_hex: str, pol_hex: str) -> np.ndarray:
-    j = waveplate_jones("quarter", float.fromhex(qwp_hex))
-    pol = polarizer_jones(float.fromhex(pol_hex))
-    pi = j.conj().T @ pol @ j
-    pi.setflags(write=False)
-    return pi
+def _double_angle(x: float) -> tuple[float, float]:
+    # cos 2x and sin 2x; where 2x overflows, from the cosine and sine of x
+    if abs(x) <= sys.float_info.max / 2.0:
+        return math.cos(2.0 * x), math.sin(2.0 * x)
+    c, s = math.cos(x), math.sin(x)
+    return c * c - s * s, 2.0 * s * c
 
 
-def projector_from_setting(setting: MeasurementSetting) -> np.ndarray:
-    """Pi = J_qwp^dagger Pi_pol J_qwp: the pure state the analyzer passes.
+def _stokes_row(qwp: float, pol: float) -> tuple[float, float, float, float]:
+    """The Stokes row a of a quarter-wave plate at q followed by a polarizer
+    at p: a beam of Stokes vector S passes a . S, with
 
-    Cached per angle pair; the returned array is shared and read-only.
+      a = (1, cos d cos 2q, cos d sin 2q, -sin d) / 2,   d = 2p - 2q.
     """
-    return _projector(*_angle_key(setting))
+    (c2q, s2q), (c2p, s2p) = _double_angle(qwp), _double_angle(pol)
+    cd, sd = c2p * c2q + s2p * s2q, s2p * c2q - c2p * s2q
+    return 0.5, 0.5 * cd * c2q, 0.5 * cd * s2q, -0.5 * sd
 
 
 @functools.lru_cache(maxsize=64)
 def _scalars(keys) -> SettingRows:
-    """The fit data for the settings with these angle keys, cached:
-    the Stokes rows a_k, with expected count mu_k = a_k . (S0, S1, S2, S3),
+    """The fit data for the settings with these angle keys, cached: the
+    settings' Stokes rows a_k, with expected count mu_k = a_k . (S0, S1, S2, S3),
     their products and their pseudo-inverse.
 
-    Raises IllPosedError, on every call, when the projectors cannot
-    identify G.
+    Raises IllPosedError, on every call, when the rows cannot identify G.
     """
-    pis = np.array([_projector(*key) for key in keys])
-    pxx, pyy, pxy = pis[:, 0, 0].real, pis[:, 1, 1].real, pis[:, 0, 1]
-    stokes = np.column_stack([(pxx + pyy) / 2.0, (pxx - pyy) / 2.0, pxy.real, -pxy.imag])
+    stokes = np.array([_stokes_row(float.fromhex(q), float.fromhex(p)) for q, p in keys])
     if np.linalg.matrix_rank(stokes, tol=1e-10 * np.abs(stokes).max()) < 4:
         raise IllPosedError("projector set is degenerate; cannot identify G")
     rows = tuple(map(tuple, stokes.tolist()))
@@ -115,13 +113,14 @@ def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np
     """Mean detected counts, dark counts included, of every (..., 2, 2)
     coherence matrix in g under every setting: shape (..., n_settings).
 
-    The signal is the trace of the stacked products Pi @ G, which gives the
-    same floats as each setting's own tr(Pi G).
+    The signal is a_k . S(G), the setting's Stokes row against the beam's
+    Stokes vector, summed in the same order for every matrix and setting.
     """
-    pis = np.stack([projector_from_setting(s) for s in settings])
-    products = pis @ np.asarray(g)[..., None, :, :]
-    signal = (products[..., 0, 0] + products[..., 1, 1]).real
-    with np.errstate(over="ignore"):  # an infinite mean fails the Poisson limit check
+    a = np.array([_stokes_row(x.qwp_angle, x.polarizer_angle) for x in settings]).T
+    # an infinite or NaN mean fails the Poisson limit check
+    with np.errstate(over="ignore", invalid="ignore"):
+        s0, s1, s2, s3 = (x[..., None] for x in _stokes_grid(np.asarray(g)))
+        signal = s0 * a[0] + s1 * a[1] + s2 * a[2] + s3 * a[3]
         return detector.kappa * np.maximum(signal, 0.0) * detector.integration_time \
             + detector.dark_rate * detector.integration_time
 

@@ -99,11 +99,6 @@ class ZwmConfig:
         if not all(map(math.isfinite, (self.phi_s1, self.phi_s2, self.phi_i))):
             raise ParameterError("path phases must be finite")
 
-    @property
-    def t_eff(self) -> complex:
-        """Attenuator transmission with the idler-path loss folded in."""
-        return complex(self.t) * self.imperfections.eta_idler
-
 
 def t_phase(cfg: ZwmConfig) -> complex:
     """Phase factor of cfg.t (1 if T = 0): a grid point at |T| has T = |T| t_phase."""
@@ -127,7 +122,7 @@ def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
 
     The state is |vac> + sum A[s, i] |s, i> with
       A[S1x, I1]   = g1
-      A[S2x, I1]   = g2 conj(T_eff e^{i phi_i})
+      A[S2x, I1]   = g2 conj(T_eff e^{i phi_i}),  T_eff = T eta_idler
       A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt(1 - |T_eff|^2).
     The second source's idler operator is the attenuator output, so the
     creation amplitudes are the conjugated attenuator coefficients.  T keeps
@@ -286,19 +281,20 @@ def degree_of_polarization(g: CoherenceMatrix) -> float:
     return float(degree_of_polarization_grid(g.matrix))
 
 
+def _stokes_grid(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(S0, S1, S2, S3) of every (..., 2, 2) coherence matrix in g."""
+    gxx, gyy = g[..., 0, 0].real, g[..., 1, 1].real
+    return gxx + gyy, gxx - gyy, 2.0 * g[..., 0, 1].real, 2.0 * g[..., 1, 0].imag
+
+
 def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
     """(S0, S1, S2, S3) of the coherence matrix.
 
     S0 = tr G, S1 = Gxx - Gyy, S2 = 2 Re Gxy, S3 = 2 Im Gyx.  The S3 sign
-    pairs with the tomography quarter-wave-plate convention: the R setting
-    measures (S0 - S3)/2.
+    pairs with the tomography quarter-wave-plate convention: the R setting's
+    Stokes row is (1, 0, 0, -1) / 2, so it measures (S0 - S3)/2.
     """
-    return (
-        g.trace,
-        float(g.gxx.real - g.gyy.real),
-        float(2.0 * g.gxy.real),
-        float(2.0 * g.gyx.imag),
-    )
+    return tuple(map(float, _stokes_grid(g.matrix)))
 
 
 def beta(cfg: ZwmConfig, t: complex | None = None) -> float:
@@ -319,7 +315,7 @@ def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """Closed-form degree of polarization at (gammas[i], t_abs[j]), shape (n_g, n_t).
 
     P = sqrt(c^2 + |T|^2 (s^2 + c^2 cb^2) + 2 |T| c cb) / (1 + |T| c cb)
-    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |t_eff|, capped
+    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |T_eff|, capped
     at 1.  Valid for equal gain magnitudes and an otherwise ideal device.  A
     point has T = t_abs * t_phase(cfg), so |T| and beta are computed once per
     t_abs.  Raises ZeroTraceError if any point has no output intensity.

@@ -16,10 +16,16 @@ coherence_verdict_stacked is the coherence-matrix validity test written on
 numpy arrays for stacks of matrices; CoherenceMatrix, which runs the same
 tests on Python scalars, must give its verdict on every matrix in range.
 
+quarter_wave_jones and polarizer_jones are the Jones matrices of the
+tomography analyzer, and fresh_projector is the state a setting passes,
+Pi = J_qwp^dagger Pi_pol J_qwp; jones_stokes_row is its Stokes row
+((Pxx + Pyy)/2, (Pxx - Pyy)/2, Re Pxy, -Im Pxy).  polsim describes a setting
+by a closed-form Stokes row alone and must agree with these.
+
 mle_reconstruct_optimizer is tomography.mle_reconstruct as it was before the
-exact four-setting path, the projector cache and the convex Newton fit:
+exact four-setting path, the per-setting cache and the convex Newton fit:
 every fit runs L-BFGS-B on the triangular-factor parameters G = L L^dagger
-plus a grid polish, and the projectors are rebuilt from Jones matrices.  It
+plus a grid polish, on the projectors of the Jones model above.  It
 keeps its own copies of the parameter maps and of the floored Poisson
 likelihood (_nll_poisson_grad, _nll_poisson_batch), and it is the only
 code that needs scipy.  The Newton fit must be at least as likely on every
@@ -29,7 +35,7 @@ use.
 tomography_point_matrix, setting_means and tomography_row_oracle are one
 tomography sweep row computed on its own, as the sweep did before it evaluated the whole
 grid at once: the config moved to the point, a normalized CoherenceMatrix,
-one trace per setting, then the draw and the fit.  montecarlo_row_oracle is
+one a_k . S(G) per setting, then the draw and the fit.  montecarlo_row_oracle is
 one montecarlo sweep row the same way: the row's SeedSequence spawns one
 child per extremum, each sampled through a GedankenConfig and
 monte_carlo_detection, and the two estimates combine into P and its stderr.
@@ -43,12 +49,11 @@ import math
 import numpy as np
 from scipy.optimize import minimize
 
-from polsim.elements import polarizer_jones, waveplate_jones
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
 from polsim.gedanken import GedankenConfig, monte_carlo_detection
-from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, reconstruct_run
+from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, _stokes_row, reconstruct_run
 from polsim.zwm import (CoherenceMatrix, ImperfectionConfig, ZwmConfig, coherence_matrix,
-                        t_phase)
+                        stokes_parameters, t_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +122,8 @@ def splitter(t: float, r: float) -> np.ndarray:
 
 def reference_state(cfg) -> np.ndarray:
     """|0> + g1 a+_S1x a+_I1 |0> + g2 a+_S2x (idler_out)+ |0> on BASIS, where
-    idler_out is the attenuator output of I1 at T_eff and phi_i."""
-    idler_out = attenuator(cfg.t_eff, cfg.phi_i)
+    idler_out is the attenuator output of I1 at T_eff = T eta_idler and phi_i."""
+    idler_out = attenuator(complex(cfg.t) * cfg.imperfections.eta_idler, cfg.phi_i)
     return (VACUUM + cfg.g1 * raising(unit("S1x")) @ raising(unit("I1")) @ VACUUM
             + cfg.g2 * raising(unit("S2x")) @ raising(idler_out) @ VACUUM)
 
@@ -254,10 +259,31 @@ SIX_SETTINGS = DEFAULT_SETTINGS[:3] + (
 )
 
 
+def quarter_wave_jones(angle: float) -> np.ndarray:
+    """Quarter-wave plate with its fast axis at `angle`: the fast axis carries
+    no phase, the slow axis gets exp(i pi/2)."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, s], [-s, c]])
+    return rot.T @ np.array([[1.0, 0.0], [0.0, cmath.exp(0.5j * math.pi)]]) @ rot
+
+
+def polarizer_jones(theta: float) -> np.ndarray:
+    """Projector onto linear polarization at angle theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
+
+
 def fresh_projector(setting) -> np.ndarray:
-    j = waveplate_jones("quarter", setting.qwp_angle)
-    pol = polarizer_jones(setting.polarizer_angle)
-    return j.conj().T @ pol @ j
+    """Pi = J_qwp^dagger Pi_pol J_qwp: the pure state the analyzer passes."""
+    j = quarter_wave_jones(setting.qwp_angle)
+    return j.conj().T @ polarizer_jones(setting.polarizer_angle) @ j
+
+
+def jones_stokes_row(setting) -> np.ndarray:
+    """The Stokes row a of fresh_projector: tr(Pi G) = a . (S0, S1, S2, S3)."""
+    pi = fresh_projector(setting)
+    pxx, pyy, pxy = pi[0, 0].real, pi[1, 1].real, pi[0, 1]
+    return np.array([(pxx + pyy) / 2.0, (pxx - pyy) / 2.0, pxy.real, -pxy.imag])
 
 
 def mle_reconstruct_optimizer(corrected_counts, settings) -> CoherenceMatrix:
@@ -335,14 +361,16 @@ def tomography_point_matrix(cfg, gamma_deg, t_abs) -> CoherenceMatrix:
     return CoherenceMatrix(g.matrix / g.trace)
 
 
+def setting_signal(g: CoherenceMatrix, setting) -> float:
+    """The signal a setting passes, its Stokes row against S(G), unclamped."""
+    a, s = _stokes_row(setting.qwp_angle, setting.polarizer_angle), stokes_parameters(g)
+    return a[0] * s[0] + a[1] * s[1] + a[2] * s[2] + a[3] * s[3]
+
+
 def setting_means(g: CoherenceMatrix, settings, detector) -> list[float]:
-    """Mean counts per setting, one tr(Pi G) at a time."""
-    means = []
-    for setting in settings:
-        signal = float(np.trace(fresh_projector(setting) @ g.matrix).real)
-        means.append(detector.kappa * max(signal, 0.0) * detector.integration_time
-                     + detector.dark_rate * detector.integration_time)
-    return means
+    """Mean counts per setting, one setting_signal at a time."""
+    return [detector.kappa * max(setting_signal(g, s), 0.0) * detector.integration_time
+            + detector.dark_rate * detector.integration_time for s in settings]
 
 
 def tomography_row_oracle(cfg, gamma_deg, t_abs, detector, seed_seq) -> float:

@@ -108,6 +108,22 @@ def test_print_config_echoes_overrides(tmp_path, capsys):
     assert echoed["t_mag"] == 1.0
 
 
+def test_print_config_round_trips_every_value(tmp_path, capsys):
+    """The echo is the same config: phi_s2 = pi puts (gamma 0, |T| 1) on
+    the dark fringe, and a 12-digit echo moved it off, so that the echoed
+    config's sweep exited 0 where the original exits 2."""
+    path = tmp_path / "dark.cfg"
+    path.write_text("phi_s2_rad = 3.141592653589793\n")
+    assert run_cli("sweep", "--config", str(path), "--print-config") == 0
+    echoed = tmp_path / "echoed.cfg"
+    echoed.write_text(capsys.readouterr().out)
+    assert parse_config_text(echoed.read_text()) == parse_config_text(path.read_text())
+    for config in (path, echoed):
+        assert run_cli("sweep", "--config", str(config), "--mode", "numeric",
+                       "--gamma", "0,45", "--t", "0.5,1") == 2
+        assert "zero intensity" in capsys.readouterr().err
+
+
 def test_range_error_in_config_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("t_mag = 1.2\n")

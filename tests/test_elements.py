@@ -1,6 +1,6 @@
-"""Passive optics: the attenuator, rotation and splitter coefficient maps of
-the dense Fock reference (tests/_oracles.py), and the Jones matrices of the
-tomography analyzer (wave plates and polarizers)."""
+"""Passive optics of the references in tests/_oracles.py: the attenuator,
+rotation and splitter coefficient maps of the dense Fock reference, and the
+Jones matrices of the tomography analyzer (quarter-wave plate and polarizer)."""
 
 import cmath
 import math
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from polsim.errors import ParameterError
-from polsim.elements import polarizer_jones, waveplate_jones
-from _oracles import MODES, attenuator, rotation, splitter
+from _oracles import MODES, attenuator, polarizer_jones, quarter_wave_jones, rotation, splitter
 
 I1, VAC0 = MODES.index("I1"), MODES.index("VAC0")
 
@@ -105,33 +104,8 @@ def test_splitter_preserves_total_power():
 # ---------------------------------------------------------------------------
 
 
-def test_quarter_and_half_wave_plates_at_zero():
-    np.testing.assert_allclose(
-        waveplate_jones("quarter", 0.0), np.diag([1.0, 1j]), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        waveplate_jones("half", 0.0), np.diag([1.0, -1.0]), atol=1e-15
-    )
-
-
-def test_half_wave_plate_rotates_linear_polarization():
-    out = waveplate_jones("half", math.pi / 8) @ np.array([1.0, 0.0])
-    # up to a global phase this is the diagonal state
-    out = out / out[0] * abs(out[0])
-    np.testing.assert_allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-12)
-
-
-def test_waveplates_are_unitary():
-    rng = np.random.default_rng(5)
-    for kind in ("half", "quarter"):
-        for _ in range(8):
-            j = waveplate_jones(kind, rng.uniform(0, math.pi))
-            np.testing.assert_allclose(j.conj().T @ j, np.eye(2), atol=1e-12)
-
-
-def test_waveplate_kind_is_checked():
-    with pytest.raises(ParameterError):
-        waveplate_jones("third", 0.0)
+def test_quarter_wave_plate_at_zero():
+    np.testing.assert_allclose(quarter_wave_jones(0.0), np.diag([1.0, 1j]), atol=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import SIX_SETTINGS
+from _oracles import SIX_SETTINGS, fresh_projector
 from polsim.errors import IllPosedError, ParameterError
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     MeasurementSetting,
     _fit,
     mle_reconstruct,
-    projector_from_setting,
 )
 from polsim.zwm import degree_of_polarization
 
@@ -71,7 +70,7 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     if diag.path == "exact":
         # four settings and a PSD inversion: the fit reproduces every count
         assert len(setting_set) == 4
-        mu = [np.trace(projector_from_setting(s) @ rec.matrix).real for s in setting_set]
+        mu = [np.trace(fresh_projector(s) @ rec.matrix).real for s in setting_set]
         np.testing.assert_allclose(mu, counts, rtol=1e-12, atol=1e-12 * counts.sum())
     else:
         assert diag.path in ("interior", "boundary") and diag.newton_steps >= 1

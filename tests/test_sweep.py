@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _oracles import (SIX_SETTINGS, fresh_projector, montecarlo_row_oracle, random_config,
-                      setting_means, tomography_point_matrix, tomography_row_oracle)
+                      setting_means, setting_signal, tomography_point_matrix,
+                      tomography_row_oracle)
 from polsim import sweep as sweep_module
 from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
 from polsim.sweep import (
@@ -219,7 +220,7 @@ def test_montecarlo_rows_equal_the_per_row_oracle():
 
 
 def test_expected_counts_grid_equals_per_setting_traces():
-    """The stacked Pi @ G trace gives the same floats as tr(Pi G) per setting."""
+    """The grid's a_k . S(G) gives the same floats as each setting's own."""
     rng = np.random.default_rng(607)
     for _ in range(20):
         cfg, det = random_config(rng), random_detector(rng)
@@ -231,12 +232,14 @@ def test_expected_counts_grid_equals_per_setting_traces():
             assert got.shape == (3, 2, len(settings))
             assert got.reshape(6, -1).tolist() == [setting_means(g, settings, det)
                                                    for g in points]
-    # the state orthogonal to an analyzer reads a rounding-level negative
-    # signal there, which counts as zero
+    # the state orthogonal to an analyzer reads a rounding-level signal
+    # there, negative at V and A, which counts as zero
     pure = [CoherenceMatrix(np.eye(2) - fresh_projector(s)) for s in SIX_SETTINGS]
     got = expected_counts_grid(np.array([g.matrix for g in pure]), SIX_SETTINGS, DETECTOR)
     assert got.tolist() == [setting_means(g, SIX_SETTINGS, DETECTOR) for g in pure]
-    assert got.min() == 0.0
+    signals = [setting_signal(g, s) for g, s in zip(pure, SIX_SETTINGS)]
+    assert [k for k, x in enumerate(signals) if x < 0.0] == [1, 3]
+    assert np.diagonal(got).tolist() == [0.0] * 6
 
 
 def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):

@@ -1,11 +1,12 @@
 """Counting model, measurement settings and maximum-likelihood reconstruction."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from _oracles import SIX_SETTINGS, fresh_projector, mle_reconstruct_optimizer
+from _oracles import SIX_SETTINGS, fresh_projector, jones_stokes_row, mle_reconstruct_optimizer
 from polsim.errors import (
     ConfigError,
     ConfigRangeError,
@@ -21,10 +22,10 @@ from polsim.tomography import (
     _angle_key,
     _fit,
     _scalars,
+    _stokes_row,
     background_correct,
     expected_counts,
     mle_reconstruct,
-    projector_from_setting,
     read_counts_table,
     reconstruct_run,
     simulate_counts,
@@ -56,8 +57,15 @@ def bloch_matrix(p, n=(1.0, 0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# settings and projectors
+# settings and their Stokes rows
 # ---------------------------------------------------------------------------
+
+def row_projector(setting):
+    """The projector a setting's Stokes row a stands for: Pi = a0 + a . sigma,
+    so that tr(Pi G) = a . (S0, S1, S2, S3)."""
+    a0, a1, a2, a3 = _stokes_row(setting.qwp_angle, setting.polarizer_angle)
+    return np.array([[a0 + a1, a2 - 1j * a3], [a2 + 1j * a3, a0 - a1]])
+
 
 def test_detector_model_guards():
     with pytest.raises(ParameterError):
@@ -69,7 +77,7 @@ def test_detector_model_guards():
 
 
 def test_default_settings_projectors():
-    by_label = {s.label: projector_from_setting(s) for s in DEFAULT_SETTINGS}
+    by_label = {s.label: row_projector(s) for s in DEFAULT_SETTINGS}
     np.testing.assert_allclose(by_label["H"], [[1, 0], [0, 0]], atol=1e-15)
     np.testing.assert_allclose(by_label["V"], [[0, 0], [0, 1]], atol=1e-15)
     np.testing.assert_allclose(by_label["D"], [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
@@ -80,7 +88,7 @@ def test_default_settings_projectors():
 
 def test_projectors_are_rank_one_idempotent():
     for s in DEFAULT_SETTINGS:
-        pi = projector_from_setting(s)
+        pi = row_projector(s)
         np.testing.assert_allclose(pi @ pi, pi, atol=1e-12)
         np.testing.assert_allclose(pi, pi.conj().T, atol=1e-12)
         assert np.trace(pi).real == pytest.approx(1.0, abs=1e-12)
@@ -89,16 +97,13 @@ def test_projectors_are_rank_one_idempotent():
 
 def test_default_settings_are_informationally_complete():
     # Gram determinant of the four projectors, asserted once
-    pis = [projector_from_setting(s) for s in DEFAULT_SETTINGS]
+    pis = [row_projector(s) for s in DEFAULT_SETTINGS]
     gram = np.array([[np.trace(a @ b).real for b in pis] for a in pis])
     assert abs(np.linalg.det(gram)) > 0.05
 
 
 def test_cached_projectors_are_read_only():
-    pi = projector_from_setting(DEFAULT_SETTINGS[2])
-    assert pi is projector_from_setting(MeasurementSetting("other", math.pi / 4, math.pi / 4))
-    with pytest.raises(ValueError):
-        pi[0, 0] = 2.0
+    # the fit's cache holds each setting's projector as its Stokes row
     keys = tuple(map(_angle_key, DEFAULT_SETTINGS))
     data = _scalars(keys)
     assert data is _scalars(keys)
@@ -121,24 +126,48 @@ def test_degenerate_settings_raise_on_every_call():
             mle_reconstruct(np.ones(4), degenerate)
 
 
-def test_signed_zero_angles_give_the_fresh_jones_projector():
-    # 0.0 == -0.0, so a cache keyed on equal angles would hand one of these
-    # settings the other's signed zeros
+def test_stokes_rows_match_the_jones_oracle():
+    """The closed-form rows against the Stokes form of the Jones projector
+    J_qwp^dagger Pi_pol J_qwp, on 3000 random angle pairs at each scale up to
+    1e300 rad and at the largest finite angles: every row is finite, agrees
+    to 1e-15 and is a pure state, |a_vec| = a0.  The four +-0 pairs give the
+    fit's cached rows bit for bit as computed afresh, each pair in its own
+    cache entry: 0.0 == -0.0, so a cache keyed on equal angles would hand one
+    setting the other's signed zeros."""
+    rng = np.random.default_rng(41)
+    big, half = sys.float_info.max, sys.float_info.max / 2.0  # 2 * half is finite
+    angles = (big, -big, math.nextafter(half, big), half, -half, 0.0, 1.0)
+    extremes = [(q, p) for q in angles for p in angles]
+    for scale in (1.0, 1e3, 1e8, 1e300):
+        pairs = [*map(tuple, rng.uniform(-scale, scale, (3000, 2)).tolist()), *extremes]
+        rows = np.array([_stokes_row(q, p) for q, p in pairs])
+        assert np.all(np.isfinite(rows))
+        oracle = np.array([jones_stokes_row(MeasurementSetting("x", q, p)) for q, p in pairs])
+        assert np.abs(rows - oracle).max() <= 1e-15, scale
+        assert np.abs(np.linalg.norm(rows[:, 1:], axis=1) - rows[:, 0]).max() <= 1e-15, scale
     pairs = [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]
-    got = [projector_from_setting(MeasurementSetting("H", q, p)) for q, p in pairs]
-    for (q, p), pi in zip(pairs, got):
-        assert pi.tobytes() == fresh_projector(MeasurementSetting("H", q, p)).tobytes()
-    assert got[0].tobytes() != got[1].tobytes()
+    entries = [_scalars(tuple(map(_angle_key, (MeasurementSetting("H", q, p),
+                                                *DEFAULT_SETTINGS[1:]))))
+               for q, p in pairs]
+    assert len({id(data) for data in entries}) == 4
+    for (q, p), data in zip(pairs, entries):
+        assert np.array(data.rows[0]).tobytes() == np.array(_stokes_row(q, p)).tobytes()
+    assert entries[0].rows[0] == entries[1].rows[0]  # equal as floats,
+    assert (np.array(entries[0].rows[0]).tobytes()  # but not in their bits
+            != np.array(entries[1].rows[0]).tobytes())
 
 
 def test_counts_table_negative_zero_angle_reaches_the_projector(tmp_path):
+    """A -0 angle in a counts table keeps its sign up to the setting's
+    Stokes row, whose signed zeros differ from the +0 angle's."""
     path = tmp_path / "counts.txt"
     path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
                     "H  0.000000  -0.000000  5\n")
     (setting,), _ = read_counts_table(path)
     assert math.copysign(1.0, setting.polarizer_angle) == -1.0
-    assert (projector_from_setting(setting).tobytes()
-            == fresh_projector(setting).tobytes())
+    assert _angle_key(setting) == ((0.0).hex(), (-0.0).hex())
+    row = np.array(_stokes_row(setting.qwp_angle, setting.polarizer_angle)).tobytes()
+    assert row != np.array(_stokes_row(0.0, 0.0)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +263,7 @@ def test_mle_recovers_full_matrix_scale_included():
         axis = rng.normal(size=3)
         g_true = 2.5e4 * bloch_matrix(p, axis)
         counts = np.array(
-            [np.trace(projector_from_setting(s) @ g_true).real
+            [np.trace(fresh_projector(s) @ g_true).real
              for s in DEFAULT_SETTINGS]
         )
         rec = mle_reconstruct(counts, DEFAULT_SETTINGS)
@@ -273,7 +302,7 @@ def test_mle_reconstructions_are_psd_under_noise():
 def _independent_nll(matrix, counts, settings):
     mus = []
     for s in settings:
-        pi = projector_from_setting(s)
+        pi = fresh_projector(s)
         mus.append(max(float(np.trace(pi @ matrix).real), 1e-300))
     mus = np.array(mus)
     return float(np.sum(mus - counts * np.log(mus)))
@@ -282,7 +311,7 @@ def _independent_nll(matrix, counts, settings):
 def test_mle_beats_projected_linear_inversion():
     """The optimizer must never land below its own initializer."""
     rng = np.random.default_rng(23)
-    pis = [projector_from_setting(s) for s in DEFAULT_SETTINGS]
+    pis = [fresh_projector(s) for s in DEFAULT_SETTINGS]
     design = np.array(
         [[pi[0, 0].real, pi[1, 1].real, 2 * pi[0, 1].real, 2 * pi[0, 1].imag]
          for pi in pis]
@@ -423,7 +452,7 @@ def test_exact_path_reproduces_every_count(counts):
     matrix, diag = _fit(counts, DEFAULT_SETTINGS)
     assert diag.path == "exact" and diag.newton_steps == 0
     assert diag.kkt_residual <= CERTIFICATE_BOUND
-    mu = [np.trace(projector_from_setting(s) @ matrix).real for s in DEFAULT_SETTINGS]
+    mu = [np.trace(fresh_projector(s) @ matrix).real for s in DEFAULT_SETTINGS]
     np.testing.assert_allclose(mu, counts, rtol=1e-13, atol=1e-13 * counts.sum())
     oracle = mle_reconstruct_optimizer(counts, DEFAULT_SETTINGS).matrix
     assert not np.array_equal(matrix, oracle)
@@ -464,14 +493,15 @@ def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
 
 @pytest.mark.parametrize("tilt", [1e-17, 2e-17, 3e-17, 4e-17])
 def test_certificate_holds_at_pure_points_the_likelihood_cannot_tell_apart(tilt):
-    """The noiseless P = 1 H V D A R L table counts 1.87e-28 at V, of 1.5e5,
-    from the projectors' rounding.  Pure points tilted 1e-17 to 4e-17 from H
-    toward V expect a count of that size there, so every likelihood agrees to
-    1e-32 per count, but the conic bound weighs that count by n / mu and
-    reads 0.1 to 2.  The saturated gap keeps the certificate at its size."""
-    counts = [np.trace(fresh_projector(s) @ (2.5e4 * bloch_matrix(1.0))).real
-              for s in SIX_SETTINGS]
+    """The noiseless H V D A R L table of the pure H state tilted 6e-17 toward
+    -S3 counts 1.84e-28 at V, of 1.5e5: the tilt times the rounding-level S3
+    entry (-6.1e-17) of the V row.  Pure points tilted 1e-17 to 4e-17 expect
+    a count of that size there, so every likelihood agrees to 1e-32 per
+    count, but the conic bound weighs that count by n / mu and reads 0.1 to
+    2.  The saturated gap keeps the certificate at its size."""
     data = _scalars(tuple(map(_angle_key, SIX_SETTINGS)))
+    table = stokes_parameters(CoherenceMatrix(2.5e4 * bloch_matrix(1.0, (1.0, 0.0, -6e-17))))
+    counts = [dot(a, table) for a in data.rows]
     exp = math.frexp(math.fsum(counts))[1]
     n = [math.ldexp(c, -exp) for c in counts]
     v = (1.0, 0.0, -tilt)

@@ -126,8 +126,9 @@ def test_single_point_calls_accept_every_valid_config():
 
 
 def test_t_eff_folds_idler_loss():
+    # A[S2x, I1] = g2 conj(T_eff) at phi_i = 0, with T_eff = 0.5j * 0.8
     cfg = ZwmConfig(t=0.5j, imperfections=ImperfectionConfig(eta_idler=0.8))
-    assert cfg.t_eff == pytest.approx(0.4j, rel=1e-15)
+    assert signal_amplitudes(cfg, 0.5)[2, 0] == pytest.approx(0.01 * -0.4j, rel=1e-15)
 
 
 def test_registry_layout():
