@@ -10,10 +10,7 @@ probability splits into a flagged (incoherent) part and a coherent part:
 
 with path amplitudes a1 = exp(i*phi1) cos(theta - gamma)/2 and
 a2 = exp(i*phi2) cos(theta)/2.  monte_carlo_detection draws the branch
-counts of N samples, in time and memory independent of N.  The montecarlo
-sweep calls the same sampler, _sample_detection, without a GedankenConfig:
-its SweepSpec validated the grid once, and each extremum draws from the
-child SeedSequence (seed; gamma index, t index, replicate, extremum).
+counts of N samples, in time and memory independent of N.
 """
 
 from __future__ import annotations

@@ -8,11 +8,10 @@ montecarlo mode samples the two extrema of each row with gedanken's scalar
 sampler, on the grid SweepSpec validated once.  Every stochastic row
 derives its generator from (seed; gamma index, t index, replicate), and a
 montecarlo extremum k from the child SeedSequence (seed; gamma index,
-t index, replicate, k), the stream it has always drawn, so a fixed seed
-reproduces the output byte for byte regardless of grid shape or replicate
-count.  `sweep_grid` returns (P, stderr) float arrays in every mode;
-`format_rows` writes the CSV from them in one pass, and `run_sweep` is
-their rows view for library callers.
+t index, replicate, k), so a fixed seed reproduces the output byte for
+byte regardless of grid shape or replicate count.  `sweep_grid` returns
+(P, stderr) float arrays in every mode; `format_rows` writes the CSV from
+them in one pass, and `run_sweep` is their rows view for library callers.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
 DEFAULT_MC_SAMPLES = 100_000
 # rows a sweep may write; their P and stderr arrays take 16 bytes a row, but at
-# its peak a numeric sweep holds about 517 bytes a row and a closed-form one 185
+# its peak a numeric sweep holds about 210 bytes a row and a closed-form one 185
 MAX_ROWS = 10**7
 
 

@@ -15,9 +15,12 @@ moments are M = conj(A) A^T, the detector fields a 2x4 map F of the signal
 modes, and G = conj(F) M F^T: the reduced-signal-state picture of induced
 coherence (Zou, Wang & Mandel, PRL 67, 318, 1991).  A depends on |T| only
 and F on gamma only, so a whole (gamma, |T|) grid is one array expression.
-G is a Gram matrix, so Hermitian and positive semidefinite by construction.
-It is not checked at run time: test_pipeline_matrices_satisfy_strict_invariants
-in tests/test_zwm.py pins it.
+To this order the S2 block of M is |g2|^2 for any T_eff and the S1-S2 block
+is linear in T_eff, so the overlap mu that scales that block is a factor on
+|T| (Mandel, Opt. Lett. 16, 1882, 1991); not so at high gain, where |T| also
+weights stimulated emission.  G is a Gram matrix, so Hermitian and positive
+semidefinite by construction.  It is not checked at run time:
+test_pipeline_matrices_satisfy_strict_invariants in tests/test_zwm.py pins it.
 
 The splitter's reflection phase is folded into the second arm's phase
 reference, so the interferometric phase of every cross term is exactly
@@ -138,21 +141,6 @@ def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
     return a
 
 
-def _with_overlap(a: np.ndarray, mu: float) -> np.ndarray:
-    """Amplitudes A' (..., 4, 6) whose moments conj(A') A'^T equal those of A
-    with the S1-S2 blocks scaled by mu.
-
-    Each signal beam is sqrt(mu) parts a mode it shares with the other beam
-    and sqrt(1 - mu) parts a mode of its own; the own modes are extra,
-    mutually orthogonal columns.
-    """
-    own1, own2 = a.copy(), a.copy()
-    own1[..., 2:, :] = 0.0
-    own2[..., :2, :] = 0.0
-    rest = math.sqrt(1.0 - mu)
-    return np.concatenate([math.sqrt(mu) * a, rest * own1, rest * own2], axis=-1)
-
-
 def field_map(cfg: ZwmConfig, gammas) -> np.ndarray:
     """Detector-port fields F[..., p, m]: E_p = sum_m F[p, m] a_m.
 
@@ -182,15 +170,14 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """G[i, j] = <E_p^dagger E_q> at (gammas[i], t_abs[j]), shape (n_g, n_t, 2, 2).
 
     Every other setting (gains, phases, the phase of T, imperfections) is
-    taken from cfg.  Per grid point G = conj(F) M F^T with the signal
-    moments M = conj(A') A'^T, evaluated as the Gram matrix conj(B) B^T of
-    B = F A', which is Hermitian and positive semidefinite by construction,
-    so it is returned without a run-time check (see the module docstring).
+    taken from cfg.  Per grid point G = conj(F) M F^T with M = conj(A) A^T
+    and A the signal_amplitudes at |T| mu_overlap (see the module
+    docstring), evaluated as the Gram matrix conj(B) B^T of B = F A.
     """
     gammas, t_abs = _check_grid(gammas, t_abs)
     f = field_map(cfg, gammas)
-    a = _with_overlap(signal_amplitudes(cfg, t_abs), cfg.imperfections.mu_overlap)
-    # detector amplitudes B = F A': E_p |psi> = sum_k B[p, k] |k>
+    a = signal_amplitudes(cfg, t_abs * cfg.imperfections.mu_overlap)
+    # detector amplitudes B = F A: E_p |psi> = sum_k B[p, k] |k>
     b = np.einsum("gpm,tmk->gtpk", f, a)
     # an amplitude that cancels to the rounding of its parts (a few 1e-16 of
     # their magnitudes) is zero, so a dark fringe has exactly zero intensity
@@ -315,23 +302,21 @@ def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """Closed-form degree of polarization at (gammas[i], t_abs[j]), shape (n_g, n_t).
 
     P = sqrt(c^2 + |T|^2 (s^2 + c^2 cb^2) + 2 |T| c cb) / (1 + |T| c cb)
-    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |T_eff|, capped
-    at 1.  Valid for equal gain magnitudes and an otherwise ideal device.  A
-    point has T = t_abs * t_phase(cfg), so |T| and beta are computed once per
-    t_abs.  Raises ZeroTraceError if any point has no output intensity.
+    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |T eta_idler
+    mu_overlap|, capped at 1, for equal gain magnitudes and an ideal splitter.
+    A point has T = t_abs * t_phase(cfg), so |T| and beta are computed once
+    per t_abs.  Raises ZeroTraceError if any point has no output intensity.
     """
     if not math.isclose(abs(complex(cfg.g1)), abs(complex(cfg.g2)),
                         rel_tol=1e-12, abs_tol=0.0):
         raise ParameterError("closed form requires |g1| = |g2|")
     imp = cfg.imperfections
-    if imp.bs_tx != 1.0 or imp.bs_ty != 1.0 or imp.mu_overlap != 1.0:
-        raise ParameterError(
-            "closed form only covers an ideal splitter and full beam overlap"
-        )
+    if imp.bs_tx != 1.0 or imp.bs_ty != 1.0:
+        raise ParameterError("closed form only covers an ideal splitter")
     gammas, t_abs = _check_grid(gammas, t_abs)
     phase = t_phase(cfg)
     points = [complex(t * phase) for t in t_abs.tolist()]
-    t_eff = np.array([abs(t * imp.eta_idler) for t in points])
+    t_eff = np.array([abs(t * imp.eta_idler * imp.mu_overlap) for t in points])
     cb = np.array([math.cos(beta(cfg, t)) for t in points])
     c, s = np.cos(gammas)[:, None], np.sin(gammas)[:, None]
     denom = 1.0 + t_eff * c * cb

@@ -551,3 +551,20 @@ def test_tomo_runs_without_importing_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_numeric_sweep_of_a_million_rows_peaks_below_400_mb(tmp_path):
+    """The pipeline's amplitude arrays have two idler columns, so a 1000x1000
+    numeric sweep, interpreter included, stays well under 400 MB at its peak."""
+    axis = ",".join(repr(i / 999) for i in range(1000))
+    argv = ["sweep", "--mode", "numeric", "--gamma", axis, "--t", axis,
+            "--out", str(tmp_path / "sweep.csv")]
+    code = ("import resource, sys\n"
+            "import polsim.cli\n"
+            f"assert polsim.cli.main({argv!r}) == 0\n"
+            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak * (1 if sys.platform == 'darwin' else 1024))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 400 * 2**20
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 1000 * 1000

@@ -573,8 +573,11 @@ def test_analytic_general_guards():
         analytic_p_general(ZwmConfig(g1=0.01, g2=0.02))
     with pytest.raises(ParameterError):
         analytic_p_general(ZwmConfig(imperfections=ImperfectionConfig(bs_tx=0.9)))
-    with pytest.raises(ParameterError):
-        analytic_p_general(ZwmConfig(imperfections=ImperfectionConfig(mu_overlap=0.5)))
+    # partial overlap is a factor on |T|, so the closed form covers it
+    cfg = ZwmConfig(t=0.5 * cmath.exp(-0.54j), gamma=math.radians(60), phi_i=0.3,
+                    imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.5))
+    assert analytic_p_general(cfg) == pytest.approx(
+        numeric_degree_of_polarization(cfg), abs=1e-12)
 
 
 def test_dark_fringe_is_singular_on_both_paths():
