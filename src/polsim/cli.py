@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--gamma", type=_csv_floats, metavar="CSV",
                        help="rotation angles in degrees")
     sweep.add_argument("--t", type=_csv_floats, metavar="CSV",
-                       help="|T| values (marker quality m for gedanken mode)")
+                       help="|T| values (marker quality m for gedanken and montecarlo modes)")
     sweep.add_argument("--replicates", type=int, default=1,
                        help="independent repeats per grid point "
                             "(tomography/montecarlo only)")

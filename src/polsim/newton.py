@@ -89,7 +89,8 @@ def _sphere_step(vals, grad, u, reg, gap) -> tuple[list, float]:
     if lo == 0.0:  # b0 = 0 and |b_i| <= gap_i: the hard case if |w(0)| <= 1
         w1, w2 = (b1 / g1 if b1 else 0.0), (b2 / g2 if b2 else 0.0)
         hard = w1 * w1 + w2 * w2 <= 1.0
-        w0 = math.copysign(math.sqrt(1.0 - w1 * w1 - w2 * w2), u[0]) if hard else 0.0
+        # the sum below can round an ulp under 0 where the test above holds
+        w0 = math.copysign(math.sqrt(max(0.0, 1.0 - w1 * w1 - w2 * w2)), u[0]) if hard else 0.0
     for _ in range(0 if hard else 100):
         w0 = b0 / delta if b0 else 0.0
         w1 = b1 / (g1 + delta) if b1 else 0.0

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,13 +94,27 @@ class ZwmConfig:
     def __post_init__(self):
         for name in ("g1", "g2"):
             mag = abs(complex(getattr(self, name)))
-            if not 0.0 < mag <= 0.1:
+            # |m e^{i phi}| can round an ulp above m, and m = 0.1 is in range
+            if not 0.0 < mag <= 0.1 * (1.0 + _COS_TOL):
                 raise ParameterError(f"|{name}| = {mag} outside (0, 0.1]")
         if not abs(complex(self.t)) <= 1.0 + _COS_TOL:
             raise ParameterError(f"|t| = {abs(complex(self.t))} is not in [0, 1]")
         _check_gamma(self.gamma)
         if not all(map(math.isfinite, (self.phi_s1, self.phi_s2, self.phi_i))):
             raise ParameterError("path phases must be finite")
+
+
+def _scaled_gains(cfg: ZwmConfig) -> ZwmConfig:
+    """cfg with both gains times the power of two that puts the larger in
+    (0.05, 0.1].  P does not depend on a common factor of the gains, and a
+    power of two changes no bit of it, but below about 1e-154 |g|^2 loses
+    precision and G its meaning."""
+    g1, g2 = complex(cfg.g1), complex(cfg.g2)
+    m, e = math.frexp(max(abs(g1), abs(g2)))
+    k = (-3 if m <= 0.8 else -4) - e
+    # by ldexp, since 2.0**k overflows for the smallest gains
+    g1, g2 = (complex(math.ldexp(g.real, k), math.ldexp(g.imag, k)) for g in (g1, g2))
+    return replace(cfg, g1=g1, g2=g2)
 
 
 def t_phase(cfg: ZwmConfig) -> complex:
@@ -343,5 +357,5 @@ def analytic_p_special(t_abs: float, gamma: float) -> float:
 
 def numeric_degree_of_polarization(cfg: ZwmConfig) -> float:
     """Biphoton-matrix pipeline at one operating point: A, F -> G -> P."""
-    return degree_of_polarization(coherence_matrix(cfg))
+    return degree_of_polarization(coherence_matrix(_scaled_gains(cfg)))
 

@@ -28,9 +28,10 @@ every fit runs L-BFGS-B on the triangular-factor parameters G = L L^dagger
 plus a grid polish, on the projectors of the Jones model above.  It
 keeps its own copies of the parameter maps and of the floored Poisson
 likelihood (_nll_poisson_grad, _nll_poisson_batch), and it is the only
-code that needs scipy.  The Newton fit must be at least as likely on every
-table.  SIX_SETTINGS (H V D A R L) is the overcomplete set the fit tests
-use.
+code that needs scipy, which it imports when called: the tests that call it
+carry the needs_scipy marker, and the rest run where scipy is not installed.
+The Newton fit must be at least as likely on every table.  SIX_SETTINGS
+(H V D A R L) is the overcomplete set the fit tests use.
 
 tomography_point_matrix, setting_means and tomography_row_oracle are one
 tomography sweep row computed on its own, as the sweep did before it evaluated the whole
@@ -47,7 +48,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize
 
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
 from polsim.gedanken import GedankenConfig, monte_carlo_detection
@@ -287,6 +287,8 @@ def jones_stokes_row(setting) -> np.ndarray:
 
 
 def mle_reconstruct_optimizer(corrected_counts, settings) -> CoherenceMatrix:
+    from scipy.optimize import minimize
+
     counts = np.asarray(corrected_counts, dtype=float)
     if np.any(counts < 0):
         raise ParameterError("corrected counts must be non-negative")

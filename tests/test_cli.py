@@ -294,6 +294,7 @@ def float_list(lo, hi):
        st.integers(1, 3), st.integers(1, 10_000), st.integers(min_value=0))
 @example("montecarlo", "0", "0", 10_000_000_000_000, 1, 0)  # more rows than memory holds
 @example("tomography", "0", "0", 10**20, 1, 0)  # more rows than an array may have
+@example("montecarlo", "90", "0", 20, 2000, 7)  # P = 0, where the two extrema cross
 def test_sweep_exits_cleanly_with_p_a_fraction(mode, gammas, ts, replicates,
                                                 samples, seed):
     """Any in-range sweep on the default config ends in exit 0, 2 or 3 with
@@ -512,6 +513,9 @@ raw_tables = st.one_of(
 # a pure optimum at V, with counts spanning 1.7e17
 @example("\n".join([COUNTS_HEADER, "H 0 0 1", "V 0 90 6845211938", "D 45 45 0", "A 45 -45 0",
                     "R 0 45 165871889913479296", "L 0 -45 165871889913479296", ""]).encode("ascii"))
+# a hard-case sphere step whose 1 - |w|^2 rounds an ulp below 0
+@example("\n".join([COUNTS_HEADER, "H 0 0 378581126", "V 0 90 378581133", "D 45 45 0",
+                    "A 45 -45 0", "R 0 45 0", "L 0 -45 543498538", ""]).encode("ascii"))
 def test_tomo_on_any_counts_table_exits_cleanly_with_p_a_fraction(table):
     """Any counts file, as rows or as raw bytes, ends in exit 0, 2 or 3 with
     no traceback, and on exit 0 the written P lies in [0, 1]."""
@@ -537,20 +541,33 @@ def test_console_script_is_wired():
 
 
 def test_tomo_runs_without_importing_scipy(tmp_path):
-    """The runtime needs numpy alone: a six-setting fit, the path that used
-    scipy.optimize, imports no scipy module."""
-    counts = tmp_path / "counts.txt"
-    counts.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
-                      "H 0 0 39872\nV 0 90 10131\nD 45 45 34990\n"
-                      "A 45 -45 15006\nR 0 45 25114\nL 0 -45 24903\n")
-    argv = ["tomo", "--counts", str(counts), "--out", str(tmp_path / "recon.csv")]
+    """The runtime needs numpy alone: six-setting fits, the path that used
+    scipy.optimize, and four-setting fits import no scipy module, and each
+    table writes the P it should."""
+    rows = ("H 0 0", "V 0 90", "D 45 45", "A 45 -45", "R 0 45", "L 0 -45")
+    tables = [  # H V D A R L counts, None where not measured, and the p_value written
+        ((39872, 10131, 34990, 15006, 25114, 24903), "0.716628104208"),
+        ((2, 2, 0, 0, 1, 8), "0.777777777778"),  # 7/9: no count sees S2
+        ((1, 2, 2, 0, 14058082, 84763918), "1"),  # a pure optimum in a curved valley
+        # pure and orthogonal to D, on the cone edge, at three scales
+        *(((4 * k, 4 * k, 0, None, 4 * k, None), "1") for k in (1, 2, 1024)),
+    ]
+    argvs = []
+    for k, (counts, _) in enumerate(tables):
+        path = tmp_path / f"counts{k}.txt"
+        path.write_text("\n".join([COUNTS_HEADER, *(f"{row} {n}" for row, n in zip(rows, counts)
+                                                    if n is not None), ""]))
+        argvs.append(["tomo", "--counts", str(path), "--out", str(tmp_path / f"recon{k}.csv")])
     code = ("import sys\n"
             "import polsim.cli\n"
-            f"assert polsim.cli.main({argv!r}) == 0\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert polsim.cli.main(argv) == 0, argv\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+    assert [(tmp_path / f"recon{k}.csv").read_text().splitlines()[1].split(",")[0]
+            for k in range(len(tables))] == [p_value for _, p_value in tables]
 
 
 def test_numeric_sweep_of_a_million_rows_peaks_below_400_mb(tmp_path):

@@ -47,6 +47,8 @@ SPAN = 1e8
 @example((SIX_SETTINGS, [51.0, 51.0, 51.0, 51.0, 51.0, 958536949.7275444]))
 # a pure optimum at V, with an H count 2e-299 of the others
 @example((SIX_SETTINGS, [5.086671366274852e-292, 1.0, 0.0, 0.0, 25165825.0, 25165825.0]))
+# a hard-case sphere step whose 1 - |w|^2 rounds an ulp below 0
+@example((SIX_SETTINGS, [378581126.0, 378581133.0, 0.0, 0.0, 0.0, 543498538.0]))
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polsim.errors import ParameterError, ZeroTraceError
@@ -22,6 +22,10 @@ unit = st.floats(0.0, 1.0)
 gammas = st.lists(st.floats(-math.pi / 2, math.pi / 2), min_size=1, max_size=6)
 t_values = st.lists(unit, min_size=1, max_size=6)
 small_phase = st.floats(-0.25, 0.25)
+# the 201x201 grid of 0 to 90 deg and 0 to 1, on which the analytic and
+# gedanken sweeps must agree
+DENSE_GAMMAS = [math.radians(90 * i / 200) for i in range(201)]
+DENSE_TS = [i / 200 for i in range(201)]
 
 
 def closed_form(gamma, t_eff, beta):
@@ -32,6 +36,7 @@ def closed_form(gamma, t_eff, beta):
 
 @settings(max_examples=150, deadline=None)
 @given(gammas, t_values, unit, st.tuples(*[small_phase] * 6))
+@example(DENSE_GAMMAS, DENSE_TS, 1.0, (0.0,) * 6)
 def test_analytic_grid_matches_the_closed_form_point_by_point(gs, ts, eta, phases):
     # phases small enough that beta needs no reduction and the denominator
     # stays above 1, so the only rounding difference is arg(T) itself
@@ -72,6 +77,7 @@ def test_analytic_grid_does_not_decrease_with_t_at_zero_beta(gs, ts):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=6), t_values)
+@example(DENSE_GAMMAS, DENSE_TS)
 def test_gedanken_grid_is_the_bridge_to_the_special_case(gs, ms):
     p = degree_of_polarization_gedanken_grid(gs, ms)
     assert p.shape == (len(gs), len(ms))

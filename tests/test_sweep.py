@@ -102,10 +102,16 @@ def test_gedanken_mode_matches_reduced_formula():
 
 
 def test_numeric_mode_agrees_with_analytic():
-    for ra, rn in zip(sweep(make_spec(mode="analytic")),
-                      sweep(make_spec(mode="numeric"))):
-        assert ra[:2] == rn[:2]
-        assert rn[3] == pytest.approx(ra[3], abs=1e-10)
+    """On the default grid, on a 201x201 grid, whose coherence matrices get
+    no run-time check, and at gains where |g|^2 is below float resolution."""
+    axes = {"gammas_deg": tuple(90 * i / 200 for i in range(201)),
+            "t_values": tuple(i / 200 for i in range(201))}
+    tiny = [ZwmConfig(g1=g, g2=g) for g in (1e-160, 1e-200)]
+    for grid, cfg in [({}, None), (axes, None), *(({}, c) for c in tiny)]:
+        for ra, rn in zip(sweep(make_spec(mode="analytic", **grid), cfg),
+                          sweep(make_spec(mode="numeric", **grid), cfg)):
+            assert ra[:2] == rn[:2]
+            assert rn[3] == pytest.approx(ra[3], abs=1e-10)
 
 
 def test_replicates_only_multiply_stochastic_modes():
@@ -127,12 +133,18 @@ def test_rows_come_out_in_grid_order():
     assert [r[:2] for r in rows] == [(0.0, 0.0), (0.0, 1.0), (45.0, 0.0), (45.0, 1.0)]
 
 
+MC30 = make_spec(mode="montecarlo", gammas_deg=tuple(90 * i / 29 for i in range(30)),
+                 t_values=tuple(i / 29 for i in range(30)), replicates=2,
+                 mc_samples=10_000_000, seed=7)
+
+
 def test_run_sweep_is_deterministic_per_seed():
     spec = make_spec(
         mode="montecarlo", gammas_deg=(30.0, 60.0), t_values=(0.7,),
         replicates=2, mc_samples=5000, seed=99,
     )
     assert sweep(spec) == sweep(spec)
+    assert sweep(MC30) == sweep(MC30)
     shifted = make_spec(
         mode="montecarlo", gammas_deg=(30.0, 60.0), t_values=(0.7,),
         replicates=2, mc_samples=5000, seed=100,
@@ -145,20 +157,24 @@ def test_montecarlo_rows_track_closed_form():
         mode="montecarlo", gammas_deg=(0.0, 45.0, 90.0), t_values=(0.6,),
         mc_samples=200_000, seed=7,
     )
-    for gamma_deg, t_abs, _, p, se in sweep(spec):
+    for gamma_deg, t_abs, _, p, se in sweep(spec) + sweep(MC30):
         want = analytic_p_general(ZwmConfig(t=t_abs, gamma=math.radians(gamma_deg)))
-        # at gamma = 0 the dark port registers nothing, so its stderr is 0
-        assert se > 0.0 if gamma_deg > 0.0 else se == 0.0
+        # at gamma = 0, and at |T| = 1, the dark port registers nothing, so
+        # the stderr is 0
+        assert se > 0.0 if gamma_deg > 0.0 and t_abs < 1.0 else se == 0.0
         assert abs(p - want) <= 5 * se + 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_tomography_rows_near_analytic():
+    """Also at gains where |g|^2 is below float resolution, with no warning."""
     spec = make_spec(mode="tomography", gammas_deg=(30.0, 60.0), t_values=(0.5,),
                      seed=5)
-    for gamma_deg, t_abs, _, p, se in sweep(spec):
-        want = analytic_p_general(ZwmConfig(t=t_abs, gamma=math.radians(gamma_deg)))
-        assert p == pytest.approx(want, abs=0.02)
-        assert se == 0.0
+    for cfg in (None, ZwmConfig(g1=1e-160, g2=1e-160), ZwmConfig(g1=1e-200, g2=1e-200)):
+        for gamma_deg, t_abs, _, p, se in sweep(spec, cfg):
+            want = analytic_p_general(ZwmConfig(t=t_abs, gamma=math.radians(gamma_deg)))
+            assert p == pytest.approx(want, abs=0.02)
+            assert se == 0.0
 
 
 def random_detector(rng):

@@ -401,6 +401,7 @@ def assert_at_least_as_likely(matrix, oracle, counts, settings):
         excess_nll(oracle, counts, settings) + 1e-12 * abs(nll))
 
 
+@pytest.mark.needs_scipy
 def test_exact_path_matches_the_optimizer_oracle():
     """400 four-setting tables at the sweep's count scale (up to 1e5 per
     setting): mixed and pure targets, and all-zero tables.  An exact fit
@@ -438,6 +439,7 @@ def test_exact_path_matches_the_optimizer_oracle():
     assert paths["exact"] >= 200 and paths["boundary"] >= 50
 
 
+@pytest.mark.needs_scipy
 @pytest.mark.parametrize("counts", [
     [1.0, 1.0, 0.0, 1.0],          # pure, orthogonal to D: on the PSD boundary
     [4.0, 4.0, 0.0, 4.0],
@@ -462,6 +464,7 @@ def test_exact_path_reproduces_every_count(counts):
         assert excess_nll(oracle, counts, DEFAULT_SETTINGS) > 1e-12
 
 
+@pytest.mark.needs_scipy
 def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
     rng = np.random.default_rng(32)
     pure_non_psd = 0
@@ -513,6 +516,7 @@ def test_certificate_holds_at_pure_points_the_likelihood_cannot_tell_apart(tilt)
     assert 0.0 <= kkt_residual(data, n, mu, s0) <= 2e-33
 
 
+@pytest.mark.needs_scipy
 def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
     """2016 seeded tables, four and six settings: pure, near-pure (1 - P down
     to 1e-6) and mixed targets, 1 to 1e8 counts per unit trace, and a count
@@ -641,10 +645,15 @@ def test_six_setting_fits_are_scale_stationary(counts):
 def test_fit_is_equivariant_under_powers_of_two():
     """Scaling every count by 2^k scales the fit by 2^k exactly, on every path."""
     rng = np.random.default_rng(35)
+    tables = []
     for trial in range(24):
         setting_set = (DEFAULT_SETTINGS, SIX_SETTINGS)[trial % 2]
         p = (1.0, rng.uniform(0.0, 1.0))[trial // 2 % 2]
-        counts = poisson_table(rng, setting_set, p, 10 ** rng.uniform(0, 6), (35, trial))
+        tables.append((setting_set, poisson_table(rng, setting_set, p, 10 ** rng.uniform(0, 6),
+                                                  (35, trial))))
+    # pure and orthogonal to D: on the cone edge, where the exact path ends
+    tables.append((DEFAULT_SETTINGS, np.array([4.0, 4.0, 0.0, 4.0])))
+    for setting_set, counts in tables:
         matrix, diag = _fit(counts, setting_set)
         for k in range(-40, 41):
             scaled, scaled_diag = _fit(2.0**k * counts, setting_set)

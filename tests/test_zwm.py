@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from polsim.config import build_configs, parse_config_text
 from polsim.errors import ParameterError, ZeroTraceError
 from polsim.gedanken import GedankenConfig
 from polsim.tomography import DetectorModel, MeasurementSetting
@@ -68,6 +69,8 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ZwmConfig(g1=0.0)
     with pytest.raises(ParameterError):
+        ZwmConfig(g1=0.2)
+    with pytest.raises(ParameterError):
         ZwmConfig(g2=0.2)
     with pytest.raises(ParameterError):
         ZwmConfig(t=1.5)
@@ -119,10 +122,17 @@ def test_coherence_grid_rejects_points_outside_the_config_ranges():
 
 def test_single_point_calls_accept_every_valid_config():
     """ZwmConfig allows |t| up to 1 + 1e-12 for rounding; the 1x1 grid calls
-    behind the single-point functions must accept the same range."""
+    behind the single-point functions must accept the same range.  So must
+    ZwmConfig itself accept every gain a config file may give: at the cap,
+    |0.1 e^{i phi}| rounds above 0.1 at 67 of the 700 phases k / 100."""
     cfg = ZwmConfig(t=1.0 + 1e-13, gamma=0.4)
     assert analytic_p_general(cfg) == 1.0
     assert numeric_degree_of_polarization(cfg) == pytest.approx(1.0, abs=1e-12)
+    for gain in ("g1", "g2"):
+        for k in range(700):
+            cfg, _ = build_configs(parse_config_text(
+                f"{gain}_mag = 0.1\n{gain}_phase_rad = {k / 100!r}\n"))
+            assert 0.0 <= numeric_degree_of_polarization(cfg) <= 1.0
 
 
 def test_t_eff_folds_idler_loss():
@@ -574,10 +584,17 @@ def test_analytic_general_guards():
     with pytest.raises(ParameterError):
         analytic_p_general(ZwmConfig(imperfections=ImperfectionConfig(bs_tx=0.9)))
     # partial overlap is a factor on |T|, so the closed form covers it
-    cfg = ZwmConfig(t=0.5 * cmath.exp(-0.54j), gamma=math.radians(60), phi_i=0.3,
-                    imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.5))
-    assert analytic_p_general(cfg) == pytest.approx(
-        numeric_degree_of_polarization(cfg), abs=1e-12)
+    cfgs = [ZwmConfig(t=0.5 * cmath.exp(-0.54j), gamma=math.radians(60), phi_i=0.3,
+                      imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.5))]
+    cfgs += [ZwmConfig(t=t * cmath.exp(-0.54j), gamma=math.radians(gamma_deg), phi_i=0.3,
+                       imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.7))
+             for gamma_deg in (0, 30, 60, 90) for t in (0, 0.5, 1)]
+    # and P does not depend on a common factor of the gains, however small
+    cfgs += [ZwmConfig(g1=g, g2=g, t=0.5, gamma=math.radians(gamma_deg))
+             for g in (1e-160, 1e-200) for gamma_deg in (30, 60)]
+    for cfg in cfgs:
+        assert analytic_p_general(cfg) == pytest.approx(
+            numeric_degree_of_polarization(cfg), abs=1e-12)
 
 
 def test_dark_fringe_is_singular_on_both_paths():
