@@ -47,6 +47,7 @@ from .zwm import (
     degree_of_polarization_grid,
     field_map,
     numeric_degree_of_polarization,
+    relative_coherence_grid,
     signal_amplitudes,
     stokes_parameters,
 )

@@ -31,8 +31,8 @@ from .tomography import (
     expected_counts_grid,
     reconstruct_run,
 )
-from .zwm import (ZwmConfig, _scaled_gains, analytic_p_grid, coherence_grid,
-                  degree_of_polarization_grid)
+from .zwm import (ZwmConfig, analytic_p_grid, degree_of_polarization_grid,
+                  relative_coherence_grid)
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
@@ -109,14 +109,14 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     if spec.mode == "gedanken":
         return degree_of_polarization_gedanken_grid(gammas, spec.t_values)[..., None], None
     if spec.mode == "numeric":
-        g = coherence_grid(_scaled_gains(cfg), gammas, spec.t_values)
+        g = relative_coherence_grid(cfg, gammas, spec.t_values)
         return degree_of_polarization_grid(g)[..., None], None
     p, se = np.zeros((2, len(spec.gammas_deg), len(spec.t_values), spec.replicates))
     if spec.mode == "montecarlo":
         for ig, it, rep in product(*map(range, p.shape)):
             p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
         return p, se
-    g = coherence_grid(_scaled_gains(cfg), gammas, spec.t_values)
+    g = relative_coherence_grid(cfg, gammas, spec.t_values)
     trace = g[..., 0, 0].real + g[..., 1, 1].real
     if np.any(trace <= 0.0):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")

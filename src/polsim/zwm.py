@@ -104,19 +104,6 @@ class ZwmConfig:
             raise ParameterError("path phases must be finite")
 
 
-def _scaled_gains(cfg: ZwmConfig) -> ZwmConfig:
-    """cfg with both gains times the power of two that puts the larger in
-    (0.05, 0.1].  P does not depend on a common factor of the gains, and a
-    power of two changes no bit of it, but below about 1e-154 |g|^2 loses
-    precision and G its meaning."""
-    g1, g2 = complex(cfg.g1), complex(cfg.g2)
-    m, e = math.frexp(max(abs(g1), abs(g2)))
-    k = (-3 if m <= 0.8 else -4) - e
-    # by ldexp, since 2.0**k overflows for the smallest gains
-    g1, g2 = (complex(math.ldexp(g.real, k), math.ldexp(g.imag, k)) for g in (g1, g2))
-    return replace(cfg, g1=g1, g2=g2)
-
-
 def t_phase(cfg: ZwmConfig) -> complex:
     """Phase factor of cfg.t (1 if T = 0): a grid point at |T| has T = |T| t_phase."""
     t = complex(cfg.t)
@@ -198,6 +185,20 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     parts = np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a))
     b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
     return np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
+
+
+def relative_coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
+    """coherence_grid up to a power-of-two factor, for callers that need only P
+    or G / tr G: evaluated with both gains scaled so that the larger is in
+    (0.05, 0.1].  P does not depend on a common factor of the gains, and a
+    power of two changes no bit of P or G / tr G, but below about 1e-154
+    |g|^2 loses precision and the absolute G its meaning."""
+    g1, g2 = complex(cfg.g1), complex(cfg.g2)
+    m, e = math.frexp(max(abs(g1), abs(g2)))
+    k = (-3 if m <= 0.8 else -4) - e
+    # by ldexp, since 2.0**k overflows for the smallest gains
+    g1, g2 = (complex(math.ldexp(g.real, k), math.ldexp(g.imag, k)) for g in (g1, g2))
+    return coherence_grid(replace(cfg, g1=g1, g2=g2), gammas, t_abs)
 
 
 @dataclass(frozen=True)
@@ -357,5 +358,6 @@ def analytic_p_special(t_abs: float, gamma: float) -> float:
 
 def numeric_degree_of_polarization(cfg: ZwmConfig) -> float:
     """Biphoton-matrix pipeline at one operating point: A, F -> G -> P."""
-    return degree_of_polarization(coherence_matrix(_scaled_gains(cfg)))
+    g = relative_coherence_grid(cfg, cfg.gamma, abs(complex(cfg.t)))
+    return degree_of_polarization(CoherenceMatrix(g[0, 0]))
 

@@ -9,6 +9,7 @@ from _oracles import (SIX_SETTINGS, fresh_projector, montecarlo_row_oracle, rand
                       setting_means, setting_signal, tomography_point_matrix,
                       tomography_row_oracle)
 from polsim import sweep as sweep_module
+from polsim.config import build_configs, parse_config_text
 from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
 from polsim.sweep import (
     CSV_HEADER,
@@ -103,15 +104,22 @@ def test_gedanken_mode_matches_reduced_formula():
 
 def test_numeric_mode_agrees_with_analytic():
     """On the default grid, on a 201x201 grid, whose coherence matrices get
-    no run-time check, and at gains where |g|^2 is below float resolution."""
+    no run-time check, on a config file's overlap and phases, and at gains
+    where |g|^2 is below float resolution."""
     axes = {"gammas_deg": tuple(90 * i / 200 for i in range(201)),
             "t_values": tuple(i / 200 for i in range(201))}
-    tiny = [ZwmConfig(g1=g, g2=g) for g in (1e-160, 1e-200)]
-    for grid, cfg in [({}, None), (axes, None), *(({}, c) for c in tiny)]:
-        for ra, rn in zip(sweep(make_spec(mode="analytic", **grid), cfg),
-                          sweep(make_spec(mode="numeric", **grid), cfg)):
+    overlap, _ = build_configs(parse_config_text(
+        "mu_overlap = 0.7\neta_idler = 0.8\nphi_i_rad = 0.3\nt_phase_rad = -0.54\n"))
+    overlap_axes = {"gammas_deg": (0.0, 30.0, 60.0, 90.0), "t_values": (0.0, 0.5, 1.0)}
+    cases = [({}, None, 1e-10), (axes, None, 1e-10), (overlap_axes, overlap, 1e-11)]
+    cases += [({}, ZwmConfig(g1=g, g2=g), 1e-12) for g in (1e-160, 1e-200)]
+    for grid, cfg, tol in cases:
+        analytic = sweep(make_spec(mode="analytic", **grid), cfg)
+        numeric = sweep(make_spec(mode="numeric", **grid), cfg)
+        assert len(numeric) == len(analytic)
+        for ra, rn in zip(analytic, numeric):
             assert ra[:2] == rn[:2]
-            assert rn[3] == pytest.approx(ra[3], abs=1e-10)
+            assert rn[3] == pytest.approx(ra[3], abs=tol)
 
 
 def test_replicates_only_multiply_stochastic_modes():
@@ -162,7 +170,7 @@ def test_montecarlo_rows_track_closed_form():
         # at gamma = 0, and at |T| = 1, the dark port registers nothing, so
         # the stderr is 0
         assert se > 0.0 if gamma_deg > 0.0 and t_abs < 1.0 else se == 0.0
-        assert abs(p - want) <= 5 * se + 1e-9
+        assert abs(p - want) <= 5 * se + 1e-12
 
 
 @pytest.mark.filterwarnings("error")
