@@ -47,7 +47,6 @@ from .zwm import (
     degree_of_polarization_grid,
     field_map,
     numeric_degree_of_polarization,
-    relative_coherence_grid,
     signal_amplitudes,
     stokes_parameters,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     cfg, detector, values = load_config(args.config)
     if args.print_config:
-        sys.stdout.write(format_config(values))
+        print(format_config(values), end="", flush=True)
         return 0
     if args.mode is None or args.gamma is None or args.t is None:
         print("sweep requires --mode, --gamma and --t", file=sys.stderr)
@@ -100,7 +101,7 @@ def _cmd_sweep(args) -> int:
     )
     text = format_rows(spec, *sweep_grid(spec, cfg, detector))
     if args.out is None:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
     else:
         _write_out(args.out, text)
     return 0
@@ -158,17 +159,17 @@ def _selftest_checks():
     yield ("endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|", worst_end, 1e-10)
 
 
-def _cmd_selftest() -> int:
+def _cmd_selftest(args) -> int:
     failures = 0
     for name, worst, tol in _selftest_checks():
         ok = worst <= tol
         status = "ok" if ok else "FAIL"
-        print(f"{status}: {name}: max |delta| = {worst:.3e} (tol {tol:.0e})")
+        print(f"{status}: {name}: max |delta| = {worst:.3e} (tol {tol:.0e})", flush=True)
         failures += 0 if ok else 1
     if failures:
         print(f"selftest: {failures} check(s) failed", file=sys.stderr)
         return 4
-    print("selftest: all checks passed")
+    print("selftest: all checks passed", flush=True)
     return 0
 
 
@@ -187,7 +188,7 @@ def _cmd_tomo(args) -> int:
         run.p_estimate, g.gxx.real, g.gyy.real, g.gxy.real, g.gxy.imag,
         s0, s1, s2, s3))
     _write_out(args.out, header + "\n" + row + "\n")
-    print(f"tomo: P = {run.p_estimate:.6f} written to {args.out}")
+    print(f"tomo: P = {run.p_estimate:.6f} written to {args.out}", flush=True)
     return 0
 
 
@@ -195,16 +196,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "selftest":
-            return _cmd_selftest()
-        return _cmd_tomo(args)
+        return dict(sweep=_cmd_sweep, selftest=_cmd_selftest, tomo=_cmd_tomo)[args.command](args)
     except ConfigRangeError as exc:
         print(f"range error: {exc}", file=sys.stderr)
         return 3
     except PolsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the commands turn every other file's OSError into a PolsimError
+        # stdout, flushed at each print: drop what it still buffers, or the flush at exit fails too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ import math
 
 from .errors import ConfigError, ConfigRangeError
 from .tomography import DetectorModel
-from .zwm import ImperfectionConfig, ZwmConfig
+from .zwm import ImperfectionConfig, ZwmConfig, _erasable
 
 DEFAULTS = {
     "g1_mag": 0.01,
@@ -41,13 +41,13 @@ def _check_range(key: str, value: float, line: int | None) -> None:
                                 line=line, key=key)
 
     if key in ("g1_mag", "g2_mag"):
-        if not 0.0 < value <= 0.1:
-            raise bad("0 < value <= 0.1")
+        if not 1e-100 <= value <= 0.1:
+            raise bad("1e-100 <= value <= 0.1")
     elif key in ("t_mag", "eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
         if not 0.0 <= value <= 1.0:
             raise bad("0 <= value <= 1")
     elif key == "gamma_deg":
-        if math.cos(math.radians(value)) < -1e-12:
+        if not _erasable(math.radians(value)):
             raise bad("cos(gamma) >= 0")
     elif key in ("kappa_cps", "dark_cps"):
         if value < 0.0:

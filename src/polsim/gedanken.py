@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .zwm import _erasable
 
-_COS_TOL = 1e-12
 MAX_SAMPLES = 2**63 - 1  # the largest count Generator.binomial takes (int64)
 
 
@@ -55,7 +55,7 @@ def _check_ranges(gammas, ms) -> None:
     bad_m = ms[~((ms >= 0.0) & (ms <= 1.0))]
     if bad_m.size:
         raise ParameterError(f"marker quality m = {bad_m[0]} outside [0, 1]")
-    bad_gamma = gammas[~(np.cos(gammas) >= -_COS_TOL)]
+    bad_gamma = gammas[~_erasable(gammas)]
     if bad_gamma.size:
         raise ParameterError(
             f"gamma = {bad_gamma[0]} rad has cos < 0; not a valid erasure angle")

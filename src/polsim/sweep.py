@@ -31,8 +31,7 @@ from .tomography import (
     expected_counts_grid,
     reconstruct_run,
 )
-from .zwm import (ZwmConfig, analytic_p_grid, degree_of_polarization_grid,
-                  relative_coherence_grid)
+from .zwm import ZwmConfig, _erasable, analytic_p_grid, coherence_grid, degree_of_polarization_grid
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
@@ -61,7 +60,7 @@ class SweepSpec:
         if not all(map(math.isfinite, (*self.gammas_deg, *self.t_values))):
             raise ConfigRangeError("gamma and t values must be finite")
         for g in self.gammas_deg:
-            if math.cos(math.radians(g)) < -1e-12:
+            if not _erasable(math.radians(g)):
                 raise ConfigRangeError(f"gamma = {g} deg violates cos(gamma) >= 0")
         for t in self.t_values:
             if not 0.0 <= t <= 1.0:
@@ -109,14 +108,14 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     if spec.mode == "gedanken":
         return degree_of_polarization_gedanken_grid(gammas, spec.t_values)[..., None], None
     if spec.mode == "numeric":
-        g = relative_coherence_grid(cfg, gammas, spec.t_values)
+        g = coherence_grid(cfg, gammas, spec.t_values)
         return degree_of_polarization_grid(g)[..., None], None
     p, se = np.zeros((2, len(spec.gammas_deg), len(spec.t_values), spec.replicates))
     if spec.mode == "montecarlo":
         for ig, it, rep in product(*map(range, p.shape)):
             p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
         return p, se
-    g = relative_coherence_grid(cfg, gammas, spec.t_values)
+    g = coherence_grid(cfg, gammas, spec.t_values)
     trace = g[..., 0, 0].real + g[..., 1, 1].real
     if np.any(trace <= 0.0):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")

@@ -34,8 +34,8 @@ class MeasurementSetting:
     polarizer_angle: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.qwp_angle) and math.isfinite(self.polarizer_angle)):
-            raise ParameterError("analyzer angles must be finite")
+        if not all(math.isfinite(2.0 * float(x)) for x in (self.qwp_angle, self.polarizer_angle)):
+            raise ParameterError("analyzer angles must be finite, and so must their doubles")
 
 
 DEFAULT_SETTINGS = (
@@ -48,7 +48,8 @@ DEFAULT_SETTINGS = (
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Counting model: mean = kappa * tr(Pi G) * time + dark_rate * time.
+    """Counting model: a setting's mean count is kappa T max(a . S(G), 0) +
+    dark_rate T, with a the setting's Stokes row and T the integration time.
 
     kappa: counts per second per unit beam intensity
     dark_rate: background counts per second
@@ -71,21 +72,14 @@ def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:
     return float(setting.qwp_angle).hex(), float(setting.polarizer_angle).hex()
 
 
-def _double_angle(x: float) -> tuple[float, float]:
-    # cos 2x and sin 2x; where 2x overflows, from the cosine and sine of x
-    if abs(x) <= sys.float_info.max / 2.0:
-        return math.cos(2.0 * x), math.sin(2.0 * x)
-    c, s = math.cos(x), math.sin(x)
-    return c * c - s * s, 2.0 * s * c
-
-
 def _stokes_row(qwp: float, pol: float) -> tuple[float, float, float, float]:
     """The Stokes row a of a quarter-wave plate at q followed by a polarizer
     at p: a beam of Stokes vector S passes a . S, with
 
       a = (1, cos d cos 2q, cos d sin 2q, -sin d) / 2,   d = 2p - 2q.
     """
-    (c2q, s2q), (c2p, s2p) = _double_angle(qwp), _double_angle(pol)
+    c2q, s2q = math.cos(2.0 * qwp), math.sin(2.0 * qwp)
+    c2p, s2p = math.cos(2.0 * pol), math.sin(2.0 * pol)
     cd, sd = c2p * c2q + s2p * s2q, s2p * c2q - c2p * s2q
     return 0.5, 0.5 * cd * c2q, 0.5 * cd * s2q, -0.5 * sd
 
@@ -195,9 +189,8 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     and second-order steps over the Bloch ball find the optimum, mixed or
     pure: from the unpolarized state, or with four settings on the sphere
     from the least-squares direction.  Counts are scaled by a power of two
-    for the fit; a subnormal total that rounds G off the cone raises
-    ParameterError, and a total or a fit beyond float range
-    ConfigRangeError.
+    for the fit; a subnormal total raises ParameterError, and a total or a
+    fit beyond float range ConfigRangeError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
@@ -223,6 +216,9 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
         return np.zeros((2, 2), dtype=complex), FitDiagnostics("zero")
 
     total = _counts_total(values)
+    if total < sys.float_info.min:  # scaling the fit back could round G off the cone
+        raise ParameterError("corrected counts are below float resolution: "
+                             f"their total {total:g} is subnormal")
     exp = math.frexp(total)[1]
     n = [math.ldexp(c, -exp) for c in values]  # exact: a power of two
     x = None
@@ -247,14 +243,6 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
         raise ConfigRangeError(f"the fit to the counts total {total:g} is beyond "
                                "float range") from None
     matrix = np.array([[gxx, complex(re, im)], [complex(re, -im), gyy]])
-    if total < sys.float_info.min:  # scaling back may round G off the cone
-        try:
-            CoherenceMatrix(matrix)
-            if not (gxx + gyy > 0.0 and np.linalg.eigvalsh(matrix)[0] >= -1e-12 * (gxx + gyy)):
-                raise ParameterError("zero trace, or an eigenvalue below -1e-12 tr G")
-        except ParameterError:
-            raise ParameterError("corrected counts are below float resolution: "
-                                 f"their total {total:g} is subnormal") from None
     return matrix, FitDiagnostics(path, steps, kkt_residual(data, n, mu, entries[0] + entries[1]))
 
 

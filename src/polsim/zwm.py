@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +41,18 @@ _COS_TOL = 1e-12
 _CANCEL_TOL = 1e-13
 
 
+def _erasable(gammas):
+    """The erasure-angle rule cos(gamma) >= 0, to 1e-12, per angle (rad); False for NaN."""
+    return np.cos(gammas) >= -_COS_TOL
+
+
 def _check_unit_interval(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} = {value} outside [0, 1]")
 
 
 def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and math.cos(gamma) >= -_COS_TOL):
+    if not (math.isfinite(gamma) and _erasable(gamma)):
         raise ParameterError(f"gamma = {gamma} rad must be finite with cos(gamma) >= 0")
 
 
@@ -76,7 +81,7 @@ class ImperfectionConfig:
 class ZwmConfig:
     """One operating point of the interferometer.
 
-    g1, g2: complex pair-source gains, 0 < |g| <= 0.1 (perturbative regime)
+    g1, g2: complex pair-source gains, 1e-100 <= |g| <= 0.1 (perturbative regime)
     t: complex attenuator amplitude transmission, |t| <= 1
     gamma: polarization rotation in the first signal arm (rad), cos >= 0
     phi_s1, phi_s2, phi_i: signal-arm and idler propagation phases (rad)
@@ -94,9 +99,9 @@ class ZwmConfig:
     def __post_init__(self):
         for name in ("g1", "g2"):
             mag = abs(complex(getattr(self, name)))
-            # |m e^{i phi}| can round an ulp above m, and m = 0.1 is in range
-            if not 0.0 < mag <= 0.1 * (1.0 + _COS_TOL):
-                raise ParameterError(f"|{name}| = {mag} outside (0, 0.1]")
+            # |m e^{i phi}| can round an ulp off m, and m = 1e-100 and 0.1 are in range
+            if not 1e-100 * (1.0 - _COS_TOL) <= mag <= 0.1 * (1.0 + _COS_TOL):
+                raise ParameterError(f"|{name}| = {mag} outside [1e-100, 0.1]")
         if not abs(complex(self.t)) <= 1.0 + _COS_TOL:
             raise ParameterError(f"|t| = {abs(complex(self.t))} is not in [0, 1]")
         _check_gamma(self.gamma)
@@ -114,7 +119,7 @@ def _check_grid(gammas, t_abs) -> tuple[np.ndarray, np.ndarray]:
     """Flat float axes; ParameterError unless each gamma and |T| is in ZwmConfig's range."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     t_abs = np.asarray(t_abs, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(gammas)) and np.all(np.cos(gammas) >= -_COS_TOL)):
+    if not (np.all(np.isfinite(gammas)) and np.all(_erasable(gammas))):
         raise ParameterError("every gamma must be finite with cos(gamma) >= 0")
     if not np.all((t_abs >= 0.0) & (t_abs <= 1.0 + _COS_TOL)):
         raise ParameterError("every |T| must lie in [0, 1]")
@@ -185,20 +190,6 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     parts = np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a))
     b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
     return np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
-
-
-def relative_coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
-    """coherence_grid up to a power-of-two factor, for callers that need only P
-    or G / tr G: evaluated with both gains scaled so that the larger is in
-    (0.05, 0.1].  P does not depend on a common factor of the gains, and a
-    power of two changes no bit of P or G / tr G, but below about 1e-154
-    |g|^2 loses precision and the absolute G its meaning."""
-    g1, g2 = complex(cfg.g1), complex(cfg.g2)
-    m, e = math.frexp(max(abs(g1), abs(g2)))
-    k = (-3 if m <= 0.8 else -4) - e
-    # by ldexp, since 2.0**k overflows for the smallest gains
-    g1, g2 = (complex(math.ldexp(g.real, k), math.ldexp(g.imag, k)) for g in (g1, g2))
-    return coherence_grid(replace(cfg, g1=g1, g2=g2), gammas, t_abs)
 
 
 @dataclass(frozen=True)
@@ -358,6 +349,5 @@ def analytic_p_special(t_abs: float, gamma: float) -> float:
 
 def numeric_degree_of_polarization(cfg: ZwmConfig) -> float:
     """Biphoton-matrix pipeline at one operating point: A, F -> G -> P."""
-    g = relative_coherence_grid(cfg, cfg.gamma, abs(complex(cfg.t)))
-    return degree_of_polarization(CoherenceMatrix(g[0, 0]))
+    return degree_of_polarization(coherence_matrix(cfg))
 

@@ -49,6 +49,7 @@ import math
 
 import numpy as np
 
+from polsim.config import build_configs, parse_config_text
 from polsim.errors import IllPosedError, ParameterError, ZeroTraceError
 from polsim.gedanken import GedankenConfig, monte_carlo_detection
 from polsim.tomography import DEFAULT_SETTINGS, MeasurementSetting, _stokes_row, reconstruct_run
@@ -352,6 +353,14 @@ def random_config(rng) -> ZwmConfig:
             eta_idler=rng.uniform(0.5, 1), bs_tx=rng.uniform(0.5, 1),
             bs_ty=rng.uniform(0.5, 1), mu_overlap=rng.uniform(0, 1)),
     )
+
+
+def floor_gain_config(rng, **fields) -> ZwmConfig:
+    """Both gains at the smallest magnitude a config may give, 1e-100, at
+    random phases, read through the config parser; fields set the rest."""
+    cfg, _ = build_configs(parse_config_text("".join(
+        f"g{k}_mag = 1e-100\ng{k}_phase_rad = {rng.uniform(0, 2 * math.pi)!r}\n" for k in (1, 2))))
+    return dataclasses.replace(cfg, **fields)
 
 
 def tomography_point_matrix(cfg, gamma_deg, t_abs) -> CoherenceMatrix:

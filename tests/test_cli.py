@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -126,10 +127,12 @@ def test_print_config_round_trips_every_value(tmp_path, capsys):
 
 def test_range_error_in_config_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    path.write_text("t_mag = 1.2\n")
-    assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
-                   "--gamma", "0", "--t", "1") == 3
-    assert "range error" in capsys.readouterr().err
+    for key, value in (("t_mag", "1.2"), ("g1_mag", "1e-101")):
+        path.write_text(f"# the value on line 2 is out of range\n{key} = {value}\n")
+        assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
+                       "--gamma", "0", "--t", "1") == 3
+        err = capsys.readouterr().err
+        assert "range error: line 2: " in err and key in err
 
 
 def test_unknown_key_in_config_exits_2(tmp_path, capsys):
@@ -473,6 +476,49 @@ def test_tomo_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
     captured = capsys.readouterr()
     assert f"error: cannot write {out}: " in captured.err
     assert "written to" not in captured.out
+
+
+@pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
+def test_unwritable_stdout_exits_2_with_one_line(tmp_path, stdout):
+    """Each command that prints ends in exit 2 and one `error: cannot write`
+    line when stdout cannot be written, as an unwritable --out does: no
+    traceback, and no "Exception ignored" line from the flush at exit."""
+    if stdout == "dev-full" and not Path("/dev/full").exists():
+        pytest.skip("/dev/full does not exist here")
+    counts, _ = tomo_fixture_counts(tmp_path, dark_rate=0.0)
+    gammas, ts = (",".join(repr(i / (n - 1)) for i in range(n)) for n in (1000, 100))
+    argvs = [["sweep", "--mode", "analytic", "--gamma", gammas, "--t", ts],  # 4 MB of CSV
+             ["sweep", "--print-config"], ["selftest"],
+             ["tomo", "--counts", str(counts), "--out", str(tmp_path / "recon.csv")]]
+    for argv in argvs:
+        if stdout == "dev-full":
+            sink = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read, sink = os.pipe()
+            os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "polsim", *argv], stdout=sink,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(sink)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout: "), proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_tomo_at_the_largest_degree_angles(tmp_path):
+    """Angles of +-max degrees, 3.1e306 rad, are within a setting's range, and
+    their rows are the doubles' cosines and sines as computed directly."""
+    path, out = tmp_path / "counts.txt", tmp_path / "recon.csv"
+    big = repr(sys.float_info.max)
+    path.write_text("\n".join([COUNTS_HEADER, "H 0 0 49821", "V 0 90 17", "D 45 45 25006",
+                               "R 0 45 24980", f"X {big} -{big} 30000",
+                               f"Y -{big} {big} 20000", ""]))
+    assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == 0
+    assert out.read_text() == (
+        "p_value,g_xx,g_yy,re_g_xy,im_g_xy,s0,s1,s2,s3\n"
+        "1,51500.9009171,156.467727476,-528.148943447,-2789.13743351,51657.3686446,"
+        "51344.4331897,-1056.29788689,5578.27486701\n")
 
 
 COUNTS_HEADER = "label  qwp_angle_deg  polarizer_angle_deg  raw_count"

@@ -84,6 +84,7 @@ def test_malformed_lines_report_line_numbers(text, fragment, line):
     [
         ("t_mag", 1.2),
         ("g1_mag", 0.0),
+        ("g1_mag", 1e-101),
         ("g1_mag", 0.2),
         ("g2_mag", -0.01),
         ("gamma_deg", 120.0),
@@ -99,7 +100,7 @@ def test_malformed_lines_report_line_numbers(text, fragment, line):
 def test_out_of_range_values_name_the_key(key, value):
     with pytest.raises(ConfigRangeError) as err:
         parse_config_text(f"{key} = {value}\n")
-    assert key in str(err.value)
+    assert key in str(err.value) and err.value.line == 1
 
 
 def test_phases_are_unbounded():

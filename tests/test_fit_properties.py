@@ -55,7 +55,7 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     try:
         rec = mle_reconstruct(counts, setting_set)
     except ParameterError as err:
-        # scaling the fit back to a subnormal total can round G off the cone
+        # a subnormal total is refused before the fit
         assert 0.0 < counts.sum() < sys.float_info.min
         assert "below float resolution" in str(err)
         return

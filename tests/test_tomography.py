@@ -129,15 +129,19 @@ def test_degenerate_settings_raise_on_every_call():
 def test_stokes_rows_match_the_jones_oracle():
     """The closed-form rows against the Stokes form of the Jones projector
     J_qwp^dagger Pi_pol J_qwp, on 3000 random angle pairs at each scale up to
-    1e300 rad and at the largest finite angles: every row is finite, agrees
-    to 1e-15 and is a pure state, |a_vec| = a0.  The four +-0 pairs give the
-    fit's cached rows bit for bit as computed afresh, each pair in its own
-    cache entry: 0.0 == -0.0, so a cache keyed on equal angles would hand one
-    setting the other's signed zeros."""
+    1e300 rad and at the largest angles a setting takes, +-max / 2, whose
+    doubles are finite: every row is finite, agrees to 1e-15 and is a pure
+    state, |a_vec| = a0.  The next larger angle is refused.  The four +-0
+    pairs give the fit's cached rows bit for bit as computed afresh, each
+    pair in its own cache entry: 0.0 == -0.0, so a cache keyed on equal
+    angles would hand one setting the other's signed zeros."""
     rng = np.random.default_rng(41)
-    big, half = sys.float_info.max, sys.float_info.max / 2.0  # 2 * half is finite
-    angles = (big, -big, math.nextafter(half, big), half, -half, 0.0, 1.0)
+    half = sys.float_info.max / 2.0  # 2 * half is finite
+    angles = (half, math.nextafter(half, 0.0), -half, 0.0, 1.0)
     extremes = [(q, p) for q in angles for p in angles]
+    for q, p in ((math.nextafter(half, math.inf), 0.0), (0.0, -math.nextafter(half, math.inf))):
+        with pytest.raises(ParameterError):
+            MeasurementSetting("x", q, p)
     for scale in (1.0, 1e3, 1e8, 1e300):
         pairs = [*map(tuple, rng.uniform(-scale, scale, (3000, 2)).tolist()), *extremes]
         rows = np.array([_stokes_row(q, p) for q, p in pairs])
@@ -287,6 +291,13 @@ def test_mle_ill_posed_inputs():
         mle_reconstruct(5.0, DEFAULT_SETTINGS)  # a scalar, not one count per setting
     with pytest.raises(ParameterError):
         mle_reconstruct(np.array([1.0, -2.0, 3.0, 4.0]), DEFAULT_SETTINGS)
+    # a subnormal total is refused before any fit, and the smallest normal one
+    # is fitted; a detector's corrected counts are 0 or at least 2^-53
+    for counts in ([5e-324, 0, 0, 0], [5e-324, 5e-324, 0, 0], [0, 0, 2.2e-313, 2.2e-313],
+                   [math.nextafter(sys.float_info.min, 0.0), 0, 0, 0]):
+        with pytest.raises(ParameterError, match="below float resolution"):
+            mle_reconstruct(counts, DEFAULT_SETTINGS)
+    assert mle_reconstruct([sys.float_info.min, 0, 0, 0], DEFAULT_SETTINGS).trace > 0.0
 
 
 def test_mle_reconstructions_are_psd_under_noise():

@@ -8,6 +8,7 @@ moments, F against its field coefficients and G against its expectations.
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from _oracles import (
     MODES,
     VACUUM,
     coherence_verdict_stacked,
+    floor_gain_config,
     random_config,
     reference_coherence,
     reference_fields,
@@ -68,6 +70,8 @@ def fields(cfg):
 def test_config_validation():
     with pytest.raises(ParameterError):
         ZwmConfig(g1=0.0)
+    with pytest.raises(ParameterError):
+        ZwmConfig(g1=1e-101)
     with pytest.raises(ParameterError):
         ZwmConfig(g1=0.2)
     with pytest.raises(ParameterError):
@@ -123,15 +127,16 @@ def test_coherence_grid_rejects_points_outside_the_config_ranges():
 def test_single_point_calls_accept_every_valid_config():
     """ZwmConfig allows |t| up to 1 + 1e-12 for rounding; the 1x1 grid calls
     behind the single-point functions must accept the same range.  So must
-    ZwmConfig itself accept every gain a config file may give: at the cap,
-    |0.1 e^{i phi}| rounds above 0.1 at 67 of the 700 phases k / 100."""
+    ZwmConfig itself accept every gain a config file may give: of the 700
+    phases k / 100, 67 round |0.1 e^{i phi}| above the cap 0.1, and 67 round
+    |1e-100 e^{i phi}| below the floor 1e-100."""
     cfg = ZwmConfig(t=1.0 + 1e-13, gamma=0.4)
     assert analytic_p_general(cfg) == 1.0
     assert numeric_degree_of_polarization(cfg) == pytest.approx(1.0, abs=1e-12)
-    for gain in ("g1", "g2"):
+    for gain, mag in itertools.product(("g1", "g2"), (0.1, 1e-100)):
         for k in range(700):
             cfg, _ = build_configs(parse_config_text(
-                f"{gain}_mag = 0.1\n{gain}_phase_rad = {k / 100!r}\n"))
+                f"{gain}_mag = {mag!r}\n{gain}_phase_rad = {k / 100!r}\n"))
             assert 0.0 <= numeric_degree_of_polarization(cfg) <= 1.0
 
 
@@ -506,6 +511,27 @@ def test_degree_of_polarization_scale_invariance():
         assert abs(degree_of_polarization(scaled) - p) <= 1e-15
 
 
+def test_numeric_p_is_unchanged_by_a_power_of_two_on_both_gains():
+    """P depends on the gains only through their ratio: scaling both by 2^k
+    changes no bit of P, or of G / tr G, for every k that keeps both gains
+    in [1e-100, 0.1].  The gains of the random configs are log-uniform
+    over that range."""
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        cfg = random_config(rng)
+        g1, g2 = (g / abs(g) * 10.0 ** rng.uniform(-100, -1) for g in (cfg.g1, cfg.g2))
+        cfg = dataclasses.replace(cfg, g1=g1, g2=g2)
+        p, g = numeric_degree_of_polarization(cfg), coherence_matrix(cfg)
+        low, high = sorted((abs(g1), abs(g2)))
+        scaled = [dataclasses.replace(cfg, g1=g1 * 2.0**k, g2=g2 * 2.0**k)
+                  for k in range(-340, 10) if 1e-100 <= low * 2.0**k and high * 2.0**k <= 0.1]
+        assert len(scaled) >= 3
+        for other in scaled:
+            assert numeric_degree_of_polarization(other) == p
+            h = coherence_matrix(other)
+            assert np.array_equal(h.matrix / h.trace, g.matrix / g.trace)
+
+
 def test_degree_of_polarization_zero_trace_raises():
     with pytest.raises(ZeroTraceError):
         degree_of_polarization(CoherenceMatrix(np.zeros((2, 2))))
@@ -589,9 +615,11 @@ def test_analytic_general_guards():
     cfgs += [ZwmConfig(t=t * cmath.exp(-0.54j), gamma=math.radians(gamma_deg), phi_i=0.3,
                        imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.7))
              for gamma_deg in (0, 30, 60, 90) for t in (0, 0.5, 1)]
-    # and P does not depend on a common factor of the gains, however small
-    cfgs += [ZwmConfig(g1=g, g2=g, t=0.5, gamma=math.radians(gamma_deg))
-             for g in (1e-160, 1e-200) for gamma_deg in (30, 60)]
+    # and P does not depend on a common factor of the gains, down to the
+    # smallest gains, 1e-100, at random phases
+    rng = np.random.default_rng(594)
+    cfgs += [floor_gain_config(rng, t=0.5, gamma=math.radians(gamma_deg))
+             for _ in range(2) for gamma_deg in (30, 60)]
     for cfg in cfgs:
         assert analytic_p_general(cfg) == pytest.approx(
             numeric_degree_of_polarization(cfg), abs=1e-12)
