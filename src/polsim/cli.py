@@ -176,17 +176,17 @@ def _cmd_selftest(args) -> int:
 def _cmd_tomo(args) -> int:
     _, detector, _ = load_config(args.config)
     settings, raw = read_counts_table(args.counts)
-    run = reconstruct_run(settings, raw, detector)
-    if math.isnan(run.p_estimate):
+    try:
+        run = reconstruct_run(settings, raw, detector)
+    except ZeroTraceError:
         print("tomo: all corrected counts are zero; polarization undefined",
               file=sys.stderr)
         return 3
-    g = run.reconstruction
-    s0, s1, s2, s3 = stokes_parameters(g)
+    (gxx, gxy), (_, gyy) = run.reconstruction.matrix.tolist()
+    s0, s1, s2, s3 = stokes_parameters(run.reconstruction)
     header = "p_value,g_xx,g_yy,re_g_xy,im_g_xy,s0,s1,s2,s3"
     row = ",".join(f"{v:.12g}" for v in (
-        run.p_estimate, g.gxx.real, g.gyy.real, g.gxy.real, g.gxy.imag,
-        s0, s1, s2, s3))
+        run.p_estimate, gxx.real, gyy.real, gxy.real, gxy.imag, s0, s1, s2, s3))
     _write_out(args.out, header + "\n" + row + "\n")
     print(f"tomo: P = {run.p_estimate:.6f} written to {args.out}", flush=True)
     return 0

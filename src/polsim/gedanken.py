@@ -50,15 +50,17 @@ class GedankenConfig:
 
 
 def _check_ranges(gammas, ms) -> None:
-    """ParameterError unless every m is in [0, 1] and every cos(gamma) >= 0."""
+    """ParameterError unless every m is in [0, 1] and every gamma is finite with cos(gamma) >= 0."""
     ms, gammas = np.asarray(ms, dtype=float), np.asarray(gammas, dtype=float)
     bad_m = ms[~((ms >= 0.0) & (ms <= 1.0))]
     if bad_m.size:
         raise ParameterError(f"marker quality m = {bad_m[0]} outside [0, 1]")
-    bad_gamma = gammas[~_erasable(gammas)]
+    bad_gamma = gammas[~np.isfinite(gammas)]  # refused before np.cos warns on them
+    if not bad_gamma.size:
+        bad_gamma = gammas[~_erasable(gammas)]
     if bad_gamma.size:
-        raise ParameterError(
-            f"gamma = {bad_gamma[0]} rad has cos < 0; not a valid erasure angle")
+        raise ParameterError(f"gamma = {bad_gamma[0]} rad is not a valid erasure angle: "
+                             "it must be finite with cos >= 0")
 
 
 def _amplitudes(gamma, phi1, phi2, theta) -> tuple[complex, complex]:

@@ -125,10 +125,6 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
             entropy=spec.seed, spawn_key=(ig, it, rep)))
         p[ig, it, rep] = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
-        if math.isnan(p[ig, it, rep]):
-            raise ZeroTraceError(
-                "degree of polarization undefined at zero intensity: all "
-                "background-corrected counts are zero")
     return p, None
 
 

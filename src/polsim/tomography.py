@@ -17,7 +17,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError
+from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError, ZeroTraceError
 from .newton import SettingRows, ball_newton, dot, kkt_residual
 from .zwm import CoherenceMatrix, _stokes_grid, degree_of_polarization
 
@@ -248,11 +248,9 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """Bundle of everything one reconstruction consumed and produced."""
+    """One reconstruction: the fitted coherence matrix, its P and how the fit
+    reached it."""
 
-    settings: tuple[MeasurementSetting, ...]
-    raw_counts: tuple[float, ...]
-    corrected_counts: tuple[float, ...]
     reconstruction: CoherenceMatrix
     p_estimate: float
     diagnostics: FitDiagnostics
@@ -261,21 +259,15 @@ class TomographyRun:
 def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> TomographyRun:
     """Correct, fit and summarize one set of raw counts.
 
-    p_estimate is NaN when the corrected counts are all zero (zero-trace
-    reconstruction, polarization undefined).
+    Raises ZeroTraceError when the corrected counts are all zero: the fit is
+    the zero matrix, whose polarization is undefined.
     """
-    corrected = background_correct(raw_counts, detector)
-    matrix, diagnostics = _fit(corrected, settings)
+    matrix, diagnostics = _fit(background_correct(raw_counts, detector), settings)
+    if diagnostics.path == "zero":
+        raise ZeroTraceError("degree of polarization undefined at zero intensity: all "
+                             "background-corrected counts are zero")
     recon = CoherenceMatrix(matrix)
-    p = degree_of_polarization(recon) if recon.trace > 0.0 else math.nan
-    return TomographyRun(
-        settings=tuple(settings),
-        raw_counts=tuple(np.asarray(raw_counts, dtype=float).tolist()),
-        corrected_counts=tuple(corrected.tolist()),
-        reconstruction=recon,
-        p_estimate=p,
-        diagnostics=diagnostics,
-    )
+    return TomographyRun(recon, degree_of_polarization(recon), diagnostics)
 
 
 # ---------------------------------------------------------------------------

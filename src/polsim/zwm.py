@@ -226,26 +226,6 @@ class CoherenceMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def gxx(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def gxy(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def gyx(self) -> complex:
-        return complex(self.matrix[1, 0])
-
-    @property
-    def gyy(self) -> complex:
-        return complex(self.matrix[1, 1])
-
-    @property
-    def trace(self) -> float:
-        return float(self.matrix[0, 0].real + self.matrix[1, 1].real)
-
 
 def coherence_matrix(cfg: ZwmConfig) -> CoherenceMatrix:
     """G at the operating point of cfg (a 1x1 coherence_grid)."""

@@ -7,7 +7,7 @@ two-photon state by applying creation matrices to the vacuum,
 reference_fields composes the rotation and the splitter on mode-coefficient
 vectors, and reference_coherence takes G as expectations of the fields'
 source parts.  None of it calls or copies polsim.zwm's signal_amplitudes,
-field_map or _with_overlap, which must reproduce A, F and G from it.
+field_map or coherence_grid, which must reproduce A, F and G from it.
 
 mc_detection_count_loop is the per-sample Monte-Carlo hit count whose law
 the branch-count draw in polsim.gedanken must follow.
@@ -366,10 +366,11 @@ def floor_gain_config(rng, **fields) -> ZwmConfig:
 def tomography_point_matrix(cfg, gamma_deg, t_abs) -> CoherenceMatrix:
     """Trace-normalized G at one (gamma, |T|) sweep point."""
     point = dataclasses.replace(cfg, gamma=math.radians(gamma_deg), t=t_abs * t_phase(cfg))
-    g = coherence_matrix(point)
-    if g.trace <= 0.0:
+    m = coherence_matrix(point).matrix
+    trace = m[0, 0].real + m[1, 1].real
+    if trace <= 0.0:
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    return CoherenceMatrix(g.matrix / g.trace)
+    return CoherenceMatrix(m / trace)
 
 
 def setting_signal(g: CoherenceMatrix, setting) -> float:

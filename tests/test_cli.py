@@ -562,6 +562,10 @@ raw_tables = st.one_of(
 # a hard-case sphere step whose 1 - |w|^2 rounds an ulp below 0
 @example("\n".join([COUNTS_HEADER, "H 0 0 378581126", "V 0 90 378581133", "D 45 45 0",
                     "A 45 -45 0", "R 0 45 0", "L 0 -45 543498538", ""]).encode("ascii"))
+# counts spanning 1e133, where a Newton step falls below float resolution
+@example("\n".join([COUNTS_HEADER, "H 0 0 0", "V 0 90 14019469025300819" + "0" * 18, "D 45 45 0",
+                    "A 45 -45 147759927936737" + "0" * 63, "R 0 45 4643794223666853" + "0" * 118,
+                    "L 0 -45 5496642835068205" + "0" * 94, ""]).encode("ascii"))
 def test_tomo_on_any_counts_table_exits_cleanly_with_p_a_fraction(table):
     """Any counts file, as rows or as raw bytes, ends in exit 0, 2 or 3 with
     no traceback, and on exit 0 the written P lies in [0, 1]."""

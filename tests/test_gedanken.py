@@ -25,6 +25,8 @@ def test_config_validation():
         GedankenConfig(gamma=0.0, m=1.5)
     with pytest.raises(ParameterError):
         GedankenConfig(gamma=math.pi, m=0.5)
+    with pytest.raises(ParameterError, match="erasure angle"):
+        GedankenConfig(gamma=math.inf, m=0.5)  # refused before its cosine is taken
     GedankenConfig(gamma=2 * math.pi, m=0.5)  # cos(2 pi) = 1 is fine
 
 

@@ -127,3 +127,6 @@ def test_gedanken_grid_range_checks():
         degree_of_polarization_gedanken_grid([0.0, math.pi], [0.5])
     with pytest.raises(ParameterError, match="erasure angle"):
         degree_of_polarization_gedanken_grid([math.nan], [0.5])
+    for gamma in (math.inf, -math.inf):
+        with pytest.raises(ParameterError, match="erasure angle"):
+            degree_of_polarization_gedanken_grid([0.0, gamma], [0.5])

@@ -12,6 +12,7 @@ from polsim.errors import (
     ConfigRangeError,
     IllPosedError,
     ParameterError,
+    ZeroTraceError,
 )
 from polsim.newton import dot, kkt_residual
 from polsim.tomography import (
@@ -253,7 +254,7 @@ def test_mle_noiseless_interferometer_point():
     """End to end: the |T| = 0.5, gamma = 60 deg operating point has P = 0.8."""
     cfg = ZwmConfig(t=0.5, gamma=math.pi / 3)
     g = coherence_matrix(cfg)
-    scaled = CoherenceMatrix(g.matrix * (5e4 / g.trace))
+    scaled = CoherenceMatrix(g.matrix * (5e4 / np.trace(g.matrix).real))
     counts = noiseless_counts(scaled.matrix)
     rec = mle_reconstruct(counts, DEFAULT_SETTINGS)
     assert degree_of_polarization(rec) == pytest.approx(0.8, abs=1e-4)
@@ -297,7 +298,8 @@ def test_mle_ill_posed_inputs():
                    [math.nextafter(sys.float_info.min, 0.0), 0, 0, 0]):
         with pytest.raises(ParameterError, match="below float resolution"):
             mle_reconstruct(counts, DEFAULT_SETTINGS)
-    assert mle_reconstruct([sys.float_info.min, 0, 0, 0], DEFAULT_SETTINGS).trace > 0.0
+    smallest = mle_reconstruct([sys.float_info.min, 0, 0, 0], DEFAULT_SETTINGS)
+    assert np.trace(smallest.matrix).real > 0.0
 
 
 def test_mle_reconstructions_are_psd_under_noise():
@@ -307,7 +309,7 @@ def test_mle_reconstructions_are_psd_under_noise():
         g_true = CoherenceMatrix(2.5e4 * bloch_matrix(p, rng.normal(size=3)))
         raw = simulate_counts(g_true, DEFAULT_SETTINGS, NO_DARK, (77, trial))
         rec = mle_reconstruct(np.asarray(raw, dtype=float), DEFAULT_SETTINGS)
-        assert min(np.linalg.eigvalsh(rec.matrix)) >= -1e-9 * rec.trace
+        assert min(np.linalg.eigvalsh(rec.matrix)) >= -1e-9 * np.trace(rec.matrix).real
 
 
 def _independent_nll(matrix, counts, settings):
@@ -354,10 +356,10 @@ def test_mle_refinement_grid_postcondition():
         )
         rec = mle_reconstruct(raw, DEFAULT_SETTINGS)
         # rebuild the triangular-factor parameters from the public matrix
-        t0 = math.sqrt(max(rec.gxx.real, 0.0))
-        t2 = rec.gyx.real / t0 if t0 else 0.0
-        t3 = rec.gyx.imag / t0 if t0 else 0.0
-        t1 = math.sqrt(max(rec.gyy.real - t2 * t2 - t3 * t3, 0.0))
+        t0 = math.sqrt(max(rec.matrix[0, 0].real, 0.0))
+        t2 = rec.matrix[1, 0].real / t0 if t0 else 0.0
+        t3 = rec.matrix[1, 0].imag / t0 if t0 else 0.0
+        t1 = math.sqrt(max(rec.matrix[1, 1].real - t2 * t2 - t3 * t3, 0.0))
         t = np.array([t0, t1, t2, t3])
         fit_nll = _independent_nll(rec.matrix, raw, DEFAULT_SETTINGS)
         steps = np.maximum(1e-4 * np.abs(t), 1e-6 * math.sqrt(raw.sum()))
@@ -704,7 +706,7 @@ def test_reconstruct_run_corrects_background():
     mu = [expected_counts(g_true, s, det) for s in DEFAULT_SETTINGS]
     run = reconstruct_run(DEFAULT_SETTINGS, mu, det)
     np.testing.assert_allclose(
-        run.corrected_counts, np.asarray(mu) - 300.0, rtol=1e-12
+        background_correct(mu, det), np.asarray(mu) - 300.0, rtol=1e-12
     )
     assert run.p_estimate == pytest.approx(0.6, abs=1e-5)
     assert run.diagnostics.path == "exact"
@@ -712,9 +714,9 @@ def test_reconstruct_run_corrects_background():
 
 def test_reconstruct_run_flags_zero_trace():
     det = DetectorModel(kappa=3333.0, dark_rate=20.0, integration_time=15.0)
-    run = reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
-    assert math.isnan(run.p_estimate)
-    assert run.diagnostics == FitDiagnostics("zero")
+    with pytest.raises(ZeroTraceError, match="all background-corrected counts are zero"):
+        reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
+    assert _fit(background_correct([300.0] * 4, det), DEFAULT_SETTINGS)[1] == FitDiagnostics("zero")
 
 
 # ---------------------------------------------------------------------------
