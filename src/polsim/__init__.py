@@ -40,7 +40,6 @@ from .zwm import (
     analytic_p_general,
     analytic_p_grid,
     analytic_p_special,
-    beta,
     coherence_grid,
     coherence_matrix,
     degree_of_polarization,

@@ -24,6 +24,7 @@ from .gedanken import degree_of_polarization_gedanken
 from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
 from .tomography import reconstruct_run, read_counts_table
 from .zwm import (
+    ImperfectionConfig,
     ZwmConfig,
     analytic_p_general,
     analytic_p_special,
@@ -126,14 +127,16 @@ def _selftest_checks():
     )
     yield ("closed-form bridge, 101x91 grid", worst_bridge, 1e-15)
 
-    # biphoton-matrix pipeline against the general closed form; the grid corner
-    # |T| = 1, gamma = 0, beta = pi has zero output intensity, where both
-    # sides must agree that P is undefined
+    # biphoton-matrix pipeline against the general closed form, at three phases
+    # and with unequal gains and every imperfection; both sides must find the
+    # corner |T| = 1, gamma = 0, beta = pi dark (zero intensity, P undefined)
+    imperfect = dict(g1=0.008j, g2=0.01 - 0.006j, phi_i=0.3, imperfections=ImperfectionConfig(
+        eta_idler=0.8, bs_tx=0.9, bs_ty=0.8, mu_overlap=0.7))
     worst_pipe = 0.0
     for t in np.linspace(0.0, 1.0, 11):
         for gamma_deg in range(0, 91, 15):
-            for beta_val in (0.0, math.pi / 3.0, math.pi):
-                cfg = ZwmConfig(t=t, gamma=math.radians(gamma_deg), phi_s2=beta_val)
+            for fields in ({}, {"phi_s2": math.pi / 3.0}, {"phi_s2": math.pi}, imperfect):
+                cfg = ZwmConfig(t=t, gamma=math.radians(gamma_deg), **fields)
                 try:
                     p_closed = analytic_p_general(cfg)
                 except ZeroTraceError:
@@ -145,7 +148,7 @@ def _selftest_checks():
                     continue
                 worst_pipe = max(worst_pipe, abs(
                     numeric_degree_of_polarization(cfg) - p_closed))
-    yield ("pipeline vs closed form, 11x7x3 grid", worst_pipe, 1e-10)
+    yield ("pipeline vs closed form, 11x7x4 grid", worst_pipe, 1e-10)
 
     # endpoint identities
     worst_end = 0.0
@@ -208,7 +211,3 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

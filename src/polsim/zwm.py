@@ -24,7 +24,8 @@ test_pipeline_matrices_satisfy_strict_invariants in tests/test_zwm.py pins it.
 
 The splitter's reflection phase is folded into the second arm's phase
 reference, so the interferometric phase of every cross term is exactly
-``beta(cfg)`` and an all-zero-phase configuration sits at beta = 0.
+beta = phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1 (see
+analytic_p_grid), and an all-zero-phase configuration sits at beta = 0.
 """
 
 from __future__ import annotations
@@ -132,14 +133,14 @@ def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
     The state is |vac> + sum A[s, i] |s, i> with
       A[S1x, I1]   = g1
       A[S2x, I1]   = g2 conj(T_eff e^{i phi_i}),  T_eff = T eta_idler
-      A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt(1 - |T_eff|^2).
+      A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt(1 - (t_abs eta_idler)^2).
     The second source's idler operator is the attenuator output, so the
     creation amplitudes are the conjugated attenuator coefficients.  T keeps
-    the configured phase; only its magnitude is replaced by t_abs.
+    the configured phase; its magnitude, and so R_eff, comes from t_abs alone.
     """
     t_abs = np.asarray(t_abs, dtype=float)
     t_eff = (t_abs * t_phase(cfg)) * cfg.imperfections.eta_idler
-    r_eff = np.sqrt(np.maximum(0.0, 1.0 - np.abs(t_eff) ** 2))
+    r_eff = np.sqrt(np.maximum(0.0, 1.0 - (t_abs * cfg.imperfections.eta_idler) ** 2))
     idler_out = np.stack([t_eff, r_eff], axis=-1) * cmath.exp(1j * cfg.phi_i)
     a = np.zeros(t_abs.shape + (4, 2), dtype=complex)
     a[..., 0, 0] = cfg.g1
@@ -153,9 +154,9 @@ def field_map(cfg: ZwmConfig, gammas) -> np.ndarray:
     The first arm is rotated by gamma, (x, y) -> (c x - s y, s x + c y), and
     enters through the splitter's transmission; the second arm enters
     through the reflection, whose i is absorbed into the arm phase
-    (i e^{i (phi_s2 - pi/2)} = e^{i phi_s2}) so the cross-term phase equals
-    beta(cfg).  Per polarization p the second-arm coupling is bs_tp/sqrt(2)
-    and the first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
+    (i e^{i (phi_s2 - pi/2)} = e^{i phi_s2}) so the cross-term phase is
+    analytic_p_grid's beta.  Per polarization p the second-arm coupling is
+    bs_tp/sqrt(2) and the first-arm coupling the unitary completion sqrt(1 - bs_tp^2/2).
     """
     gammas = np.asarray(gammas, dtype=float)
     c, s = np.cos(gammas), np.sin(gammas)
@@ -270,48 +271,43 @@ def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
     return tuple(map(float, _stokes_grid(g.matrix)))
 
 
-def beta(cfg: ZwmConfig, t: complex | None = None) -> float:
-    """Interferometric phase phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1,
-    reduced to (-pi, pi], with T = cfg.t unless t is given.  At T = 0 the
-    transmission phase is taken as 0 (it no longer affects anything)."""
-    t = complex(cfg.t if t is None else t)
-    arg_t = cmath.phase(t) if t != 0 else 0.0
-    raw = (cfg.phi_s2 - cfg.phi_s1 - cfg.phi_i - arg_t
-           + cmath.phase(complex(cfg.g2)) - cmath.phase(complex(cfg.g1)))
-    reduced = math.remainder(raw, 2.0 * math.pi)
-    if reduced <= -math.pi:
-        reduced += 2.0 * math.pi
-    return reduced
-
-
 def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """Closed-form degree of polarization at (gammas[i], t_abs[j]), shape (n_g, n_t).
 
-    P = sqrt(c^2 + |T|^2 (s^2 + c^2 cb^2) + 2 |T| c cb) / (1 + |T| c cb)
-    with c = cos gamma, s = sin gamma, cb = cos beta, |T| = |T eta_idler
-    mu_overlap|, capped at 1, for equal gain magnitudes and an ideal splitter.
-    A point has T = t_abs * t_phase(cfg), so |T| and beta are computed once
-    per t_abs.  Raises ZeroTraceError if any point has no output intensity.
+    With w_i = |g_i|^2 over the larger one, T = t_abs * t_phase(cfg),
+    m = |T eta_idler mu_overlap|, c, s = cos, sin gamma, cb = cos beta
+    (beta = phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1),
+    r_p^2 = bs_tp^2 / 2 = 1 - t_p^2 and x = 2 t_x r_x sqrt(w1 w2) m c cb:
+      tr G = w1 (t_x^2 c^2 + t_y^2 s^2) + r_x^2 w2 + x,
+      Gxx - Gyy = r_x^2 w2 - t_y^2 w1 + w1 (t_x^2 + t_y^2) c^2 + x,
+      |Gxy|^2 = w1 t_y^2 s^2 (w1 t_x^2 c^2 + r_x^2 w2 m^2 + x),
+    P = sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2) / tr G, capped at 1, and
+    det G = w1 w2 r_x^2 t_y^2 (1 - m^2) s^2: P < 1 only where both the
+    inerasable (m < 1) and the erasable (s != 0) which-path marks exist.
+    Raises ZeroTraceError where tr G cancels to the rounding of its parts.
     """
-    if not math.isclose(abs(complex(cfg.g1)), abs(complex(cfg.g2)),
-                        rel_tol=1e-12, abs_tol=0.0):
-        raise ParameterError("closed form requires |g1| = |g2|")
-    imp = cfg.imperfections
-    if imp.bs_tx != 1.0 or imp.bs_ty != 1.0:
-        raise ParameterError("closed form only covers an ideal splitter")
     gammas, t_abs = _check_grid(gammas, t_abs)
-    phase = t_phase(cfg)
-    points = [complex(t * phase) for t in t_abs.tolist()]
-    t_eff = np.array([abs(t * imp.eta_idler * imp.mu_overlap) for t in points])
-    cb = np.array([math.cos(beta(cfg, t)) for t in points])
+    imp = cfg.imperfections
+    big = max(abs(cfg.g1), abs(cfg.g2))
+    a1, a2 = abs(cfg.g1) / big, abs(cfg.g2) / big
+    w1, w2 = a1 * a1, a2 * a2
+    rx2, ty2 = imp.bs_tx ** 2 / 2.0, 1.0 - imp.bs_ty ** 2 / 2.0
+    tx2 = 1.0 - rx2
+    t = t_abs * t_phase(cfg)
+    m = np.abs(t * imp.eta_idler * imp.mu_overlap)
+    cb = np.cos(cfg.phi_s2 - cfg.phi_s1 - cfg.phi_i - np.angle(t)
+                + cmath.phase(cfg.g2) - cmath.phase(cfg.g1))
     c, s = np.cos(gammas)[:, None], np.sin(gammas)[:, None]
-    denom = 1.0 + t_eff * c * cb
-    if np.any(denom <= 0.0):
-        # total destructive cancellation of the two arms: no light, so no
-        # polarization (the numeric pipeline's zero coherence-matrix trace)
+    c2, s2 = c * c, s * s
+    cross = 2.0 * math.sqrt(tx2 * rx2) * a1 * a2 * m * c * cb
+    first = w1 * (ty2 + (tx2 - ty2) * c2)
+    tr = first + rx2 * w2 + cross
+    if np.any(tr <= _CANCEL_TOL * (first + rx2 * w2 + np.abs(cross))):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    num = c * c + t_eff * t_eff * (s * s + c * c * cb * cb) + 2.0 * t_eff * c * cb
-    return np.minimum(np.sqrt(np.maximum(num, 0.0)) / denom, 1.0)
+    diff = (rx2 * w2 - ty2 * w1) + w1 * (tx2 + ty2) * c2 + cross
+    coherent = w1 * tx2 * c2 + rx2 * w2 * m * m + cross
+    gap = np.sqrt(np.maximum(diff * diff + 4.0 * coherent * w1 * ty2 * s2, 0.0))
+    return np.minimum(gap / tr, 1.0)
 
 
 def analytic_p_general(cfg: ZwmConfig) -> float:

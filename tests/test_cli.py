@@ -197,18 +197,45 @@ def test_dark_fringe_inside_a_grid_exits_2_without_output(tmp_path, capsys, mode
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cfg_text, message", [
-    ("bs_tx = 0.9\n", "ideal splitter"),
-    ("g1_mag = 0.01\ng2_mag = 0.02\n", "|g1| = |g2|"),
+@pytest.mark.parametrize("cfg_text", [
+    "bs_tx = 0.9\n",
+    "g1_mag = 0.01\ng2_mag = 0.02\n",
 ], ids=["skewed-splitter", "unequal-gains"])
-def test_analytic_sweep_outside_the_closed_form_exits_2(tmp_path, capsys,
-                                                        cfg_text, message):
+def test_analytic_sweep_of_a_general_config_agrees_with_numeric(tmp_path, cfg_text):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(cfg_text)
+    p = {}
+    for mode in ("analytic", "numeric"):
+        out = tmp_path / f"{mode}.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
+                       "--gamma", "0,30,60", "--t", "0.5,1", "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert {row[2] for row in rows} == {mode}
+        p[mode] = np.array([[float(v) for v in (*row[:2], row[3])] for row in rows])
+    assert p["analytic"].shape == (6, 3)
+    np.testing.assert_array_equal(p["analytic"][:, :2], p["numeric"][:, :2])
+    assert np.max(np.abs(p["analytic"][:, 2] - p["numeric"][:, 2])) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("cfg_text", [
+    # the arms cancel when |g2| / |g1| = t_x / r_x = sqrt(0.595 / 0.405)
+    f"g2_mag = 0.012120791238484128\nbs_tx = 0.9\nphi_s2_rad = {math.pi!r}\n",
+    # beta = pi through the phase of T; at |T| = 1 numpy puts the modulus of
+    # the complex T_eff an ulp below 1, but the dark fringe is exact
+    f"t_phase_rad = 0.10290096698899634\nphi_s2_rad = {math.pi + 0.10290096698899634!r}\n",
+], ids=["skewed-splitter", "phase-of-t"])
+def test_dark_fringe_off_the_default_config_exits_2_without_output(tmp_path, capsys,
+                                                                   cfg_text, mode):
+    """Both exact modes find no light at gamma = 0, |T| = 1 and exit 2."""
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(cfg_text)
     out = tmp_path / "rows.csv"
-    assert run_cli("sweep", "--config", str(cfg), "--mode", "analytic",
-                   "--gamma", "0,30,60", "--t", "0.5,1", "--out", str(out)) == 2
-    assert message in capsys.readouterr().err
+    assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
+                   "--gamma", "0,30", "--t", "0.5,1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "zero intensity" in captured.err
     assert not out.exists()
 
 

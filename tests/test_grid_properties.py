@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polsim.config import DEFAULTS, build_configs
 from polsim.errors import ParameterError, ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken_grid
 from polsim.zwm import (
@@ -16,6 +17,8 @@ from polsim.zwm import (
     analytic_p_general,
     analytic_p_grid,
     analytic_p_special,
+    coherence_grid,
+    degree_of_polarization_grid,
 )
 
 unit = st.floats(0.0, 1.0)
@@ -26,6 +29,86 @@ small_phase = st.floats(-0.25, 0.25)
 # gedanken sweeps must agree
 DENSE_GAMMAS = [math.radians(90 * i / 200) for i in range(201)]
 DENSE_TS = [i / 200 for i in range(201)]
+
+
+# general corpus: 2000 configs with every key that reaches ZwmConfig random,
+# and 400 more tuned to a dark fringe at gamma = 0, |T| = 1
+CORPUS_SIZE, CORPUS_DARK = 2400, 400
+
+
+def general_corpus():
+    """(cfg, gammas, |T| values) triples from config values: gains log-uniform
+    over [1e-100, 0.1], every other key uniform over its range, each config
+    on a 7x5 grid holding its own gamma and |T|, gamma = 0 and 90 deg and
+    |T| = 0 and 1.  Every sixth config is a dark fringe at gamma = 0, |T| = 1:
+    eta_idler = mu_overlap = 1, |g2| / |g1| = t_x / r_x and beta = pi.  Every
+    fifth of the others has eta_idler = mu_overlap = 1, so m = 1 at |T| = 1."""
+    rng = np.random.default_rng(2610)
+    for k in range(CORPUS_SIZE):
+        values = dict(DEFAULTS)
+        for key in ("g1_mag", "g2_mag"):
+            values[key] = 10.0 ** rng.uniform(-100.0, -1.0)
+        for key in ("g1_phase_rad", "g2_phase_rad", "t_phase_rad",
+                    "phi_s1_rad", "phi_s2_rad", "phi_i_rad"):
+            values[key] = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+        for key in ("t_mag", "eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
+            values[key] = rng.uniform(0.0, 1.0)
+        values["gamma_deg"] = rng.uniform(-90.0, 90.0)
+        if k % 6 == 0 or k % 5 == 0:
+            values["eta_idler"] = values["mu_overlap"] = 1.0
+        if k % 6 == 0:
+            ratio = math.sqrt(2.0 / values["bs_tx"] ** 2 - 1.0)  # t_x / r_x
+            values["g1_mag"] = min(values["g1_mag"], 0.1 / ratio)
+            values["g2_mag"] = values["g1_mag"] * ratio
+            values["phi_s2_rad"] = (math.pi + values["phi_s1_rad"] + values["phi_i_rad"]
+                                    + values["t_phase_rad"] - values["g2_phase_rad"]
+                                    + values["g1_phase_rad"])
+        cfg, _ = build_configs(values)
+        gs = np.array([cfg.gamma, 0.0, math.pi / 2, *rng.uniform(-math.pi / 2, math.pi / 2, 4)])
+        ts = np.array([abs(cfg.t), 0.0, 1.0, *rng.uniform(0.0, 1.0, 2)])
+        yield cfg, gs, ts
+
+
+def test_analytic_grid_agrees_with_the_pipeline_on_every_config():
+    dark = 0
+    for cfg, gs, ts in general_corpus():
+        try:
+            p = analytic_p_grid(cfg, gs, ts)
+        except ZeroTraceError:
+            p = None
+        try:
+            q = degree_of_polarization_grid(coherence_grid(cfg, gs, ts))
+        except ZeroTraceError:
+            q = None
+        assert (p is None) == (q is None), cfg
+        if p is None:
+            dark += 1
+        else:
+            assert np.max(np.abs(p - q)) <= 1e-12, cfg
+    assert dark == CORPUS_DARK
+
+
+def test_closed_form_obeys_the_determinant_identity():
+    """det G = w1 w2 r_x^2 t_y^2 (1 - m^2) sin^2 gamma, so 1 - P^2 = 4 det G / (tr G)^2
+    and P = 1 wherever m = 1 or sin gamma = 0: the beam is partially polarized
+    only where both kinds of distinguishability exist."""
+    for cfg, gs, ts in general_corpus():
+        try:
+            p = analytic_p_grid(cfg, gs, ts)
+        except ZeroTraceError:
+            continue
+        imp = cfg.imperfections
+        big = max(abs(cfg.g1), abs(cfg.g2))
+        w1, w2 = (abs(cfg.g1) / big) ** 2, (abs(cfg.g2) / big) ** 2
+        m = ts * imp.eta_idler * imp.mu_overlap
+        s = np.sin(gs)[:, None]
+        rx2, ty2 = imp.bs_tx ** 2 / 2.0, 1.0 - imp.bs_ty ** 2 / 2.0
+        det = w1 * w2 * rx2 * ty2 * (1.0 - m * m) * s * s
+        g = coherence_grid(cfg, gs, ts) / big ** 2
+        tr = g[..., 0, 0].real + g[..., 1, 1].real
+        assert np.max(np.abs((1.0 - p * p) - 4.0 * det / tr ** 2)) <= 1e-12, cfg
+        pure = (m == 1.0) | (s == 0.0)
+        assert np.all(np.abs(p - 1.0)[pure] <= 1e-12), cfg
 
 
 def closed_form(gamma, t_eff, beta):
@@ -102,11 +185,6 @@ def test_analytic_grid_entries_equal_single_point_calls():
 
 
 def test_analytic_grid_guards():
-    with pytest.raises(ParameterError):
-        analytic_p_grid(ZwmConfig(g1=0.01, g2=0.02), [0.0], [0.5])
-    with pytest.raises(ParameterError):
-        analytic_p_grid(ZwmConfig(imperfections=ImperfectionConfig(bs_ty=0.9)),
-                        [0.0], [0.5])
     with pytest.raises(ParameterError):
         analytic_p_grid(ZwmConfig(), [0.0, math.nan], [0.5])
     with pytest.raises(ParameterError):

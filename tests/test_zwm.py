@@ -24,7 +24,6 @@ from polsim.zwm import (
     ZwmConfig,
     analytic_p_general,
     analytic_p_special,
-    beta,
     coherence_grid,
     coherence_matrix,
     degree_of_polarization,
@@ -414,7 +413,6 @@ def test_blocked_idler_at_quarter_turn_is_unpolarized():
 
 def test_partial_transmission_eigenvalue_ratio():
     cfg = ZwmConfig(gamma=math.pi / 2, t=0.5)
-    assert beta(cfg) == 0.0
     lo, hi = np.linalg.eigvalsh(coherence_matrix(cfg).matrix)
     assert hi / lo == pytest.approx(3.0, rel=1e-10)
 
@@ -552,22 +550,6 @@ def test_stokes_parameters_pinned(matrix, expected):
     np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
-def test_beta_pinned_values():
-    assert beta(ZwmConfig()) == 0.0
-    assert beta(ZwmConfig(phi_s2=math.pi)) == pytest.approx(math.pi, abs=1e-15)
-    cfg = ZwmConfig(phi_s2=math.pi / 2, phi_i=math.pi / 4,
-                    t=cmath.exp(1j * math.pi / 8))
-    assert beta(cfg) == pytest.approx(math.pi / 8, abs=1e-15)
-
-
-def test_beta_reduction_and_zero_transmission_convention():
-    assert beta(ZwmConfig(phi_s2=3 * math.pi)) == pytest.approx(math.pi, abs=1e-15)
-    assert beta(ZwmConfig(phi_s2=-math.pi)) == pytest.approx(math.pi, abs=1e-15)
-    assert beta(ZwmConfig(phi_s2=4 * math.pi)) == pytest.approx(0.0, abs=1e-12)
-    # at T = 0 the transmission phase is defined away
-    assert beta(ZwmConfig(t=0.0, phi_s2=0.3)) == pytest.approx(0.3, rel=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -607,12 +589,11 @@ def test_analytic_general_folds_idler_loss_into_transmission():
 
 
 def test_analytic_general_guards():
-    with pytest.raises(ParameterError):
-        analytic_p_general(ZwmConfig(g1=0.01, g2=0.02))
-    with pytest.raises(ParameterError):
-        analytic_p_general(ZwmConfig(imperfections=ImperfectionConfig(bs_tx=0.9)))
+    # unequal gain magnitudes and a skewed splitter are in the closed form
+    cfgs = [ZwmConfig(g1=0.01, g2=0.02),
+            ZwmConfig(imperfections=ImperfectionConfig(bs_tx=0.9))]
     # partial overlap is a factor on |T|, so the closed form covers it
-    cfgs = [ZwmConfig(t=0.5 * cmath.exp(-0.54j), gamma=math.radians(60), phi_i=0.3,
+    cfgs += [ZwmConfig(t=0.5 * cmath.exp(-0.54j), gamma=math.radians(60), phi_i=0.3,
                       imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.5))]
     cfgs += [ZwmConfig(t=t * cmath.exp(-0.54j), gamma=math.radians(gamma_deg), phi_i=0.3,
                        imperfections=ImperfectionConfig(eta_idler=0.8, mu_overlap=0.7))
