@@ -208,6 +208,7 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # the commands turn every other file's OSError into a PolsimError
         # stdout, flushed at each print: drop what it still buffers, or the flush at exit fails too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2

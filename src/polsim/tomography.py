@@ -34,8 +34,10 @@ class MeasurementSetting:
     polarizer_angle: float
 
     def __post_init__(self):
-        if not all(math.isfinite(2.0 * float(x)) for x in (self.qwp_angle, self.polarizer_angle)):
+        angles = float(self.qwp_angle), float(self.polarizer_angle)
+        if not all(math.isfinite(2.0 * x) for x in angles):
             raise ParameterError("analyzer angles must be finite, and so must their doubles")
+        object.__setattr__(self, "_key", tuple(x.hex() for x in angles))  # see _angle_key
 
 
 DEFAULT_SETTINGS = (
@@ -69,7 +71,7 @@ class DetectorModel:
 
 def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:
     # the angles' exact bits: 0.0 == -0.0, but their rows differ in signed zeros
-    return float(setting.qwp_angle).hex(), float(setting.polarizer_angle).hex()
+    return setting._key
 
 
 def _stokes_row(qwp: float, pol: float) -> tuple[float, float, float, float]:
@@ -140,7 +142,7 @@ def simulate_counts(
     return _poisson_draw(expected_counts_grid(g.matrix, settings, detector), seed)
 
 
-def _checked_counts(counts, what: str) -> np.ndarray:
+def _checked_counts(counts, what: str) -> tuple[np.ndarray, list[float]]:
     try:
         counts = np.asarray(counts, dtype=float)
     except OverflowError:
@@ -150,12 +152,12 @@ def _checked_counts(counts, what: str) -> np.ndarray:
         raise ParameterError(f"{what} must be finite")
     if values and min(values) < 0.0:
         raise ParameterError(f"{what} must be non-negative")
-    return counts
+    return counts, values
 
 
 def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     """Subtract the expected dark counts, clamping at zero."""
-    raw = _checked_counts(raw_counts, "raw counts")
+    raw, _ = _checked_counts(raw_counts, "raw counts")
     return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
 
 
@@ -166,7 +168,8 @@ class FitDiagnostics:
     path: "zero" (all counts zero), "exact" (four settings and a PSD linear
       inversion, which is the MLE), "interior" (a mixed optimum, more than
       four settings) or "boundary" (a pure optimum).
-    newton_steps: iterations of the Newton fit over the Bloch ball.
+    newton_steps: steps of the Newton fit over the Bloch ball that built a
+      model of the likelihood.
     kkt_residual: a bound on the excess of the negative log-likelihood over
       its minimum, per count: the smaller of the conic KKT certificate and
       the gap to the saturated model mu = n.
@@ -204,14 +207,18 @@ def _counts_total(values) -> float:
 
 def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     """The fit behind mle_reconstruct."""
-    counts = _checked_counts(corrected_counts, "corrected counts")
-    if len(settings) < 4 or counts.shape != (len(settings),):
+    counts, values = _checked_counts(corrected_counts, "corrected counts")
+    return _fit_values(values, counts.shape, settings)
+
+
+def _fit_values(values, shape, settings) -> tuple[np.ndarray, FitDiagnostics]:
+    """The fit to corrected counts, given as the values of an array of that shape."""
+    if len(settings) < 4 or shape != (len(settings),):
         raise IllPosedError(
             f"need >= 4 settings with matching counts, got {len(settings)} "
-            f"settings and counts of shape {counts.shape}"
+            f"settings and counts of shape {shape}"
         )
-    data = _scalars(tuple(_angle_key(s) for s in settings))
-    values = counts.tolist()
+    data = _scalars(tuple(map(_angle_key, settings)))
     if not max(values) > 0.0:
         return np.zeros((2, 2), dtype=complex), FitDiagnostics("zero")
 
@@ -236,7 +243,7 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
         entries, mu, steps, pure = ball_newton(data, n, None if x is None else x[1:])
         path = "boundary" if pure else "interior"
     try:
-        gxx, gyy, re, im = (math.ldexp(v, exp) for v in entries)
+        gxx, gyy, re, im = [math.ldexp(v, exp) for v in entries]
         if not math.isfinite(gxx + gyy + 2.0 * math.hypot(re, im)):
             raise OverflowError
     except OverflowError:
@@ -257,12 +264,16 @@ class TomographyRun:
 
 
 def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> TomographyRun:
-    """Correct, fit and summarize one set of raw counts.
+    """Correct, fit and summarize one set of raw counts: checked and corrected
+    once, as background_correct does, but on Python floats, and P from the
+    fit's own entries by degree_of_polarization's scalar arithmetic.
 
     Raises ZeroTraceError when the corrected counts are all zero: the fit is
     the zero matrix, whose polarization is undefined.
     """
-    matrix, diagnostics = _fit(background_correct(raw_counts, detector), settings)
+    raw, values = _checked_counts(raw_counts, "raw counts")
+    dark = detector.dark_rate * detector.integration_time
+    matrix, diagnostics = _fit_values([max(0.0, c - dark) for c in values], raw.shape, settings)
     if diagnostics.path == "zero":
         raise ZeroTraceError("degree of polarization undefined at zero intensity: all "
                              "background-corrected counts are zero")

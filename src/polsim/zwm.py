@@ -205,14 +205,14 @@ class CoherenceMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ParameterError(f"coherence matrix must be 2x2, got {m.shape}")
-        entries = m.ravel().tolist()
-        if not all(map(cmath.isfinite, entries)):
+        parts = m.ravel().view(float).tolist()  # real and imaginary parts, entry by entry
+        if not all(map(math.isfinite, parts)):
             raise ParameterError("coherence matrix entries must be finite")
         # scaled by a power of two, exactly, so that no sum below overflows and
         # no subnormal entry loses the precision the tests need
-        exp = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
-        gxx, gxy, gyx, gyy = (complex(math.ldexp(z.real, -exp), math.ldexp(z.imag, -exp))
-                              for z in entries)
+        exp = -math.frexp(max(map(abs, parts)))[1]
+        parts = [math.ldexp(x, exp) for x in parts]
+        gxx, gxy, gyx, gyy = map(complex, parts[::2], parts[1::2])
         scale = max(abs(gxx), abs(gxy), abs(gyx), abs(gyy))
         if abs(gyx - gxy.conjugate()) > 1e-9 * scale:
             raise ParameterError("coherence matrix is not Hermitian")
@@ -251,8 +251,11 @@ def degree_of_polarization_grid(g: np.ndarray) -> np.ndarray:
 
 
 def degree_of_polarization(g: CoherenceMatrix) -> float:
-    """P of one coherence matrix; see degree_of_polarization_grid."""
-    return float(degree_of_polarization_grid(g.matrix))
+    """P of one coherence matrix, as degree_of_polarization_grid, on Python floats."""
+    (gxx, gxy), (_, gyy) = g.matrix.tolist()
+    if gxx.real + gyy.real <= 0.0:
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
+    return min(math.hypot(gxx.real - gyy.real, 2.0 * abs(gxy)) / (gxx.real + gyy.real), 1.0)
 
 
 def _stokes_grid(g: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from polsim import cli
 from polsim.config import DEFAULTS, parse_config_text
+from polsim.errors import ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken
 from polsim.tomography import (
     DEFAULT_SETTINGS,
@@ -371,6 +372,24 @@ def test_selftest_failure_exits_4(monkeypatch, capsys):
     assert "1 check(s) failed" in captured.err
 
 
+def test_selftest_exits_4_where_only_the_closed_form_sees_a_dark_corner(monkeypatch, capsys):
+    """A pipeline that reads P = 0 where the closed form finds zero intensity
+    fails the pipeline check: selftest exits 4 and names it."""
+    numeric = cli.numeric_degree_of_polarization
+
+    def lit(cfg):
+        try:
+            return numeric(cfg)
+        except ZeroTraceError:
+            return 0.0
+
+    monkeypatch.setattr(cli, "numeric_degree_of_polarization", lit)
+    assert run_cli("selftest") == 4
+    captured = capsys.readouterr()
+    assert "FAIL: pipeline vs closed form, 11x7x4 grid: max |delta| = inf" in captured.out
+    assert "1 check(s) failed" in captured.err
+
+
 def tomo_fixture_counts(tmp_path, dark_rate):
     """Simulated counts for a known trace-1 matrix with P = 0.6."""
     detector = DetectorModel(kappa=3333.0, dark_rate=dark_rate,
@@ -531,6 +550,44 @@ def test_unwritable_stdout_exits_2_with_one_line(tmp_path, stdout):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: cannot write stdout: "), proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
+def test_unwritable_stdout_leaves_no_descriptor_open(stdout):
+    """The stdout-error branch points stdout at the null device through a
+    descriptor it closes again: a process that calls main once with an
+    unwritable stdout holds as many descriptors after the call as before."""
+    if stdout == "dev-full" and not Path("/dev/full").exists():
+        pytest.skip("/dev/full does not exist here")
+    code = ("import os, sys\n"
+            "import polsim.cli\n"
+            "def open_fds():\n"
+            "    fds = []\n"
+            "    for fd in range(256):\n"
+            "        try:\n"
+            "            os.fstat(fd)\n"
+            "        except OSError:\n"
+            "            continue\n"
+            "        fds.append(fd)\n"
+            "    return fds\n"
+            "before = open_fds()\n"
+            "status = polsim.cli.main(['sweep', '--print-config'])\n"
+            "print(status, before, open_fds(), sep='|', file=sys.stderr)\n")
+    if stdout == "dev-full":
+        sink = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, sink = os.pipe()
+        os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=sink,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(sink)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("error: cannot write stdout: "), proc.stderr
+    status, before, after = lines[-1].split("|")
+    assert status == "2" and after == before, lines
 
 
 def test_tomo_at_the_largest_degree_angles(tmp_path):

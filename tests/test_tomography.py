@@ -507,6 +507,27 @@ def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
     assert _fit(np.zeros(6), SIX_SETTINGS)[1] == FitDiagnostics("zero")
 
 
+def test_newton_steps_of_a_detector_corpus():
+    """600 seeded tables shaped like a benchmark pass: H V D R counts of pure
+    states and H V D A R L counts of states with P from 0.2 to 1, at 5e4
+    counts per unit trace.  The Newton steps they take sum to a pinned total,
+    which moves only with the stop rule: a step that ends at the optimum is
+    the last, with no model built after it.  Every H V D A R L fit then takes
+    one step, the step from v = 0 to r_i = (n+ - n-) / (n+ + n-)."""
+    rng = np.random.default_rng(40)
+    steps = {4: 0, 6: 0}
+    paths = {"exact": 0, "boundary": 0, "interior": 0}
+    for trial in range(600):
+        settings = (DEFAULT_SETTINGS, SIX_SETTINGS)[trial % 2]
+        p = 1.0 if trial % 2 == 0 else rng.uniform(0.2, 1.0)
+        counts = poisson_table(rng, settings, p, 49995.0, (40, trial))
+        diagnostics = reconstruct_run(settings, counts, UNIT).diagnostics
+        steps[len(settings)] += diagnostics.newton_steps
+        paths[diagnostics.path] += 1
+    assert paths == {"exact": 145, "boundary": 155, "interior": 300}
+    assert steps == {4: 479, 6: 300}
+
+
 @pytest.mark.parametrize("tilt", [1e-17, 2e-17, 3e-17, 4e-17])
 def test_certificate_holds_at_pure_points_the_likelihood_cannot_tell_apart(tilt):
     """The noiseless H V D A R L table of the pure H state tilted 6e-17 toward
