@@ -35,7 +35,7 @@ class SettingRows(NamedTuple):
 
 _NEWTON_STEPS = 100
 _DECREMENT_TOL = 1e-28  # squared Newton decrement at which a fit stops
-_STOP_DECREMENT = 1e-30  # a bound on it, with a margin, at which a fit stops at once
+_STOP_DECREMENT = 1e-30  # an estimate of it at which a fit stops at once, 100x below
 _SPHERE_KKT = 1e-9      # certificate of a pure point above which a fit may leave the sphere
 
 
@@ -47,9 +47,10 @@ def _dot3(a, x) -> float:
     return a[0] * x[0] + a[1] * x[1] + a[2] * x[2]
 
 
-# np.linalg.eigh's LAPACK routine without that wrapper, which costs twice the
-# decomposition of a 3x3; the Hessians passed are finite
-_EIGH = np.linalg._umath_linalg.eigh_lo
+# the LAPACK routine behind np.linalg.eigh, whose wrapper costs twice the 3x3
+# decomposition and alone turns a NaN into LinAlgError, so the matrices passed
+# must be finite; a private numpy name, so np.linalg.eigh where it is gone
+_EIGH = getattr(getattr(np.linalg, "_umath_linalg", None), "eigh_lo", np.linalg.eigh)
 
 
 def _eigen(hess) -> tuple[list, list, list]:
@@ -140,11 +141,12 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
     the sphere alone h can have local minima, so a step from the sphere may
     go inside wherever the certificate there exceeds _SPHERE_KKT.  The fit
     stops where the model's decrement is at most _DECREMENT_TOL; after a
-    step it first bounds that by g . (H + lam)^-1 g, g the new gradient
+    step it first estimates that as g . (H + lam)^-1 g, g the new gradient
     along the steps allowed, lam its multiplier on the sphere and H the last
-    Hessian, and stops at a bound of at most _STOP_DECREMENT without a model
-    (steps count models).  It also stops after a step whose gain is below
-    h's rounding if the gradient along the steps allowed did not then fall.
+    Hessian, and stops without a model where the estimate is at most
+    _STOP_DECREMENT, 100 times lower (steps count models).  It also stops
+    after a step whose gain is below h's rounding if the gradient along the
+    steps allowed did not then fall.
     Near the sphere the rounding of v can leave an interior fit just outside
     its optimum, where 2 grad h . v / N exceeds _SPHERE_KKT; it then ends a
     rounding step further in, where the certificate holds.
@@ -216,7 +218,7 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
         held = 0.0 if inside else radial  # on the sphere, the multiplier of |v| = 1
         along = [gi - held * vi for gi, vi in zip(grad, v)]
         slope = math.sqrt(sum([ai ** 2 for ai in along]))
-        # after a step, the decrement bounded with the Hessian of the step before,
+        # after a step, the decrement estimated with the Hessian of the step before,
         # unless that step used its tangential part, which drops the sphere's curvature
         if steps > 1 and (not slope < steady or not projected and vals[0] > held and sum(
                 [_dot3(q, along) ** 2 / (lam - held) for lam, q in zip(vals, vecs)])
@@ -261,8 +263,10 @@ def ball_newton(data: SettingRows, n, u=None) -> tuple[tuple, list, int, bool]:
                 length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
                 if length > radius:  # the model's minimum lies beyond where it is trusted
                     if not (inside or projected):
-                        projected = True
-                        vals, vecs, cols = _eigen(_tangential(hess, v))
+                        projected, tangent = True, _tangential(hess, v)
+                        if not math.isfinite(sum(tangent)):  # an entry that overflowed
+                            break
+                        vals, vecs, cols = _eigen(tangent)
                         g_basis, v_basis = ([_dot3(q, x) for q in vecs] for x in (grad, v))
                     else:
                         reg = max(2.0 * reg, slope / radius)

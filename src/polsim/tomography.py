@@ -13,7 +13,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from operator import mul
+from operator import attrgetter, mul
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class MeasurementSetting:
         angles = float(self.qwp_angle), float(self.polarizer_angle)
         if not all(math.isfinite(2.0 * x) for x in angles):
             raise ParameterError("analyzer angles must be finite, and so must their doubles")
-        object.__setattr__(self, "_key", tuple(x.hex() for x in angles))  # see _angle_key
+        # the fit data's key, the angles' exact bits: 0.0 == -0.0, but their rows differ
+        object.__setattr__(self, "_key", tuple(x.hex() for x in angles))
 
 
 DEFAULT_SETTINGS = (
@@ -69,9 +70,7 @@ class DetectorModel:
             raise ParameterError("integration_time must be finite and positive")
 
 
-def _angle_key(setting: MeasurementSetting) -> tuple[str, str]:
-    # the angles' exact bits: 0.0 == -0.0, but their rows differ in signed zeros
-    return setting._key
+_angle_key = attrgetter("_key")
 
 
 def _stokes_row(qwp: float, pol: float) -> tuple[float, float, float, float]:
@@ -142,7 +141,7 @@ def simulate_counts(
     return _poisson_draw(expected_counts_grid(g.matrix, settings, detector), seed)
 
 
-def _checked_counts(counts, what: str) -> tuple[np.ndarray, list[float]]:
+def _checked_counts(counts, what: str) -> tuple[tuple, list[float]]:
     try:
         counts = np.asarray(counts, dtype=float)
     except OverflowError:
@@ -152,13 +151,20 @@ def _checked_counts(counts, what: str) -> tuple[np.ndarray, list[float]]:
         raise ParameterError(f"{what} must be finite")
     if values and min(values) < 0.0:
         raise ParameterError(f"{what} must be non-negative")
-    return counts, values
+    return counts.shape, values
+
+
+def _corrected(raw_counts, detector: DetectorModel) -> tuple[tuple, list[float]]:
+    """The raw counts' shape and their values less the expected dark counts, clamped at zero."""
+    shape, values = _checked_counts(raw_counts, "raw counts")
+    dark = detector.dark_rate * detector.integration_time
+    return shape, [max(0.0, c - dark) for c in values]
 
 
 def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
     """Subtract the expected dark counts, clamping at zero."""
-    raw, _ = _checked_counts(raw_counts, "raw counts")
-    return np.maximum(raw - detector.dark_rate * detector.integration_time, 0.0)
+    shape, values = _corrected(raw_counts, detector)
+    return np.array(values).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,10 @@ def _counts_total(values) -> float:
 
 def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     """The fit behind mle_reconstruct."""
-    counts, values = _checked_counts(corrected_counts, "corrected counts")
-    return _fit_values(values, counts.shape, settings)
+    return _fit_values(*_checked_counts(corrected_counts, "corrected counts"), settings)
 
 
-def _fit_values(values, shape, settings) -> tuple[np.ndarray, FitDiagnostics]:
+def _fit_values(shape, values, settings) -> tuple[np.ndarray, FitDiagnostics]:
     """The fit to corrected counts, given as the values of an array of that shape."""
     if len(settings) < 4 or shape != (len(settings),):
         raise IllPosedError(
@@ -265,15 +270,13 @@ class TomographyRun:
 
 def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> TomographyRun:
     """Correct, fit and summarize one set of raw counts: checked and corrected
-    once, as background_correct does, but on Python floats, and P from the
-    fit's own entries by degree_of_polarization's scalar arithmetic.
+    once, as background_correct does, but kept as Python floats, and P from
+    the fit's own entries by degree_of_polarization's scalar arithmetic.
 
     Raises ZeroTraceError when the corrected counts are all zero: the fit is
     the zero matrix, whose polarization is undefined.
     """
-    raw, values = _checked_counts(raw_counts, "raw counts")
-    dark = detector.dark_rate * detector.integration_time
-    matrix, diagnostics = _fit_values([max(0.0, c - dark) for c in values], raw.shape, settings)
+    matrix, diagnostics = _fit_values(*_corrected(raw_counts, detector), settings)
     if diagnostics.path == "zero":
         raise ZeroTraceError("degree of polarization undefined at zero intensity: all "
                              "background-corrected counts are zero")
