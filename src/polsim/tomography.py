@@ -120,13 +120,6 @@ def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np
             + detector.dark_rate * detector.integration_time
 
 
-def expected_counts(
-    g: CoherenceMatrix, setting: MeasurementSetting, detector: DetectorModel
-) -> float:
-    """Mean detected counts for one setting, dark counts included."""
-    return float(expected_counts_grid(g.matrix, (setting,), detector)[0])
-
-
 def _poisson_draw(mu: np.ndarray, seed) -> np.ndarray:
     if not np.all(mu <= _POISSON_LAM_MAX):
         raise ConfigRangeError(f"expected counts {np.max(mu):g} exceed the Poisson "
@@ -159,12 +152,6 @@ def _corrected(raw_counts, detector: DetectorModel) -> tuple[tuple, list[float]]
     shape, values = _checked_counts(raw_counts, "raw counts")
     dark = detector.dark_rate * detector.integration_time
     return shape, [max(0.0, c - dark) for c in values]
-
-
-def background_correct(raw_counts, detector: DetectorModel) -> np.ndarray:
-    """Subtract the expected dark counts, clamping at zero."""
-    shape, values = _corrected(raw_counts, detector)
-    return np.array(values).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -269,9 +256,9 @@ class TomographyRun:
 
 
 def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> TomographyRun:
-    """Correct, fit and summarize one set of raw counts: checked and corrected
-    once, as background_correct does, but kept as Python floats, and P from
-    the fit's own entries by degree_of_polarization's scalar arithmetic.
+    """Correct, fit and summarize one set of raw counts: checked and
+    dark-corrected once by _corrected, as Python floats, and P from the fit's
+    own entries by degree_of_polarization's scalar arithmetic.
 
     Raises ZeroTraceError when the corrected counts are all zero: the fit is
     the zero matrix, whose polarization is undefined.
@@ -289,18 +276,6 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
 # ---------------------------------------------------------------------------
 
 _COUNTS_HEADER = ("label", "qwp_angle_deg", "polarizer_angle_deg", "raw_count")
-
-
-def write_counts_table(path, settings, raw_counts) -> None:
-    """Whitespace-delimited table, one row per setting, angles in degrees."""
-    lines = ["  ".join(_COUNTS_HEADER)]
-    for s, n in zip(settings, raw_counts, strict=True):
-        lines.append(
-            f"{s.label}  {math.degrees(s.qwp_angle):.6f}  "
-            f"{math.degrees(s.polarizer_angle):.6f}  {int(n)}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:

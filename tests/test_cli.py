@@ -20,12 +20,7 @@ from polsim import cli
 from polsim.config import DEFAULTS, parse_config_text
 from polsim.errors import ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken
-from polsim.tomography import (
-    DEFAULT_SETTINGS,
-    DetectorModel,
-    simulate_counts,
-    write_counts_table,
-)
+from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, simulate_counts
 from polsim.sweep import MODES
 from polsim.zwm import CoherenceMatrix
 
@@ -390,6 +385,13 @@ def test_selftest_exits_4_where_only_the_closed_form_sees_a_dark_corner(monkeypa
     assert "1 check(s) failed" in captured.err
 
 
+def write_counts(path, counts):
+    """A counts table of the H V D R settings with these raw counts."""
+    rows = ("H 0 0", "V 0 90", "D 45 45", "R 0 45")
+    lines = [f"{row} {int(n)}" for row, n in zip(rows, counts, strict=True)]
+    path.write_text("\n".join([COUNTS_HEADER, *lines, ""]))
+
+
 def tomo_fixture_counts(tmp_path, dark_rate):
     """Simulated counts for a known trace-1 matrix with P = 0.6."""
     detector = DetectorModel(kappa=3333.0, dark_rate=dark_rate,
@@ -397,7 +399,7 @@ def tomo_fixture_counts(tmp_path, dark_rate):
     g_true = CoherenceMatrix(np.array([[0.8, 0.3], [0.3, 0.2]]))
     raw = simulate_counts(g_true, DEFAULT_SETTINGS, detector, 42)
     path = tmp_path / "counts.txt"
-    write_counts_table(path, DEFAULT_SETTINGS, raw)
+    write_counts(path, raw)
     return path, math.hypot(0.8 - 0.2, 2 * 0.3)  # P = 0.6 / trace 1
 
 
@@ -433,7 +435,7 @@ def test_tomo_subtracts_configured_dark_counts(tmp_path):
 
 def test_tomo_all_zero_counts_exits_3(tmp_path, capsys):
     path = tmp_path / "zeros.txt"
-    write_counts_table(path, DEFAULT_SETTINGS, [0, 0, 0, 0])
+    write_counts(path, [0, 0, 0, 0])
     assert run_cli("tomo", "--counts", str(path),
                    "--out", str(tmp_path / "x.csv")) == 3
     assert "polarization undefined" in capsys.readouterr().err
@@ -470,13 +472,16 @@ def test_tomo_count_beyond_float_range_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("counts, code", [
     ([int(1e308), 1, 1, 1], 0),
     ([int(1e308)] * 4, 3),
-], ids=["total-in-the-top-binade", "total-beyond-float-range"])
+    # a pure state along (0, -1, 1)/sqrt 2, the Stokes direction of least H V D R
+    # weight: the counts total 1.7e308, and the fit's entries are finite but their sum is not
+    ([int(6.574402182881614e307)] * 2 + [int(1.9255978171183847e307)] * 2, 3),
+], ids=["total-in-the-top-binade", "total-beyond-float-range", "fit-beyond-float-range"])
 def test_tomo_counts_near_float_range_end_cleanly(tmp_path, capsys, counts, code):
     """A counts total in the top binade is fitted without forming 2^1024; a
-    total beyond float range is a range error that names it.  Neither ends in
-    a traceback or writes an inf or a nan."""
+    total, or a fit, beyond float range is a range error that names the
+    total.  None ends in a traceback or writes an inf or a nan."""
     path = tmp_path / "counts.txt"
-    write_counts_table(path, DEFAULT_SETTINGS, counts)
+    write_counts(path, counts)
     out = tmp_path / "recon.csv"
     assert run_cli("tomo", "--counts", str(path), "--out", str(out)) == code
     err = capsys.readouterr().err

@@ -22,16 +22,15 @@ from polsim.tomography import (
     FitDiagnostics,
     MeasurementSetting,
     _angle_key,
+    _corrected,
     _fit,
     _scalars,
     _stokes_row,
-    background_correct,
-    expected_counts,
+    expected_counts_grid,
     mle_reconstruct,
     read_counts_table,
     reconstruct_run,
     simulate_counts,
-    write_counts_table,
 )
 from polsim.zwm import (
     CoherenceMatrix,
@@ -46,8 +45,7 @@ UNIT = DetectorModel(kappa=1.0, dark_rate=0.0, integration_time=1.0)
 
 
 def noiseless_counts(matrix, detector=NO_DARK, settings=DEFAULT_SETTINGS):
-    g = CoherenceMatrix(matrix)
-    return np.array([expected_counts(g, s, detector) for s in settings])
+    return expected_counts_grid(CoherenceMatrix(matrix).matrix, settings, detector)
 
 
 def bloch_matrix(p, n=(1.0, 0.0, 0.0)):
@@ -182,15 +180,13 @@ def test_counts_table_negative_zero_angle_reaches_the_projector(tmp_path):
 
 def test_expected_counts_pinned_values():
     dark = DetectorModel(kappa=3333.0, dark_rate=2.0, integration_time=15.0)
-    zero = CoherenceMatrix(np.zeros((2, 2)))
-    assert expected_counts(zero, DEFAULT_SETTINGS[0], dark) == pytest.approx(30.0)
-    horizontal = CoherenceMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert expected_counts(horizontal, DEFAULT_SETTINGS[1], NO_DARK) == pytest.approx(
-        0.0, abs=1e-10
-    )
+    zero = np.zeros((2, 2))
+    assert expected_counts_grid(zero, DEFAULT_SETTINGS, dark)[0] == pytest.approx(30.0)
+    horizontal = np.array([[1.0, 0.0], [0.0, 0.0]])
+    got = expected_counts_grid(horizontal, DEFAULT_SETTINGS, NO_DARK)[1]
+    assert got == pytest.approx(0.0, abs=1e-10)
     flat = DetectorModel(kappa=1000.0, dark_rate=0.0, integration_time=15.0)
-    for s in DEFAULT_SETTINGS:
-        got = expected_counts(CoherenceMatrix(np.eye(2)), s, flat)
+    for got in expected_counts_grid(np.eye(2), DEFAULT_SETTINGS, flat):
         assert got == pytest.approx(15000.0, rel=1e-12)
 
 
@@ -217,20 +213,20 @@ def test_simulated_counts_stay_within_poisson_tails():
     assert np.all(np.abs(draws - mu) <= 5 * math.sqrt(mu))
 
 
-def test_background_correct_pinned_values():
+def test_dark_correction_pinned_values():
     det = DetectorModel(kappa=1.0, dark_rate=2.0, integration_time=15.0)
-    np.testing.assert_allclose(background_correct([100.0], det), [70.0])
-    np.testing.assert_allclose(background_correct([10.0], det), [0.0])
-    np.testing.assert_allclose(background_correct([30.0], det), [0.0])
+    np.testing.assert_allclose(_corrected([100.0], det)[1], [70.0])
+    np.testing.assert_allclose(_corrected([10.0], det)[1], [0.0])
+    np.testing.assert_allclose(_corrected([30.0], det)[1], [0.0])
     with pytest.raises(ParameterError):
-        background_correct([-1.0], det)
+        _corrected([-1.0], det)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400])
 def test_non_finite_counts_are_rejected_before_any_fit(bad):
     det = DetectorModel(kappa=1.0, dark_rate=2.0, integration_time=15.0)
     with pytest.raises(ParameterError):
-        background_correct([100.0, bad, 5.0, 7.0], det)
+        _corrected([100.0, bad, 5.0, 7.0], det)
     with pytest.raises(ParameterError):
         mle_reconstruct([100.0, bad, 5.0, 7.0], DEFAULT_SETTINGS)
 
@@ -756,10 +752,10 @@ def test_fits_beyond_float_range_are_range_errors():
 def test_reconstruct_run_corrects_background():
     det = DetectorModel(kappa=3333.0, dark_rate=20.0, integration_time=15.0)
     g_true = CoherenceMatrix(bloch_matrix(0.6))
-    mu = [expected_counts(g_true, s, det) for s in DEFAULT_SETTINGS]
+    mu = expected_counts_grid(g_true.matrix, DEFAULT_SETTINGS, det).tolist()
     run = reconstruct_run(DEFAULT_SETTINGS, mu, det)
     np.testing.assert_allclose(
-        background_correct(mu, det), np.asarray(mu) - 300.0, rtol=1e-12
+        _corrected(mu, det)[1], np.asarray(mu) - 300.0, rtol=1e-12
     )
     assert run.p_estimate == pytest.approx(0.6, abs=1e-5)
     assert run.diagnostics.path == "exact"
@@ -769,17 +765,19 @@ def test_reconstruct_run_flags_zero_trace():
     det = DetectorModel(kappa=3333.0, dark_rate=20.0, integration_time=15.0)
     with pytest.raises(ZeroTraceError, match="all background-corrected counts are zero"):
         reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
-    assert _fit(background_correct([300.0] * 4, det), DEFAULT_SETTINGS)[1] == FitDiagnostics("zero")
+    assert _fit(_corrected([300.0] * 4, det)[1], DEFAULT_SETTINGS)[1] == FitDiagnostics("zero")
 
 
 # ---------------------------------------------------------------------------
 # counts-table file format
 # ---------------------------------------------------------------------------
 
-def test_counts_table_round_trip(tmp_path):
+def test_counts_table_read(tmp_path):
     path = tmp_path / "counts.txt"
     raw = [49821, 17, 25006, 24980]
-    write_counts_table(path, DEFAULT_SETTINGS, raw)
+    path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
+                    "H  0.000000  0.000000  49821\nV  0.000000  90.000000  17\n"
+                    "D  45.000000  45.000000  25006\nR  0.000000  45.000000  24980\n")
     settings, counts = read_counts_table(path)
     assert np.array_equal(counts, raw)
     assert [s.label for s in settings] == ["H", "V", "D", "R"]
