@@ -41,7 +41,8 @@ def _csv_floats(text: str) -> list[float]:
 
 
 @functools.cache  # parse_args leaves the parser as it was: build it once per process
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per command (its single-value options by name, all its options)."""
     parser = argparse.ArgumentParser(
         prog="polsim",
         description="Degree-of-polarization simulator for a two-source "
@@ -50,36 +51,69 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate P over a (gamma, |T|) grid")
-    sweep.add_argument("--config", default=None, metavar="PATH",
-                       help="key=value config file (default: ideal instrument)")
-    sweep.add_argument("--mode", choices=MODES, help="evaluation mode")
-    sweep.add_argument("--gamma", type=_csv_floats, metavar="CSV",
-                       help="rotation angles in degrees")
-    sweep.add_argument("--t", type=_csv_floats, metavar="CSV",
-                       help="|T| values (marker quality m for gedanken and montecarlo modes)")
-    sweep.add_argument("--replicates", type=int, default=1,
-                       help="independent repeats per grid point "
-                            "(tomography/montecarlo only)")
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="root seed for the stochastic modes")
-    sweep.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
-                       help="Monte-Carlo samples per extremum estimate")
-    sweep.add_argument("--out", default=None, metavar="PATH",
-                       help="write the CSV here instead of stdout")
-    sweep.add_argument("--print-config", action="store_true",
-                       help="print the effective config (defaults filled in) and exit")
+    sweep_opts = [
+        sweep.add_argument("--config", default=None, metavar="PATH",
+                           help="key=value config file (default: ideal instrument)"),
+        sweep.add_argument("--mode", choices=MODES, help="evaluation mode"),
+        sweep.add_argument("--gamma", type=_csv_floats, metavar="CSV",
+                           help="rotation angles in degrees"),
+        sweep.add_argument("--t", type=_csv_floats, metavar="CSV",
+                           help="|T| values (marker quality m for gedanken and montecarlo modes)"),
+        sweep.add_argument("--replicates", type=int, default=1,
+                           help="independent repeats per grid point "
+                                "(tomography/montecarlo only)"),
+        sweep.add_argument("--seed", type=int, default=0,
+                           help="root seed for the stochastic modes"),
+        sweep.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
+                           help="Monte-Carlo samples per extremum estimate"),
+        sweep.add_argument("--out", default=None, metavar="PATH",
+                           help="write the CSV here instead of stdout"),
+        sweep.add_argument("--print-config", action="store_true",
+                           help="print the effective config (defaults filled in) and exit"),
+    ]
 
     sub.add_parser("selftest", help="run the built-in consistency checks")
 
     tomo = sub.add_parser("tomo", help="reconstruct from a counts table")
-    tomo.add_argument("--counts", required=True, metavar="PATH",
-                      help="whitespace table: label qwp_angle_deg "
-                           "polarizer_angle_deg raw_count")
-    tomo.add_argument("--out", required=True, metavar="PATH",
-                      help="write the reconstruction summary CSV here")
-    tomo.add_argument("--config", default=None, metavar="PATH",
-                      help="config supplying kappa_cps/time_s/dark_cps")
-    return parser
+    tomo_opts = [
+        tomo.add_argument("--counts", required=True, metavar="PATH",
+                          help="whitespace table: label qwp_angle_deg "
+                               "polarizer_angle_deg raw_count"),
+        tomo.add_argument("--out", required=True, metavar="PATH",
+                          help="write the reconstruction summary CSV here"),
+        tomo.add_argument("--config", default=None, metavar="PATH",
+                          help="config supplying kappa_cps/time_s/dark_cps"),
+    ]
+    tables = {name: ({flag: a for a in opts if a.nargs is None for flag in a.option_strings}, opts)
+              for name, opts in (("sweep", sweep_opts), ("selftest", []), ("tomo", tomo_opts))}
+    return parser, tables
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """What parse_args(argv) returns for a line `COMMAND --option value ...` of exact option
+    names and values not starting with '-'; None for other lines and wherever argparse exits."""
+    tables = _build_parser()[1]
+    if len(argv) % 2 == 0 or not all(isinstance(a, str) for a in argv) or argv[0] not in tables:
+        return None
+    flags, options = tables[argv[0]]
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        action = flags.get(flag)
+        if action is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in options:
+        if action.dest not in given and (action.required or isinstance(action.default, str)):
+            return None  # argparse refuses the line, or converts the str default
+        setattr(args, action.dest, given.get(action.dest, action.default))
+    return args
 
 
 def _cmd_sweep(args) -> int:
@@ -196,8 +230,10 @@ def _cmd_tomo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code. A line of
+    exact `--option value` pairs is read in one pass; argparse parses, or refuses, every other."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or _build_parser()[0].parse_args(argv)
     try:
         return dict(sweep=_cmd_sweep, selftest=_cmd_selftest, tomo=_cmd_tomo)[args.command](args)
     except ConfigRangeError as exc:

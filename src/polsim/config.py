@@ -8,6 +8,7 @@ values outside their physical range are range errors.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from .errors import ConfigError, ConfigRangeError
@@ -112,19 +113,22 @@ def build_configs(values: dict[str, float]) -> tuple[ZwmConfig, DetectorModel]:
     return zwm, detector
 
 
+@functools.cache  # the pair is frozen: build the default instrument once per process
+def _default_configs() -> tuple[ZwmConfig, DetectorModel]:
+    return build_configs(DEFAULTS)
+
+
 def load_config(path: str | None) -> tuple[ZwmConfig, DetectorModel, dict[str, float]]:
     """Read and validate a config file; None means all defaults."""
     if path is None:
-        values = dict(DEFAULTS)
-    else:
-        try:
-            with open(path, encoding="ascii") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        values = parse_config_text(text)
-    zwm, detector = build_configs(values)
-    return zwm, detector, values
+        return (*_default_configs(), dict(DEFAULTS))
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    values = parse_config_text(text)
+    return (*build_configs(values), values)
 
 
 def format_config(values: dict[str, float]) -> str:

@@ -1,9 +1,12 @@
 """End-to-end exercises of the polsim command-line interface."""
 
 import contextlib
+import importlib.util
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -346,6 +349,18 @@ def test_negative_seed_exits_3_without_output(tmp_path, capsys, mode):
     assert run_cli("sweep", "--mode", mode, "--gamma", "10", "--t", "0.5",
                    "--seed", "-1", "--out", str(out)) == 3
     assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("replicates", ["0", "-1"])  # the option table reads 0, argparse -1
+def test_replicates_below_one_exit_3_without_output(tmp_path, capsys, mode, replicates):
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--mode", mode, "--gamma", "10", "--t", "0.5",
+                   "--replicates", replicates, "--out", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "range error: replicates must be >= 1\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -724,3 +739,108 @@ def test_numeric_sweep_of_a_million_rows_peaks_below_400_mb(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.splitlines()[-1]) < 400 * 2**20
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 1000 * 1000
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parse of plain command lines against argparse
+# ---------------------------------------------------------------------------
+
+FLAGS = ["--config", "--mode", "--gamma", "--t", "--replicates", "--seed", "--samples",
+         "--out", "--print-config", "--counts"]
+ABBREVIATIONS = ["--con", "--cou", "--co", "--mo", "--gam", "--rep", "--se", "--sa", "--s",
+                 "--o", "--print"]
+VALUES = [*MODES, "bogus", "0", "1", "2", "0.5", "10,20", "0,,1", "1,x", "x", "-1", "-0.5",
+          "-5,10", "-x", "nan", "nan,1", "inf", "1e3", "", " ", "run.cfg", "rows.csv"]
+
+
+def parse_or_exit(argv):
+    """argparse's Namespace for argv, or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli._build_parser()[0].parse_args(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+_flag = st.sampled_from(FLAGS + ABBREVIATIONS + ["-h", "--help", "--"])
+_value = st.sampled_from(VALUES)
+_token = st.one_of(_flag, _value, st.builds("{}={}".format, _flag, _value))
+_plain_pair = st.tuples(st.sampled_from(FLAGS), _value)
+_group = st.one_of(_plain_pair, _plain_pair, _plain_pair, st.tuples(_flag, _value),
+                   st.tuples(_token))
+_command = st.sampled_from([[], ["sweep"], ["sweep"], ["selftest"], ["tomo"], ["tomo"],
+                            ["bogus"], ["-h"], ["--help"]])
+command_lines = st.builds(lambda command, groups: command + [t for g in groups for t in g],
+                          _command, st.lists(_group, max_size=5))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines)
+@example(["sweep", "--gamma", "-5,10"])  # argparse reads a value like "-5,10" as an option
+@example(["tomo", "--counts", "a", "--out", "-h"])
+@example(["sweep", "--print-config", "x"])  # a flag takes no value
+@example(["sweep", "--mode", "numeric", "--mode", "bogus"])
+@example(["sweep", "--t", "nan,1", "--replicates", "-1"])
+def test_plain_args_is_argparse_or_declines(argv):
+    """On any line the table parse gives argparse's namespace (by repr, as nan
+    never equals itself) or None, and None wherever argparse exits."""
+    expected = parse_or_exit(list(argv))
+    plain = cli._plain_args(list(argv))
+    if isinstance(expected, tuple):
+        assert plain is None, (argv, expected)
+    elif plain is not None:
+        assert repr(plain) == repr(expected), argv
+
+
+def test_an_unseen_str_default_is_left_to_argparse(monkeypatch):
+    """argparse passes an unseen option's str default through the option's type."""
+    replicates = cli._build_parser()[1]["sweep"][0]["--replicates"]
+    monkeypatch.setattr(replicates, "default", "2")
+    argv = ["sweep", "--mode", "analytic"]
+    assert parse_or_exit(argv).replicates == 2
+    assert cli._plain_args(argv) is None
+    assert cli._plain_args(argv + ["--replicates", "3"]).replicates == 3
+
+
+def readme_command_lines():
+    """The polsim command lines of the README's code blocks, an optional
+    [--option value] taken."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = "".join(re.findall(r"```\n(.*?)```", text, re.DOTALL)).replace("\\\n", " ")
+    return [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+            for line in blocks.splitlines() if line.startswith("polsim ")]
+
+
+def workload_command_lines(tmp_path, monkeypatch):
+    """The command lines of one smoke-size pass of each benchmark workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS
+            for argv in workloads.make_pass(name, 0, 0, "smoke", tmp_path).commands]
+
+
+def test_readme_and_benchmark_command_lines_take_the_table(tmp_path, monkeypatch):
+    lines = readme_command_lines()
+    assert len(lines) == 5 and ["selftest"] in lines
+    lines += workload_command_lines(tmp_path, monkeypatch)
+    for argv in lines:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert repr(plain) == repr(parse_or_exit(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"], ["tomo", "--help"], ["bogus"],
+                                  ["sweep", "--mode", "bogus"], ["tomo", "--out", "x"],
+                                  ["selftest", "extra"]])
+def test_help_and_usage_errors_are_argparse_own(argv):
+    expected = parse_or_exit(argv)
+    assert cli._plain_args(argv) is None
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert ("exit", exc.value.code, out.getvalue(), err.getvalue()) == expected

@@ -143,6 +143,15 @@ def test_load_config_defaults_and_missing_file(tmp_path):
         load_config(tmp_path / "does_not_exist.cfg")
 
 
+def test_default_config_is_equal_on_every_call_with_a_fresh_value_map():
+    cfg, detector, values = load_config(None)
+    values["t_mag"] = 0.5
+    again_cfg, again_detector, again_values = load_config(None)
+    assert (again_cfg, again_detector) == (cfg, detector) == build_configs(DEFAULTS)
+    assert again_values is not values
+    assert again_values == DEFAULTS
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("gamma_deg = 45\nt_mag = 0.25\n")
