@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import build_configs, format_config, load_config
+from .config import format_config, load_config
 from .errors import ConfigRangeError, PolsimError, ZeroTraceError
 from .gedanken import degree_of_polarization_gedanken
 from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
@@ -82,7 +82,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         tomo.add_argument("--out", required=True, metavar="PATH",
                           help="write the reconstruction summary CSV here"),
         tomo.add_argument("--config", default=None, metavar="PATH",
-                          help="config supplying kappa_cps/time_s/dark_cps"),
+                          help="config whose dark counts dark_cps * time_s are subtracted "
+                               "(every key is checked; no other is read)"),
     ]
     tables = {name: ({flag: a for a in opts if a.nargs is None for flag in a.option_strings}, opts)
               for name, opts in (("sweep", sweep_opts), ("selftest", []), ("tomo", tomo_opts))}
@@ -124,8 +125,6 @@ def _cmd_sweep(args) -> int:
     if args.mode is None or args.gamma is None or args.t is None:
         print("sweep requires --mode, --gamma and --t", file=sys.stderr)
         return 2
-    if values["t_mag"] != 1.0:  # the grid sets |T|; at t_mag = 1, T has t_phase_rad's phase
-        cfg, _ = build_configs({**values, "t_mag": 1.0})
     spec = SweepSpec(
         gammas_deg=tuple(args.gamma),
         t_values=tuple(args.t),
@@ -168,9 +167,9 @@ def _selftest_checks():
         eta_idler=0.8, bs_tx=0.9, bs_ty=0.8, mu_overlap=0.7))
     worst_pipe = 0.0
     for t in np.linspace(0.0, 1.0, 11):
-        for gamma_deg in range(0, 91, 15):
+        for deg in range(0, 91, 15):
             for fields in ({}, {"phi_s2": math.pi / 3.0}, {"phi_s2": math.pi}, imperfect):
-                cfg = ZwmConfig(t=t, gamma=math.radians(gamma_deg), **fields)
+                cfg = ZwmConfig(t=t, gamma=math.radians(deg), **fields)
                 try:
                     p_closed = analytic_p_general(cfg)
                 except ZeroTraceError:
@@ -186,8 +185,8 @@ def _selftest_checks():
 
     # endpoint identities
     worst_end = 0.0
-    for gamma_deg in range(0, 91, 15):
-        gamma = math.radians(gamma_deg)
+    for deg in range(0, 91, 15):
+        gamma = math.radians(deg)
         worst_end = max(worst_end, abs(
             numeric_degree_of_polarization(ZwmConfig(t=1.0, gamma=gamma)) - 1.0))
     for t in np.linspace(0.0, 1.0, 11):

@@ -1,8 +1,9 @@
 """Flat key=value experiment config files.
 
 Every key is optional; an empty (or absent) file describes the ideal
-instrument.  Unknown keys, junk syntax and duplicate keys are parse errors;
-values outside their physical range are range errors.
+instrument.  The file describes the instrument; the (gamma, |T|) grid comes
+from the command line.  Unknown keys, junk syntax and duplicate keys are
+parse errors; values outside their physical range are range errors.
 """
 
 from __future__ import annotations
@@ -13,16 +14,14 @@ import math
 
 from .errors import ConfigError, ConfigRangeError
 from .tomography import DetectorModel
-from .zwm import ImperfectionConfig, ZwmConfig, _erasable
+from .zwm import ImperfectionConfig, ZwmConfig
 
 DEFAULTS = {
     "g1_mag": 0.01,
     "g1_phase_rad": 0.0,
     "g2_mag": 0.01,
     "g2_phase_rad": 0.0,
-    "t_mag": 1.0,
     "t_phase_rad": 0.0,
-    "gamma_deg": 0.0,
     "phi_s1_rad": 0.0,
     "phi_s2_rad": 0.0,
     "phi_i_rad": 0.0,
@@ -38,18 +37,14 @@ DEFAULTS = {
 
 def _check_range(key: str, value: float, line: int | None) -> None:
     def bad(requirement: str):
-        return ConfigRangeError(f"{key} = {value:g} violates {requirement}",
-                                line=line, key=key)
+        return ConfigRangeError(f"{key} = {value:g} violates {requirement}", line=line)
 
     if key in ("g1_mag", "g2_mag"):
         if not 1e-100 <= value <= 0.1:
             raise bad("1e-100 <= value <= 0.1")
-    elif key in ("t_mag", "eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
+    elif key in ("eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
         if not 0.0 <= value <= 1.0:
             raise bad("0 <= value <= 1")
-    elif key == "gamma_deg":
-        if not _erasable(math.radians(value)):
-            raise bad("cos(gamma) >= 0")
     elif key in ("kappa_cps", "dark_cps"):
         if value < 0.0:
             raise bad("value >= 0")
@@ -67,21 +62,20 @@ def parse_config_text(text: str) -> dict[str, float]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}",
-                              line=line_no)
+            raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", line=line_no)
         key, _, value_s = (part.strip() for part in line.partition("="))
         if key not in DEFAULTS:
-            raise ConfigError(f"unknown key {key!r}", line=line_no, key=key)
+            raise ConfigError(f"unknown key {key!r}", line=line_no)
         if key in seen_lines:
             raise ConfigError(f"duplicate key {key!r} (first on line {seen_lines[key]})",
-                              line=line_no, key=key)
+                              line=line_no)
         try:
             value = float(value_s)
         except ValueError:
             raise ConfigError(f"value for {key!r} is not a number: {value_s!r}",
-                              line=line_no, key=key) from None
+                              line=line_no) from None
         if not math.isfinite(value):
-            raise ConfigRangeError(f"{key} must be finite", line=line_no, key=key)
+            raise ConfigRangeError(f"{key} must be finite", line=line_no)
         _check_range(key, value, line_no)
         seen_lines[key] = line_no
         values[key] = value
@@ -89,6 +83,7 @@ def parse_config_text(text: str) -> dict[str, float]:
 
 
 def build_configs(values: dict[str, float]) -> tuple[ZwmConfig, DetectorModel]:
+    """The instrument at gamma = 0 and |T| = 1, with T = exp(i t_phase_rad)."""
     imperfections = ImperfectionConfig(
         eta_idler=values["eta_idler"],
         bs_tx=values["bs_tx"],
@@ -98,8 +93,7 @@ def build_configs(values: dict[str, float]) -> tuple[ZwmConfig, DetectorModel]:
     zwm = ZwmConfig(
         g1=values["g1_mag"] * cmath.exp(1j * values["g1_phase_rad"]),
         g2=values["g2_mag"] * cmath.exp(1j * values["g2_phase_rad"]),
-        t=values["t_mag"] * cmath.exp(1j * values["t_phase_rad"]),
-        gamma=math.radians(values["gamma_deg"]),
+        t=cmath.exp(1j * values["t_phase_rad"]),
         phi_s1=values["phi_s1_rad"],
         phi_s2=values["phi_s2_rad"],
         phi_i=values["phi_i_rad"],

@@ -20,14 +20,13 @@ class ZeroTraceError(PolsimError, ValueError):
 class ConfigError(PolsimError, ValueError):
     """A config or data file failed to parse.
 
-    `line` is the 1-based line number when known, `key` the offending key.
+    `line` is the 1-based line number when known.
     """
 
-    def __init__(self, message, line=None, key=None):
+    def __init__(self, message, line=None):
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
         self.line = line
-        self.key = key
 
 
 class ConfigRangeError(ConfigError):

@@ -19,8 +19,9 @@ To this order the S2 block of M is |g2|^2 for any T_eff and the S1-S2 block
 is linear in T_eff, so the overlap mu that scales that block is a factor on
 |T| (Mandel, Opt. Lett. 16, 1882, 1991); not so at high gain, where |T| also
 weights stimulated emission.  G is a Gram matrix, so Hermitian and positive
-semidefinite by construction.  It is not checked at run time:
-test_pipeline_matrices_satisfy_strict_invariants in tests/test_zwm.py pins it.
+semidefinite by construction.  coherence_grid does not check it at run time
+(test_pipeline_matrices_satisfy_strict_invariants in tests/test_zwm.py pins
+it); coherence_matrix wraps its one point in CoherenceMatrix, which does.
 
 The splitter's reflection phase is folded into the second arm's phase
 reference, so the interferometric phase of every cross term is exactly

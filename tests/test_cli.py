@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polsim import cli
-from polsim.config import DEFAULTS, parse_config_text
+from polsim.config import DEFAULTS, format_config, parse_config_text
 from polsim.errors import ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken
 from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, simulate_counts
@@ -74,21 +74,20 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
-def test_sweep_takes_the_phase_of_t_whatever_t_mag_is(tmp_path, mode):
-    """The grid sets |T|, so t_mag does not change a sweep, and t_phase_rad
-    applies at every grid point even where t_mag = 0."""
-    texts = []
-    for t_mag in (0, 1):
-        cfg, out = tmp_path / f"t{t_mag}.cfg", tmp_path / f"t{t_mag}.csv"
-        cfg.write_text(f"t_mag = {t_mag}\nt_phase_rad = 1\n")
+def test_sweep_applies_the_phase_of_t_at_every_grid_point(tmp_path, mode):
+    """The grid sets |T| and the config T's phase: t_phase_rad changes every
+    row at |T| = 0.5, and no row at |T| = 0, where T has no phase to set."""
+    rows = {}
+    for phase in ("0", "1"):
+        cfg, out = tmp_path / f"phase{phase}.cfg", tmp_path / f"phase{phase}.csv"
+        cfg.write_text(f"t_phase_rad = {phase}\n")
         assert run_cli("sweep", "--config", str(cfg), "--mode", mode, "--gamma", "30,60",
                        "--t", "0,0.5", "--replicates", "2", "--out", str(out)) == 0
-        texts.append(out.read_text())
-    assert texts[0] == texts[1]
-    no_phase = tmp_path / "no_phase.csv"
-    assert run_cli("sweep", "--mode", mode, "--gamma", "30,60", "--t", "0,0.5",
-                   "--replicates", "2", "--out", str(no_phase)) == 0
-    assert no_phase.read_text() != texts[0]
+        rows[phase] = out.read_text().splitlines()[1:]
+    assert len(rows["0"]) == len(rows["1"]) == (8 if mode == "tomography" else 4)
+    for no_phase, phase in zip(rows["0"], rows["1"]):
+        assert no_phase.split(",")[1] == phase.split(",")[1]
+        assert (no_phase != phase) == (phase.split(",")[1] == "0.5"), (no_phase, phase)
 
 
 def test_print_config_round_trips_defaults(capsys):
@@ -99,13 +98,13 @@ def test_print_config_round_trips_defaults(capsys):
 
 def test_print_config_echoes_overrides(tmp_path, capsys):
     path = tmp_path / "imperfect.cfg"
-    path.write_text("eta_idler = 0.8\nbs_ty = 0.95\ngamma_deg = 60\n")
+    path.write_text("eta_idler = 0.8\nbs_ty = 0.95\nphi_s1_rad = 60\n")
     assert run_cli("sweep", "--config", str(path), "--print-config") == 0
     echoed = parse_config_text(capsys.readouterr().out)
     assert echoed["eta_idler"] == 0.8
     assert echoed["bs_ty"] == 0.95
-    assert echoed["gamma_deg"] == 60.0
-    assert echoed["t_mag"] == 1.0
+    assert echoed["phi_s1_rad"] == 60.0
+    assert echoed["mu_overlap"] == 1.0
 
 
 def test_print_config_round_trips_every_value(tmp_path, capsys):
@@ -126,7 +125,7 @@ def test_print_config_round_trips_every_value(tmp_path, capsys):
 
 def test_range_error_in_config_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
-    for key, value in (("t_mag", "1.2"), ("g1_mag", "1e-101")):
+    for key, value in (("eta_idler", "1.2"), ("g1_mag", "1e-101")):
         path.write_text(f"# the value on line 2 is out of range\n{key} = {value}\n")
         assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
                        "--gamma", "0", "--t", "1") == 3
@@ -140,6 +139,23 @@ def test_unknown_key_in_config_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
                    "--gamma", "0", "--t", "1") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_old_echo_loads_once_its_grid_keys_are_deleted(tmp_path, capsys):
+    """gamma_deg and t_mag are not config keys, since the grid sets gamma and
+    |T|: a 17-key echo that names them exits 2 at each, with its line
+    number, and loads once their two lines are gone."""
+    lines = format_config(DEFAULTS).splitlines(keepends=True)
+    old = lines[:4] + ["t_mag = 1.0\n", lines[4], "gamma_deg = 0.0\n"] + lines[5:]
+    path = tmp_path / "old.cfg"
+    for key, line_no in (("t_mag", 5), ("gamma_deg", 6)):
+        path.write_text("".join(old))
+        assert run_cli("sweep", "--config", str(path), "--print-config") == 2
+        assert capsys.readouterr().err == f"error: line {line_no}: unknown key {key!r}\n"
+        del old[line_no - 1]
+    path.write_text("".join(old))
+    assert run_cli("sweep", "--config", str(path), "--print-config") == 0
+    assert capsys.readouterr().out == path.read_text() == format_config(DEFAULTS)
 
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):
@@ -448,6 +464,23 @@ def test_tomo_subtracts_configured_dark_counts(tmp_path):
     assert p_biased < p_val
 
 
+def test_tomo_reads_only_the_dark_counts_of_its_config(tmp_path):
+    """tomo subtracts dark_cps * time_s from every count and reads no other
+    key: kappa_cps changes nothing, and equal products give the same bytes."""
+    counts_path, _ = tomo_fixture_counts(tmp_path, dark_rate=10.0)
+    texts = []
+    for k, cfg_text in enumerate(("dark_cps = 10\ntime_s = 15\n",
+                                  "dark_cps = 15\ntime_s = 10\n",
+                                  "dark_cps = 10\ntime_s = 15\nkappa_cps = 7\n",
+                                  "dark_cps = 10\ntime_s = 10\n")):
+        cfg, out = tmp_path / f"detector{k}.cfg", tmp_path / f"recon{k}.csv"
+        cfg.write_text(cfg_text)
+        assert run_cli("tomo", "--counts", str(counts_path), "--out", str(out),
+                       "--config", str(cfg)) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1] == texts[2] != texts[3]
+
+
 def test_tomo_all_zero_counts_exits_3(tmp_path, capsys):
     path = tmp_path / "zeros.txt"
     write_counts(path, [0, 0, 0, 0])
@@ -691,7 +724,7 @@ def test_console_script_is_wired():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    assert "t_mag" in proc.stdout
+    assert "t_phase_rad" in proc.stdout
 
 
 def test_tomo_runs_without_importing_scipy(tmp_path):

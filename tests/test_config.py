@@ -1,5 +1,6 @@
 """Key=value config parsing, range policing, and round trips."""
 
+import cmath
 import math
 
 import pytest
@@ -12,15 +13,15 @@ from polsim.config import (
     parse_config_text,
 )
 from polsim.errors import ConfigError, ConfigRangeError
+from polsim.tomography import DetectorModel
+from polsim.zwm import ZwmConfig
 
 ALL_KEYS = [
     "g1_mag",
     "g1_phase_rad",
     "g2_mag",
     "g2_phase_rad",
-    "t_mag",
     "t_phase_rad",
-    "gamma_deg",
     "phi_s1_rad",
     "phi_s2_rad",
     "phi_i_rad",
@@ -36,7 +37,7 @@ ALL_KEYS = [
 
 def test_defaults_expose_exactly_the_documented_keys():
     assert sorted(DEFAULTS) == sorted(ALL_KEYS)
-    assert DEFAULTS["t_mag"] == 1.0
+    assert DEFAULTS["eta_idler"] == 1.0
     assert DEFAULTS["kappa_cps"] == 3333.0
     assert DEFAULTS["time_s"] == 15.0
     assert DEFAULTS["dark_cps"] == 0.0
@@ -52,11 +53,11 @@ def test_comments_and_whitespace_are_ignored():
     # pump settings
     g1_mag = 0.02   # stronger first crystal
 
-    t_mag=0.5
+    eta_idler=0.5
     """
     values = parse_config_text(text)
     assert values["g1_mag"] == 0.02
-    assert values["t_mag"] == 0.5
+    assert values["eta_idler"] == 0.5
     assert values["g2_mag"] == DEFAULTS["g2_mag"]
 
 
@@ -65,10 +66,10 @@ def test_comments_and_whitespace_are_ignored():
     [
         ("g1_mag = 0.01\ng1_mag = 0.02\n", "duplicate", 2),
         ("nonsense_key = 1\n", "unknown", 1),
-        ("t_mag = fast\n", "number", 1),
-        ("t_mag 0.5\n", "=", 1),
-        ("\nt_mag = inf\n", "finite", 2),
-        ("t_mag = nan\n", "finite", 1),
+        ("eta_idler = fast\n", "number", 1),
+        ("eta_idler 0.5\n", "=", 1),
+        ("\neta_idler = inf\n", "finite", 2),
+        ("eta_idler = nan\n", "finite", 1),
     ],
 )
 def test_malformed_lines_report_line_numbers(text, fragment, line):
@@ -82,13 +83,11 @@ def test_malformed_lines_report_line_numbers(text, fragment, line):
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("t_mag", 1.2),
+        ("bs_ty", 1.2),
         ("g1_mag", 0.0),
         ("g1_mag", 1e-101),
         ("g1_mag", 0.2),
         ("g2_mag", -0.01),
-        ("gamma_deg", 120.0),
-        ("gamma_deg", -120.0),
         ("eta_idler", 1.5),
         ("bs_tx", -0.1),
         ("mu_overlap", 2.0),
@@ -114,24 +113,28 @@ def test_phases_are_unbounded():
 def test_build_configs_assembles_complex_couplings():
     values = dict(DEFAULTS)
     values.update(
-        t_mag=0.5,
         t_phase_rad=math.pi,
         g1_mag=0.02,
         g1_phase_rad=math.pi / 2,
-        gamma_deg=60.0,
         eta_idler=0.8,
         bs_ty=0.95,
         dark_cps=20.0,
     )
     cfg, detector = build_configs(values)
-    assert cfg.t == pytest.approx(-0.5 + 0j, abs=1e-12)
+    # the sweep grid sets gamma and |T|: the config gives T its phase alone
+    assert cfg.t == pytest.approx(-1.0 + 0j, abs=1e-12)
     assert cfg.g1 == pytest.approx(0.02j, abs=1e-15)
-    assert cfg.gamma == pytest.approx(math.pi / 3)
+    assert cfg.gamma == 0.0
     assert cfg.imperfections.eta_idler == 0.8
     assert cfg.imperfections.bs_ty == 0.95
     assert detector.kappa == 3333.0
     assert detector.dark_rate == 20.0
     assert detector.integration_time == 15.0
+
+
+def test_defaults_are_the_dataclass_defaults():
+    """config.DEFAULTS and the dataclass defaults both describe the ideal instrument."""
+    assert build_configs(DEFAULTS) == (ZwmConfig(), DetectorModel())
 
 
 def test_load_config_defaults_and_missing_file(tmp_path):
@@ -145,7 +148,7 @@ def test_load_config_defaults_and_missing_file(tmp_path):
 
 def test_default_config_is_equal_on_every_call_with_a_fresh_value_map():
     cfg, detector, values = load_config(None)
-    values["t_mag"] = 0.5
+    values["eta_idler"] = 0.5
     again_cfg, again_detector, again_values = load_config(None)
     assert (again_cfg, again_detector) == (cfg, detector) == build_configs(DEFAULTS)
     assert again_values is not values
@@ -154,16 +157,17 @@ def test_default_config_is_equal_on_every_call_with_a_fresh_value_map():
 
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("gamma_deg = 45\nt_mag = 0.25\n")
+    path.write_text("t_phase_rad = 0.25\nbs_tx = 0.5\n")
     cfg, _, values = load_config(path)
-    assert values["gamma_deg"] == 45.0
-    assert values["t_mag"] == 0.25
-    assert cfg.gamma == pytest.approx(math.pi / 4)
+    assert values["t_phase_rad"] == 0.25
+    assert values["bs_tx"] == 0.5
+    assert cfg.t == cmath.exp(0.25j)
+    assert cfg.imperfections.bs_tx == 0.5
 
 
 def test_format_parse_round_trip():
     values = dict(DEFAULTS)
-    values.update(eta_idler=0.8, bs_ty=0.95, gamma_deg=33.75, t_phase_rad=-2.5)
+    values.update(eta_idler=0.8, bs_ty=0.95, phi_s1_rad=33.75, t_phase_rad=-2.5)
     text = format_config(values)
     assert parse_config_text(text) == values
     # every key appears in the dump

@@ -39,7 +39,7 @@ CORPUS_SIZE, CORPUS_DARK = 2400, 400
 def general_corpus():
     """(cfg, gammas, |T| values) triples from config values: gains log-uniform
     over [1e-100, 0.1], every other key uniform over its range, each config
-    on a 7x5 grid holding its own gamma and |T|, gamma = 0 and 90 deg and
+    on a 7x5 grid holding a random gamma and |T|, gamma = 0 and 90 deg and
     |T| = 0 and 1.  Every sixth config is a dark fringe at gamma = 0, |T| = 1:
     eta_idler = mu_overlap = 1, |g2| / |g1| = t_x / r_x and beta = pi.  Every
     fifth of the others has eta_idler = mu_overlap = 1, so m = 1 at |T| = 1."""
@@ -51,9 +51,10 @@ def general_corpus():
         for key in ("g1_phase_rad", "g2_phase_rad", "t_phase_rad",
                     "phi_s1_rad", "phi_s2_rad", "phi_i_rad"):
             values[key] = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
-        for key in ("t_mag", "eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
+        t_abs = rng.uniform(0.0, 1.0)
+        for key in ("eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
             values[key] = rng.uniform(0.0, 1.0)
-        values["gamma_deg"] = rng.uniform(-90.0, 90.0)
+        gamma = math.radians(rng.uniform(-90.0, 90.0))
         if k % 6 == 0 or k % 5 == 0:
             values["eta_idler"] = values["mu_overlap"] = 1.0
         if k % 6 == 0:
@@ -64,8 +65,8 @@ def general_corpus():
                                     + values["t_phase_rad"] - values["g2_phase_rad"]
                                     + values["g1_phase_rad"])
         cfg, _ = build_configs(values)
-        gs = np.array([cfg.gamma, 0.0, math.pi / 2, *rng.uniform(-math.pi / 2, math.pi / 2, 4)])
-        ts = np.array([abs(cfg.t), 0.0, 1.0, *rng.uniform(0.0, 1.0, 2)])
+        gs = np.array([gamma, 0.0, math.pi / 2, *rng.uniform(-math.pi / 2, math.pi / 2, 4)])
+        ts = np.array([t_abs, 0.0, 1.0, *rng.uniform(0.0, 1.0, 2)])
         yield cfg, gs, ts
 
 
