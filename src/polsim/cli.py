@@ -5,7 +5,8 @@ Subcommands:
   selftest  closed-form vs pipeline consistency checks
   tomo      reconstruct a coherence matrix from a counts table
 
-Exit codes: 0 success, 2 config/usage error, 3 range error, 4 selftest failure.
+Exit codes: 0 success, 4 selftest failure, and for an error its class's exit_code:
+2 for a config or usage error, 3 for a range error (ParameterError).
 """
 
 from __future__ import annotations
@@ -19,15 +20,13 @@ import sys
 import numpy as np
 
 from .config import format_config, load_config
-from .errors import ConfigRangeError, PolsimError, ZeroTraceError
-from .gedanken import degree_of_polarization_gedanken
+from .errors import PolsimError, ZeroTraceError
 from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
 from .tomography import reconstruct_run, read_counts_table
 from .zwm import (
     ImperfectionConfig,
     ZwmConfig,
     analytic_p_general,
-    analytic_p_special,
     numeric_degree_of_polarization,
     stokes_parameters,
 )
@@ -150,16 +149,6 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _selftest_checks():
-    # closed-form bridge: the gedanken visibility and the special-case
-    # interferometer formula are one identity
-    ts = np.linspace(0.0, 1.0, 101)
-    gammas = np.radians(np.linspace(0.0, 90.0, 91))
-    worst_bridge = max(
-        abs(analytic_p_special(t, g) - degree_of_polarization_gedanken(g, t))
-        for t in ts for g in gammas
-    )
-    yield ("closed-form bridge, 101x91 grid", worst_bridge, 1e-15)
-
     # biphoton-matrix pipeline against the general closed form, at three phases
     # and with unequal gains and every imperfection; both sides must find the
     # corner |T| = 1, gamma = 0, beta = pi dark (zero intensity, P undefined)
@@ -211,13 +200,7 @@ def _cmd_selftest(args) -> int:
 
 def _cmd_tomo(args) -> int:
     _, detector, _ = load_config(args.config)
-    settings, raw = read_counts_table(args.counts)
-    try:
-        run = reconstruct_run(settings, raw, detector)
-    except ZeroTraceError:
-        print("tomo: all corrected counts are zero; polarization undefined",
-              file=sys.stderr)
-        return 3
+    run = reconstruct_run(*read_counts_table(args.counts), detector)
     (gxx, gxy), (_, gyy) = run.reconstruction.matrix.tolist()
     s0, s1, s2, s3 = stokes_parameters(run.reconstruction)
     header = "p_value,g_xx,g_yy,re_g_xy,im_g_xy,s0,s1,s2,s3"
@@ -235,12 +218,9 @@ def main(argv=None) -> int:
     args = _plain_args(argv) or _build_parser()[0].parse_args(argv)
     try:
         return dict(sweep=_cmd_sweep, selftest=_cmd_selftest, tomo=_cmd_tomo)[args.command](args)
-    except ConfigRangeError as exc:
-        print(f"range error: {exc}", file=sys.stderr)
-        return 3
     except PolsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{'range error' if exc.exit_code == 3 else 'error'}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # the commands turn every other file's OSError into a PolsimError
         # stdout, flushed at each print: drop what it still buffers, or the flush at exit fails too
         with open(os.devnull, "wb") as null:

@@ -12,7 +12,7 @@ import cmath
 import functools
 import math
 
-from .errors import ConfigError, ConfigRangeError
+from .errors import ConfigError, ParameterError
 from .tomography import DetectorModel
 from .zwm import ImperfectionConfig, ZwmConfig
 
@@ -35,26 +35,10 @@ DEFAULTS = {
 }
 
 
-def _check_range(key: str, value: float, line: int | None) -> None:
-    def bad(requirement: str):
-        return ConfigRangeError(f"{key} = {value:g} violates {requirement}", line=line)
-
-    if key in ("g1_mag", "g2_mag"):
-        if not 1e-100 <= value <= 0.1:
-            raise bad("1e-100 <= value <= 0.1")
-    elif key in ("eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
-        if not 0.0 <= value <= 1.0:
-            raise bad("0 <= value <= 1")
-    elif key in ("kappa_cps", "dark_cps"):
-        if value < 0.0:
-            raise bad("value >= 0")
-    elif key == "time_s":
-        if value <= 0.0:
-            raise bad("value > 0")
-
-
 def parse_config_text(text: str) -> dict[str, float]:
-    """Parse `key = value` lines ('#' comments allowed) into a full value map."""
+    """Parse `key = value` lines ('#' comments allowed) into a full value map.  The
+    dataclasses of build_configs hold the range rules; a value they refuse is named
+    with its line."""
     values = dict(DEFAULTS)
     seen_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -75,10 +59,25 @@ def parse_config_text(text: str) -> dict[str, float]:
             raise ConfigError(f"value for {key!r} is not a number: {value_s!r}",
                               line=line_no) from None
         if not math.isfinite(value):
-            raise ConfigRangeError(f"{key} must be finite", line=line_no)
-        _check_range(key, value, line_no)
+            raise ParameterError(f"{key} must be finite", line=line_no)
+        # ZwmConfig sees |g e^{i phase}|, which may round an ulp off the value typed, and
+        # never its sign
+        if key in ("g1_mag", "g2_mag") and not 1e-100 <= value <= 0.1:
+            raise ParameterError(f"{key} = {value:g} violates 1e-100 <= value <= 0.1",
+                                 line=line_no)
         seen_lines[key] = line_no
         values[key] = value
+    try:
+        build_configs(values)
+    except ParameterError:
+        # adding the keys in file order reaches the refused values, so some key raises
+        trial = dict(DEFAULTS)
+        for key, line_no in seen_lines.items():
+            trial[key] = values[key]
+            try:
+                build_configs(trial)
+            except ParameterError as exc:
+                raise ParameterError(f"{key}: {exc}", line=line_no) from None
     return values
 
 

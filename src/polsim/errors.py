@@ -1,12 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each class carries the exit code
+the command line returns for it."""
 
 
 class PolsimError(Exception):
-    """Base class for all errors raised by polsim."""
+    """Base class for all errors raised by polsim: a config or usage error, exit code 2.
+
+    `line` is the 1-based line number of the offending input line when known.
+    """
+
+    exit_code = 2
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 class ParameterError(PolsimError, ValueError):
-    """A physical parameter is outside its allowed range or ill-typed."""
+    """A value is outside its allowed range: a range error, exit code 3."""
+
+    exit_code = 3
 
 
 class IllPosedError(PolsimError, ValueError):
@@ -14,20 +26,9 @@ class IllPosedError(PolsimError, ValueError):
 
 
 class ZeroTraceError(PolsimError, ValueError):
-    """The degree of polarization is undefined for a zero-intensity matrix."""
+    """The degree of polarization is undefined for a zero-intensity matrix: no value
+    is out of range, and no input can be refused for it up front."""
 
 
 class ConfigError(PolsimError, ValueError):
-    """A config or data file failed to parse.
-
-    `line` is the 1-based line number when known.
-    """
-
-    def __init__(self, message, line=None):
-        prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
-        self.line = line
-
-
-class ConfigRangeError(ConfigError):
-    """A config value parsed fine but violates its physical range."""
+    """A config or data file failed to parse."""

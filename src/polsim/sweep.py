@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigRangeError, ParameterError, ZeroTraceError
+from .errors import ParameterError, ZeroTraceError
 from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_gedanken_grid
 from .tomography import (
     DEFAULT_SETTINGS,
@@ -31,7 +31,8 @@ from .tomography import (
     expected_counts_grid,
     reconstruct_run,
 )
-from .zwm import ZwmConfig, _erasable, analytic_p_grid, coherence_grid, degree_of_polarization_grid
+from .zwm import (ZwmConfig, _check_grid, analytic_p_grid, coherence_grid,
+                  degree_of_polarization_grid)
 
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
@@ -56,25 +57,18 @@ class SweepSpec:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.gammas_deg or not self.t_values:
-            raise ConfigRangeError("gamma and t lists must be non-empty")
-        if not all(map(math.isfinite, (*self.gammas_deg, *self.t_values))):
-            raise ConfigRangeError("gamma and t values must be finite")
-        for g in self.gammas_deg:
-            if not _erasable(math.radians(g)):
-                raise ConfigRangeError(f"gamma = {g} deg violates cos(gamma) >= 0")
-        for t in self.t_values:
-            if not 0.0 <= t <= 1.0:
-                raise ConfigRangeError(f"t = {t} outside [0, 1]")
+            raise ParameterError("gamma and t lists must be non-empty")
+        _check_grid(np.radians(self.gammas_deg), self.t_values)
         if self.seed < 0:
-            raise ConfigRangeError("seed must be >= 0")
+            raise ParameterError("seed must be >= 0")
         if self.replicates < 1:
-            raise ConfigRangeError("replicates must be >= 1")
+            raise ParameterError("replicates must be >= 1")
         rows = len(self.gammas_deg) * len(self.t_values) * (
             self.replicates if self.mode in ("tomography", "montecarlo") else 1)
         if rows > MAX_ROWS:
-            raise ConfigRangeError(f"the sweep would write {rows} rows, more than {MAX_ROWS}")
+            raise ParameterError(f"the sweep would write {rows} rows, more than {MAX_ROWS}")
         if not 1 <= self.mc_samples <= MAX_SAMPLES:
-            raise ConfigRangeError(f"samples must be in [1, {MAX_SAMPLES}]")
+            raise ParameterError(f"samples must be in [1, {MAX_SAMPLES}]")
         object.__setattr__(self, "gammas_deg", tuple(sorted(self.gammas_deg)))
         object.__setattr__(self, "t_values", tuple(sorted(self.t_values)))
 
@@ -141,11 +135,15 @@ def run_sweep(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel) -> list[
 
 def format_rows(spec: SweepSpec, p, se=None) -> str:
     """The CSV text of a `sweep_grid` result: each axis value formatted once,
-    each gamma's rows one template joined on its prefix, one % for every value."""
+    each gamma's rows one template joined on its prefix, one % for every value.
+    ParameterError where distinct values of an axis print the same."""
+    axes = spec.gammas_deg, spec.t_values
+    gamma_labels, t_labels = labels = [[f"{v:.10g}" for v in axis] for axis in axes]
+    if any(len(set(texts)) < len(set(zip(texts, axis))) for texts, axis in zip(labels, axes)):
+        raise ParameterError("distinct grid values print the same to 10 significant digits")
     cell = f",{spec.mode},%.12g," + ("%.12g\n" if se is not None else f"{0.0:.12g}\n")
-    t_cells = ["", *(text for t_abs in spec.t_values
-                     for text in [f"{t_abs:.10g}{cell}"] * p.shape[2])]
-    template = "".join([f"{gamma_deg:.10g},".join(t_cells) for gamma_deg in spec.gammas_deg])
+    t_cells = ["", *(text for label in t_labels for text in [label + cell] * p.shape[2])]
+    template = "".join([f"{label},".join(t_cells) for label in gamma_labels])
     values = p.ravel().tolist() if se is None else [
         v for pair in zip(p.ravel().tolist(), se.ravel().tolist()) for v in pair]
     return f"{CSV_HEADER}\n{template % tuple(values)}"

@@ -17,7 +17,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .errors import ConfigError, ConfigRangeError, IllPosedError, ParameterError, ZeroTraceError
+from .errors import ConfigError, IllPosedError, ParameterError, ZeroTraceError
 from .newton import SettingRows, ball_newton, dot, kkt_residual
 from .zwm import CoherenceMatrix, _stokes_grid, degree_of_polarization
 
@@ -122,8 +122,8 @@ def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np
 
 def _poisson_draw(mu: np.ndarray, seed) -> np.ndarray:
     if not np.all(mu <= _POISSON_LAM_MAX):
-        raise ConfigRangeError(f"expected counts {np.max(mu):g} exceed the Poisson "
-                               f"sampler's limit {_POISSON_LAM_MAX:g}")
+        raise ParameterError(f"expected counts {np.max(mu):g} exceed the Poisson "
+                             f"sampler's limit {_POISSON_LAM_MAX:g}")
     return np.random.default_rng(seed).poisson(mu)
 
 
@@ -185,8 +185,8 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     and second-order steps over the Bloch ball find the optimum, mixed or
     pure: from the unpolarized state, or with four settings on the sphere
     from the least-squares direction.  Counts are scaled by a power of two
-    for the fit; a subnormal total raises ParameterError, and a total or a
-    fit beyond float range ConfigRangeError.
+    for the fit; a subnormal total, or a total or a fit beyond float range,
+    raises ParameterError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
@@ -195,7 +195,7 @@ def _counts_total(values) -> float:
     try:
         return math.fsum(values)
     except OverflowError:
-        raise ConfigRangeError("the counts total is beyond float range") from None
+        raise ParameterError("the counts total is beyond float range") from None
 
 
 def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
@@ -239,8 +239,8 @@ def _fit_values(shape, values, settings) -> tuple[np.ndarray, FitDiagnostics]:
         if not math.isfinite(gxx + gyy + 2.0 * math.hypot(re, im)):
             raise OverflowError
     except OverflowError:
-        raise ConfigRangeError(f"the fit to the counts total {total:g} is beyond "
-                               "float range") from None
+        raise ParameterError(f"the fit to the counts total {total:g} is beyond "
+                             "float range") from None
     matrix = np.array([[gxx, complex(re, im)], [complex(re, -im), gyy]])
     return matrix, FitDiagnostics(path, steps, kkt_residual(data, n, mu, entries[0] + entries[1]))
 
@@ -309,14 +309,14 @@ def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]
         except ValueError:
             raise ConfigError(f"malformed row {parts}", line=line_no) from None
         if not (math.isfinite(qwp) and math.isfinite(pol)):
-            raise ConfigRangeError(f"non-finite angle in row {parts}", line=line_no)
+            raise ParameterError(f"non-finite angle in row {parts}", line=line_no)
         if count < 0:
             raise ConfigError(f"negative count {count}", line=line_no)
         try:
             float(count)
         except OverflowError:
-            raise ConfigRangeError(f"{len(count_s)}-digit count is beyond float "
-                                   f"range", line=line_no) from None
+            raise ParameterError(f"{len(count_s)}-digit count is beyond float "
+                                 f"range", line=line_no) from None
         settings.append(
             MeasurementSetting(label, math.radians(qwp), math.radians(pol))
         )

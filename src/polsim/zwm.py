@@ -48,16 +48,6 @@ def _erasable(gammas):
     return np.cos(gammas) >= -_COS_TOL
 
 
-def _check_unit_interval(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"{name} = {value} outside [0, 1]")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and _erasable(gamma)):
-        raise ParameterError(f"gamma = {gamma} rad must be finite with cos(gamma) >= 0")
-
-
 @dataclass(frozen=True)
 class ImperfectionConfig:
     """Device imperfections, all 1.0 for the ideal instrument.
@@ -76,7 +66,8 @@ class ImperfectionConfig:
 
     def __post_init__(self):
         for name in ("eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
-            _check_unit_interval(getattr(self, name), name)
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"{name} = {getattr(self, name)} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,8 @@ class ZwmConfig:
                 raise ParameterError(f"|{name}| = {mag} outside [1e-100, 0.1]")
         if not abs(complex(self.t)) <= 1.0 + _COS_TOL:
             raise ParameterError(f"|t| = {abs(complex(self.t))} is not in [0, 1]")
-        _check_gamma(self.gamma)
+        if not (math.isfinite(self.gamma) and _erasable(self.gamma)):
+            raise ParameterError(f"gamma = {self.gamma} rad must be finite with cos(gamma) >= 0")
         if not all(map(math.isfinite, (self.phi_s1, self.phi_s2, self.phi_i))):
             raise ParameterError("path phases must be finite")
 
@@ -118,12 +110,14 @@ def t_phase(cfg: ZwmConfig) -> complex:
 
 
 def _check_grid(gammas, t_abs) -> tuple[np.ndarray, np.ndarray]:
-    """Flat float axes; ParameterError unless each gamma and |T| is in ZwmConfig's range."""
+    """Flat float axes; ParameterError unless each gamma is in ZwmConfig's range and
+    each |T| in [0, 1], exactly.  The checks run on Python floats and bools, which
+    costs less than numpy reductions on the small grids of most calls."""
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
     t_abs = np.asarray(t_abs, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(gammas)) and np.all(_erasable(gammas))):
+    if not (all(map(math.isfinite, gammas.tolist())) and all(_erasable(gammas).tolist())):
         raise ParameterError("every gamma must be finite with cos(gamma) >= 0")
-    if not np.all((t_abs >= 0.0) & (t_abs <= 1.0 + _COS_TOL)):
+    if not all(0.0 <= t <= 1.0 for t in t_abs.tolist()):
         raise ParameterError("every |T| must lie in [0, 1]")
     return gammas, t_abs
 
@@ -231,7 +225,7 @@ class CoherenceMatrix:
 
 def coherence_matrix(cfg: ZwmConfig) -> CoherenceMatrix:
     """G at the operating point of cfg (a 1x1 coherence_grid)."""
-    return CoherenceMatrix(coherence_grid(cfg, cfg.gamma, abs(complex(cfg.t)))[0, 0])
+    return CoherenceMatrix(coherence_grid(cfg, cfg.gamma, min(abs(complex(cfg.t)), 1.0))[0, 0])
 
 
 def degree_of_polarization_grid(g: np.ndarray) -> np.ndarray:
@@ -316,13 +310,12 @@ def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
 
 def analytic_p_general(cfg: ZwmConfig) -> float:
     """Closed-form P at the operating point of cfg (a 1x1 analytic_p_grid)."""
-    return float(analytic_p_grid(cfg, cfg.gamma, abs(complex(cfg.t)))[0, 0])
+    return float(analytic_p_grid(cfg, cfg.gamma, min(abs(complex(cfg.t)), 1.0))[0, 0])
 
 
 def analytic_p_special(t_abs: float, gamma: float) -> float:
     """Equal-phase special case P = (|T| + cos g)/(1 + |T| cos g)."""
-    _check_unit_interval(t_abs, "t_abs")
-    _check_gamma(gamma)
+    _check_grid(gamma, t_abs)
     c = math.cos(gamma)
     return (t_abs + c) / (1.0 + t_abs * c)
 

@@ -12,7 +12,7 @@ from polsim.config import (
     load_config,
     parse_config_text,
 )
-from polsim.errors import ConfigError, ConfigRangeError
+from polsim.errors import ConfigError, ParameterError
 from polsim.tomography import DetectorModel
 from polsim.zwm import ZwmConfig
 
@@ -73,7 +73,10 @@ def test_comments_and_whitespace_are_ignored():
     ],
 )
 def test_malformed_lines_report_line_numbers(text, fragment, line):
-    with pytest.raises(ConfigError) as err:
+    """A line that does not parse is a ConfigError; a non-finite value parses,
+    and is a range error, a ParameterError."""
+    error = ParameterError if fragment == "finite" else ConfigError
+    with pytest.raises(error) as err:
         parse_config_text(text)
     msg = str(err.value)
     assert fragment in msg
@@ -97,7 +100,7 @@ def test_malformed_lines_report_line_numbers(text, fragment, line):
     ],
 )
 def test_out_of_range_values_name_the_key(key, value):
-    with pytest.raises(ConfigRangeError) as err:
+    with pytest.raises(ParameterError) as err:
         parse_config_text(f"{key} = {value}\n")
     assert key in str(err.value) and err.value.line == 1
 

@@ -11,7 +11,7 @@ from _oracles import (SIX_SETTINGS, floor_gain_config, fresh_projector, montecar
                       tomography_row_oracle)
 from polsim import sweep as sweep_module
 from polsim.config import build_configs, parse_config_text
-from polsim.errors import ConfigRangeError, ParameterError, ZeroTraceError
+from polsim.errors import ParameterError, ZeroTraceError
 from polsim.sweep import (
     CSV_HEADER,
     DEFAULT_MC_SAMPLES,
@@ -52,31 +52,31 @@ def test_mode_list_is_stable():
 def test_spec_validation():
     with pytest.raises(ParameterError):
         make_spec(mode="exact")
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(gammas_deg=())
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(t_values=())
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(gammas_deg=(100.0,))
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(t_values=(1.5,))
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(replicates=0)
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(mode="montecarlo", mc_samples=0)
     make_spec(mode="montecarlo", mc_samples=2**63 - 1)
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(mode="montecarlo", mc_samples=2**63)
     for mode in MODES:
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ParameterError):
             make_spec(mode=mode, seed=-1)
     # at most MAX_ROWS rows, replicates counting only in the modes that draw them
     for mode in ("montecarlo", "tomography"):
         make_spec(mode=mode, replicates=MAX_ROWS // 9)
-        with pytest.raises(ConfigRangeError):
+        with pytest.raises(ParameterError):
             make_spec(mode=mode, replicates=MAX_ROWS // 9 + 1)
     make_spec(mode="analytic", replicates=10**20)
-    with pytest.raises(ConfigRangeError):
+    with pytest.raises(ParameterError):
         make_spec(gammas_deg=(0.0,) * 3163, t_values=(0.5,) * 3163)
 
 

@@ -10,7 +10,6 @@ from _oracles import SIX_SETTINGS, fresh_projector, jones_stokes_row, mle_recons
 from polsim import newton
 from polsim.errors import (
     ConfigError,
-    ConfigRangeError,
     IllPosedError,
     ParameterError,
     ZeroTraceError,
@@ -725,7 +724,7 @@ def test_fit_is_equivariant_under_powers_of_two():
 def test_fits_beyond_float_range_are_range_errors():
     """Crowded settings turn counts with a total below the float limit into a
     fit beyond it: on the exact, interior and boundary paths alike that is a
-    ConfigRangeError, not an OverflowError.  The same counts scaled down show
+    ParameterError, not an OverflowError.  The same counts scaled down show
     which path each table takes."""
     rng = np.random.default_rng(39)
     paths = set()
@@ -740,7 +739,7 @@ def test_fits_beyond_float_range_are_range_errors():
                                  2 * pi[0, 1].imag])
             counts = np.array([np.trace(fresh_projector(s) @ g).real for s in settings])
         paths.add(_fit(counts, settings)[1].path)
-        with pytest.raises(ConfigRangeError, match="beyond float range"):
+        with pytest.raises(ParameterError, match="beyond float range"):
             _fit(np.ldexp(counts, 1020 - math.frexp(counts.sum())[1]), settings)
     assert paths == {"exact", "interior", "boundary"}
 
@@ -811,7 +810,7 @@ def test_counts_table_rejects_non_finite_angles(tmp_path, row):
     path = tmp_path / "bad.txt"
     path.write_text(f"label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
                     f"H 0 0 5\n{row}\n")
-    with pytest.raises(ConfigRangeError) as err:
+    with pytest.raises(ParameterError) as err:
         read_counts_table(path)
     assert "line 3" in str(err.value)
 
@@ -820,7 +819,7 @@ def test_counts_table_rejects_counts_beyond_float_range(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("label  qwp_angle_deg  polarizer_angle_deg  raw_count\n"
                     f"H 0 0 5\nV 0 90 {10**400}\n")
-    with pytest.raises(ConfigRangeError) as err:
+    with pytest.raises(ParameterError) as err:
         read_counts_table(path)
     assert "line 3" in str(err.value)
 
