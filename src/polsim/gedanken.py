@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .zwm import _erasable
+from .zwm import _check_grid
 
 MAX_SAMPLES = 2**63 - 1  # the largest count Generator.binomial takes (int64)
 
@@ -46,21 +46,7 @@ class GedankenConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.phi1, self.phi2, self.theta))):
             raise ParameterError("phases and the analyzer angle must be finite")
-        _check_ranges(self.gamma, self.m)
-
-
-def _check_ranges(gammas, ms) -> None:
-    """ParameterError unless every m is in [0, 1] and every gamma is finite with cos(gamma) >= 0."""
-    ms, gammas = np.asarray(ms, dtype=float), np.asarray(gammas, dtype=float)
-    bad_m = ms[~((ms >= 0.0) & (ms <= 1.0))]
-    if bad_m.size:
-        raise ParameterError(f"marker quality m = {bad_m[0]} outside [0, 1]")
-    bad_gamma = gammas[~np.isfinite(gammas)]  # refused before np.cos warns on them
-    if not bad_gamma.size:
-        bad_gamma = gammas[~_erasable(gammas)]
-    if bad_gamma.size:
-        raise ParameterError(f"gamma = {bad_gamma[0]} rad is not a valid erasure angle: "
-                             "it must be finite with cos >= 0")
+        _check_grid(self.gamma, self.m)  # m has the range of |T|
 
 
 def _amplitudes(gamma, phi1, phi2, theta) -> tuple[complex, complex]:
@@ -95,10 +81,8 @@ def extremal_probabilities(gamma: float, m: float) -> tuple[float, float]:
 def degree_of_polarization_gedanken_grid(gammas, ms) -> np.ndarray:
     """Visibility (p_max - p_min)/(p_max + p_min) = (m + cos g)/(1 + m cos g)
     at (gammas[i], ms[j]), shape (n_g, n_m)."""
-    gammas = np.asarray(gammas, dtype=float).reshape(-1, 1)
-    ms = np.asarray(ms, dtype=float).reshape(1, -1)
-    _check_ranges(gammas, ms)
-    c = np.cos(gammas)
+    gammas, ms = _check_grid(gammas, ms)
+    c = np.cos(gammas)[:, None]
     return (ms + c) / (1.0 + ms * c)
 
 

@@ -128,14 +128,16 @@ def signal_amplitudes(cfg: ZwmConfig, t_abs) -> np.ndarray:
     The state is |vac> + sum A[s, i] |s, i> with
       A[S1x, I1]   = g1
       A[S2x, I1]   = g2 conj(T_eff e^{i phi_i}),  T_eff = T eta_idler
-      A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt(1 - (t_abs eta_idler)^2).
+      A[S2x, VAC0] = g2 R_eff e^{-i phi_i},   R_eff = sqrt((1 - x)(1 + x)),  x = t_abs eta_idler,
+    the product form keeping the digits that 1 - x^2 loses near x = 1.
     The second source's idler operator is the attenuator output, so the
     creation amplitudes are the conjugated attenuator coefficients.  T keeps
     the configured phase; its magnitude, and so R_eff, comes from t_abs alone.
     """
     t_abs = np.asarray(t_abs, dtype=float)
     t_eff = (t_abs * t_phase(cfg)) * cfg.imperfections.eta_idler
-    r_eff = np.sqrt(np.maximum(0.0, 1.0 - (t_abs * cfg.imperfections.eta_idler) ** 2))
+    x = t_abs * cfg.imperfections.eta_idler
+    r_eff = np.sqrt(np.maximum(0.0, (1.0 - x) * (1.0 + x)))
     idler_out = np.stack([t_eff, r_eff], axis=-1) * cmath.exp(1j * cfg.phi_i)
     a = np.zeros(t_abs.shape + (4, 2), dtype=complex)
     a[..., 0, 0] = cfg.g1
@@ -168,6 +170,14 @@ def field_map(cfg: ZwmConfig, gammas) -> np.ndarray:
     return f
 
 
+def _cancelled(b, parts):
+    """b, in place, with every amplitude within _CANCEL_TOL of the summed moduli of
+    its parts set to 0: the zero rule of both exact estimators.  An amplitude that
+    cancels to their rounding is zero, so a dark fringe has exactly zero intensity."""
+    b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
+    return b
+
+
 def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """G[i, j] = <E_p^dagger E_q> at (gammas[i], t_abs[j]), shape (n_g, n_t, 2, 2).
 
@@ -180,11 +190,8 @@ def coherence_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     f = field_map(cfg, gammas)
     a = signal_amplitudes(cfg, t_abs * cfg.imperfections.mu_overlap)
     # detector amplitudes B = F A: E_p |psi> = sum_k B[p, k] |k>
-    b = np.einsum("gpm,tmk->gtpk", f, a)
-    # an amplitude that cancels to the rounding of its parts (a few 1e-16 of
-    # their magnitudes) is zero, so a dark fringe has exactly zero intensity
-    parts = np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a))
-    b[np.abs(b) <= _CANCEL_TOL * parts] = 0.0
+    b = _cancelled(np.einsum("gpm,tmk->gtpk", f, a),
+                   np.einsum("gpm,tmk->gtpk", np.abs(f), np.abs(a)))
     return np.einsum("gtpk,gtqk->gtpq", np.conj(b), b)
 
 
@@ -228,6 +235,15 @@ def coherence_matrix(cfg: ZwmConfig) -> CoherenceMatrix:
     return CoherenceMatrix(coherence_grid(cfg, cfg.gamma, min(abs(complex(cfg.t)), 1.0))[0, 0])
 
 
+def _polarization(gxx, gyy, gxy_abs):
+    """P from Gxx, Gyy and |Gxy|: the eigenvalue gap sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2)
+    over tr G, capped at 1.  Raises ZeroTraceError if any tr G <= 0."""
+    tr = gxx + gyy
+    if np.any(tr <= 0.0):
+        raise ZeroTraceError("degree of polarization undefined at zero intensity")
+    return np.minimum(np.hypot(gxx - gyy, 2.0 * gxy_abs) / tr, 1.0)
+
+
 def degree_of_polarization_grid(g: np.ndarray) -> np.ndarray:
     """P of every (..., 2, 2) coherence matrix in g.
 
@@ -237,12 +253,7 @@ def degree_of_polarization_grid(g: np.ndarray) -> np.ndarray:
     since tr^2 - 4 det = (Gxx - Gyy)^2 + 4 |Gxy|^2 exactly.  Raises
     ZeroTraceError if any matrix has tr G <= 0.
     """
-    gxx, gyy = g[..., 0, 0].real, g[..., 1, 1].real
-    tr = gxx + gyy
-    if np.any(tr <= 0.0):
-        raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    gap = np.hypot(gxx - gyy, 2.0 * np.abs(g[..., 0, 1]))
-    return np.minimum(gap / tr, 1.0)
+    return _polarization(g[..., 0, 0].real, g[..., 1, 1].real, np.abs(g[..., 0, 1]))
 
 
 def degree_of_polarization(g: CoherenceMatrix) -> float:
@@ -272,40 +283,34 @@ def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
 def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:
     """Closed-form degree of polarization at (gammas[i], t_abs[j]), shape (n_g, n_t).
 
-    With w_i = |g_i|^2 over the larger one, T = t_abs * t_phase(cfg),
-    m = |T eta_idler mu_overlap|, c, s = cos, sin gamma, cb = cos beta
-    (beta = phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1),
-    r_p^2 = bs_tp^2 / 2 = 1 - t_p^2 and x = 2 t_x r_x sqrt(w1 w2) m c cb:
-      tr G = w1 (t_x^2 c^2 + t_y^2 s^2) + r_x^2 w2 + x,
-      Gxx - Gyy = r_x^2 w2 - t_y^2 w1 + w1 (t_x^2 + t_y^2) c^2 + x,
-      |Gxy|^2 = w1 t_y^2 s^2 (w1 t_x^2 c^2 + r_x^2 w2 m^2 + x),
-    P = sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2) / tr G, capped at 1, and
-    det G = w1 w2 r_x^2 t_y^2 (1 - m^2) s^2: P < 1 only where both the
-    inerasable (m < 1) and the erasable (s != 0) which-path marks exist.
-    Raises ZeroTraceError where tr G cancels to the rounding of its parts.
+    With a_i = |g_i| over the larger one, m = t_abs eta_idler mu_overlap,
+    c, s = cos, sin gamma, beta = phi_s2 - phi_s1 - phi_i - arg T + arg g2 - arg g1,
+    r_p^2 = bs_tp^2 / 2 = 1 - t_p^2 and the x amplitude that both sources share,
+    u = a1 t_x c + a2 r_x m e^{i beta}:
+      Gxx = |u|^2 + a2^2 r_x^2 (1 - m)(1 + m),  Gyy = a1^2 t_y^2 s^2,  |Gxy| = |u| a1 t_y |s|.
+    u is the only sum that can cancel, and it is zero where it cancels to the
+    rounding of its parts (_cancelled, the pipeline's zero rule); P then comes from
+    degree_of_polarization_grid's step.  det G = a1^2 a2^2 r_x^2 t_y^2 (1 - m^2) s^2:
+    P < 1 only where both the inerasable (m < 1) and the erasable (s != 0)
+    which-path marks exist.
     """
     gammas, t_abs = _check_grid(gammas, t_abs)
     imp = cfg.imperfections
     big = max(abs(cfg.g1), abs(cfg.g2))
     a1, a2 = abs(cfg.g1) / big, abs(cfg.g2) / big
-    w1, w2 = a1 * a1, a2 * a2
-    rx2, ty2 = imp.bs_tx ** 2 / 2.0, 1.0 - imp.bs_ty ** 2 / 2.0
-    tx2 = 1.0 - rx2
-    t = t_abs * t_phase(cfg)
-    m = np.abs(t * imp.eta_idler * imp.mu_overlap)
-    cb = np.cos(cfg.phi_s2 - cfg.phi_s1 - cfg.phi_i - np.angle(t)
-                + cmath.phase(cfg.g2) - cmath.phase(cfg.g1))
-    c, s = np.cos(gammas)[:, None], np.sin(gammas)[:, None]
-    c2, s2 = c * c, s * s
-    cross = 2.0 * math.sqrt(tx2 * rx2) * a1 * a2 * m * c * cb
-    first = w1 * (ty2 + (tx2 - ty2) * c2)
-    tr = first + rx2 * w2 + cross
-    if np.any(tr <= _CANCEL_TOL * (first + rx2 * w2 + np.abs(cross))):
-        raise ZeroTraceError("degree of polarization undefined at zero intensity")
-    diff = (rx2 * w2 - ty2 * w1) + w1 * (tx2 + ty2) * c2 + cross
-    coherent = w1 * tx2 * c2 + rx2 * w2 * m * m + cross
-    gap = np.sqrt(np.maximum(diff * diff + 4.0 * coherent * w1 * ty2 * s2, 0.0))
-    return np.minimum(gap / tr, 1.0)
+    rx2 = imp.bs_tx ** 2 / 2.0
+    rx, tx, ty = math.sqrt(rx2), math.sqrt(1.0 - rx2), math.sqrt(1.0 - imp.bs_ty ** 2 / 2.0)
+    m = t_abs * imp.eta_idler * imp.mu_overlap
+    # e^{i beta}, one unit phasor per phase: a sum of angles would round sin(beta)
+    # near beta = pi to an ulp of the sum, a product keeps its relative precision
+    rot = (cmath.exp(1j * cfg.phi_s2) * cmath.exp(-1j * cfg.phi_s1)
+           * cmath.exp(-1j * cfg.phi_i) * t_phase(cfg).conjugate()
+           * (cfg.g2 / abs(cfg.g2)) * (cfg.g1 / abs(cfg.g1)).conjugate())
+    first, second = a1 * tx * np.cos(gammas)[:, None], a2 * rx * m
+    u = _cancelled(np.hypot(first + second * rot.real, second * rot.imag),
+                   np.abs(first) + second)
+    y = a1 * ty * np.abs(np.sin(gammas))[:, None]
+    return _polarization(u * u + (a2 * rx) ** 2 * ((1.0 - m) * (1.0 + m)), y * y, u * y)
 
 
 def analytic_p_general(cfg: ZwmConfig) -> float:

@@ -40,10 +40,15 @@ one a_k . S(G) per setting, then the draw and the fit.  montecarlo_row_oracle is
 one montecarlo sweep row the same way: the row's SeedSequence spawns one
 child per extremum, each sampled through a GedankenConfig and
 monte_carlo_detection, and the two estimates combine into P and its stderr.
+
+decimal_p is P of the two-branch coherence matrix in stdlib decimal
+arithmetic at 45 digits, on the exact double inputs: the reference both exact
+estimators must meet near a dark fringe, where double arithmetic can cancel.
 """
 
 import cmath
 import dataclasses
+import decimal
 import itertools
 import math
 
@@ -407,3 +412,75 @@ def montecarlo_row_oracle(cfg, gamma_deg, t_abs, samples, seed_seq) -> tuple[flo
         raise ZeroTraceError("no detection at either extremum")
     return (max(p_max - p_min, 0.0) / total,
             2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2)
+
+
+def _cos_sin(x):
+    """(cos x, sin x) of a Decimal, by the Taylor recipes of the decimal module's
+    documentation, two digits above the context's precision."""
+    with decimal.localcontext() as ctx:
+        ctx.prec += 2
+        sums = []
+        for i, term in ((0, decimal.Decimal(1)), (1, x)):
+            total, last = term, None
+            while total != last:
+                last, i = total, i + 2
+                term *= -x * x / (i * (i - 1))
+                total += term
+            sums.append(total)
+    return +sums[0], +sums[1]
+
+
+def decimal_p(cfg, gamma, t_abs, digits=45):
+    """(P, |u| / parts) of the two-branch G at one (gamma, |T|) grid point of cfg,
+    in decimal arithmetic at `digits` significant digits on the exact double
+    inputs, with |T| = t_abs exactly and T = t_abs cfg.t / |cfg.t|:
+
+      G = w1 e1* e1^T + w2 e2* e2^T + x e1* e2^T + conj(x) e2* e1^T,
+      e1 = e^{i phi_s1} (t_x cos gamma, t_y sin gamma),  e2 = e^{i phi_s2} (r_x, 0),
+      x = conj(g1) g2 conj(T eta_idler mu_overlap e^{i phi_i}),  w_i = |g_i|^2,
+
+    and P = sqrt((Gxx - Gyy)^2 + 4 |Gxy|^2) / tr G, None where tr G = 0.  u is the
+    x amplitude both sources share, g1 e1_x + g2 e2_x conj(T eta mu e^{i phi_i}), and
+    parts the sum of the moduli of its two terms: the zero rule's measure."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def mul(a, b):
+            return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+        def conj(a):
+            return a[0], -a[1]
+
+        imp = cfg.imperfections
+        c, s = _cos_sin(D(gamma))
+        rx = D(imp.bs_tx) / D(2).sqrt()
+        tx, ty = (1 - rx * rx).sqrt(), (1 - D(imp.bs_ty) ** 2 / 2).sqrt()
+        g1, g2, t = ((D(z.real), D(z.imag)) for z in (complex(cfg.g1), complex(cfg.g2),
+                                                      complex(cfg.t)))
+        mod_t = (t[0] ** 2 + t[1] ** 2).sqrt()
+        m = D(t_abs) * D(imp.eta_idler) * D(imp.mu_overlap)
+        phase = (t[0] / mod_t, t[1] / mod_t) if mod_t else (D(1), D(0))
+        idler = mul((phase[0] * m, phase[1] * m), _cos_sin(D(cfg.phi_i)))
+        arm1, arm2 = _cos_sin(D(cfg.phi_s1)), _cos_sin(D(cfg.phi_s2))
+        e1 = ((arm1[0] * tx * c, arm1[1] * tx * c), (arm1[0] * ty * s, arm1[1] * ty * s))
+        e2 = ((arm2[0] * rx, arm2[1] * rx), (D(0), D(0)))
+        x = mul(mul(conj(g1), g2), conj(idler))
+        w1, w2 = g1[0] ** 2 + g1[1] ** 2, g2[0] ** 2 + g2[1] ** 2
+
+        def entry(p, q):
+            terms = [mul(conj(e1[p]), e1[q]), mul(conj(e2[p]), e2[q]),
+                     mul(x, mul(conj(e1[p]), e2[q])), mul(conj(x), mul(conj(e2[p]), e1[q]))]
+            weights = (w1, w2, 1, 1)
+            return (sum(w * z[0] for w, z in zip(weights, terms)),
+                    sum(w * z[1] for w, z in zip(weights, terms)))
+
+        gxx, gyy, gxy = entry(0, 0)[0], entry(1, 1)[0], entry(0, 1)
+        u = tuple(a + b for a, b in zip(mul(g1, e1[0]), mul(mul(g2, e2[0]), conj(idler))))
+        parts = w1.sqrt() * tx * abs(c) + w2.sqrt() * rx * m
+        ratio = (u[0] ** 2 + u[1] ** 2).sqrt() / parts if parts else D(0)
+        tr = gxx + gyy
+        if tr == 0:
+            return None, ratio
+        gap = ((gxx - gyy) ** 2 + 4 * (gxy[0] ** 2 + gxy[1] ** 2)).sqrt()
+        return +(gap / tr), ratio

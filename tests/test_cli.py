@@ -280,6 +280,40 @@ def test_dark_fringe_inside_a_grid_exits_2_without_output(tmp_path, capsys, mode
     assert not out.exists()
 
 
+def test_exact_modes_agree_next_to_the_dark_fringe(tmp_path, capsys):
+    """A hair off the dark corner the light is 1e-13 of the bright fringe's;
+    both exact modes write the same P, the 45-digit reference's 0.89841002299431
+    and 0.99944076403342 rounded."""
+    cfg = tmp_path / "fringe.cfg"
+    cfg.write_text(f"phi_s2_rad = {math.pi!r}\n")
+    rows = {}
+    for mode in ("analytic", "numeric"):
+        assert run_cli("sweep", "--config", str(cfg), "--mode", mode, "--gamma",
+                       "8.0226e-06,5.8e-07", "--t", "0.9999999999998168") == 0
+        rows[mode] = capsys.readouterr().out.replace(f",{mode},", ",MODE,")
+    assert rows["analytic"] == rows["numeric"] == (
+        "gamma_deg,t_abs,mode,p_value,p_stderr\n"
+        "5.8e-07,1,MODE,0.999440764033,0\n"
+        "8.0226e-06,1,MODE,0.898410022994,0\n")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+@pytest.mark.parametrize("offset,code", [(1e-13, 2), (4e-13, 0)])
+def test_zero_rule_edge_is_the_same_in_both_exact_modes(tmp_path, capsys, mode, offset, code):
+    """At gamma = 0, |T| = 1 and beta = pi + offset the x amplitude is about
+    offset / 2 of its two parts' summed moduli: zero under the 1e-13 rule at
+    1e-13, light (and P = 1, with no y light) at 4e-13."""
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"phi_s2_rad = {math.pi + offset!r}\n")
+    assert run_cli("sweep", "--config", str(cfg), "--mode", mode,
+                   "--gamma", "0", "--t", "1") == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "zero intensity" in captured.err
+    else:
+        assert captured.out.splitlines()[1] == f"0,1,{mode},1,0"
+
+
 @pytest.mark.parametrize("cfg_text", [
     "bs_tx = 0.9\n",
     "g1_mag = 0.01\ng2_mag = 0.02\n",

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import decimal_p
+
 from polsim.config import DEFAULTS, build_configs
 from polsim.errors import ParameterError, ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken_grid
@@ -112,6 +114,65 @@ def test_closed_form_obeys_the_determinant_identity():
         assert np.all(np.abs(p - 1.0)[pure] <= 1e-12), cfg
 
 
+# near-fringe corpus: beta within 1e-3 of pi, gamma from 1e-8 to 0.1 rad and
+# 1 - |T| from 1e-13 to 1e-2, checked against the 45-digit decimal reference
+FRINGE_SIZE = 2100
+
+
+def near_fringe_corpus():
+    """(cfg, gamma, |T|) from config values, in turn: the ideal instrument with
+    beta set by phi_s2_rad; the ideal instrument with beta set by t_phase_rad;
+    random imperfections and gains, the gains balanced so that the fringe is
+    dark at gamma = 0, |T| = 1 (a2 r_x eta mu = a1 t_x), and beta set by
+    phi_s2_rad against random phases.  gamma, 1 - |T| and |beta - pi| are
+    log-uniform over their ranges."""
+    rng = np.random.default_rng(3110)
+    for k in range(FRINGE_SIZE):
+        values = dict(DEFAULTS)
+        beta = math.pi + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -3.0)
+        if k % 3 == 0:
+            values["phi_s2_rad"] = beta
+        elif k % 3 == 1:
+            values["t_phase_rad"] = -beta
+        else:
+            for key in ("eta_idler", "bs_tx", "bs_ty", "mu_overlap"):
+                values[key] = rng.uniform(0.2, 1.0)
+            for key in ("g1_phase_rad", "g2_phase_rad", "t_phase_rad", "phi_s1_rad",
+                        "phi_i_rad"):
+                values[key] = rng.uniform(-math.pi, math.pi)
+            ratio = math.sqrt(2.0 / values["bs_tx"] ** 2 - 1.0) / (
+                values["eta_idler"] * values["mu_overlap"])  # a2 / a1
+            values["g1_mag"] = 10.0 ** rng.uniform(-100.0, math.log10(0.1 / ratio))
+            values["g2_mag"] = values["g1_mag"] * ratio
+            values["phi_s2_rad"] = (beta + values["phi_s1_rad"] + values["phi_i_rad"]
+                                    + values["t_phase_rad"] - values["g2_phase_rad"]
+                                    + values["g1_phase_rad"])
+        cfg, _ = build_configs(values)
+        yield cfg, 10.0 ** rng.uniform(-8.0, -1.0), 1.0 - 10.0 ** rng.uniform(-13.0, -2.0)
+
+
+def test_exact_estimators_match_the_decimal_reference_at_the_fringe():
+    """Both exact estimators lie within 1e-12 of the two-branch G evaluated at 45
+    digits wherever the reference's shared amplitude is above the zero rule, and
+    they make the same zero-intensity decision at every point."""
+    checked = 0
+    for cfg, gamma, t_abs in near_fringe_corpus():
+        want, ratio = decimal_p(cfg, gamma, t_abs)
+        got = []
+        for estimate in (analytic_p_grid, lambda *point: degree_of_polarization_grid(
+                coherence_grid(*point))):
+            try:
+                got.append(float(estimate(cfg, [gamma], [t_abs])[0, 0]))
+            except ZeroTraceError:
+                got.append(None)
+        assert (got[0] is None) == (got[1] is None), (cfg, gamma, t_abs)
+        if ratio > 1e-13:
+            checked += 1
+            assert None not in got, (cfg, gamma, t_abs)
+            assert max(abs(p - float(want)) for p in got) <= 1e-12, (cfg, gamma, t_abs, got, want)
+    assert checked >= 2000
+
+
 def closed_form(gamma, t_eff, beta):
     c, s, cb = math.cos(gamma), math.sin(gamma), math.cos(beta)
     num = c * c + t_eff * t_eff * (s * s + c * c * cb * cb) + 2.0 * t_eff * c * cb
@@ -179,10 +240,12 @@ def test_analytic_grid_entries_equal_single_point_calls():
     phase = cfg.t / abs(cfg.t)
     for i, gamma in enumerate(gs):
         for j, t in enumerate(ts):
+            assert p[i, j] == analytic_p_grid(cfg, [gamma], [t])[0, 0]
+            # the point's |T| is |t * phase|, which can round an ulp off t
             point = ZwmConfig(g1=cfg.g1, g2=cfg.g2, t=t * phase, gamma=gamma,
                               phi_s1=cfg.phi_s1, phi_s2=cfg.phi_s2, phi_i=cfg.phi_i,
                               imperfections=cfg.imperfections)
-            assert p[i, j] == analytic_p_general(point)
+            assert p[i, j] == pytest.approx(analytic_p_general(point), rel=1e-14, abs=1e-15)
 
 
 def test_analytic_grid_guards():
@@ -198,14 +261,14 @@ def test_analytic_grid_guards():
 
 
 def test_gedanken_grid_range_checks():
-    with pytest.raises(ParameterError, match="marker quality"):
+    with pytest.raises(ParameterError, match=r"every \|T\|"):
         degree_of_polarization_gedanken_grid([0.0, 0.3], [0.5, 1.5])
-    with pytest.raises(ParameterError, match="marker quality"):
+    with pytest.raises(ParameterError, match=r"every \|T\|"):
         degree_of_polarization_gedanken_grid([0.0], [math.nan])
-    with pytest.raises(ParameterError, match="erasure angle"):
+    with pytest.raises(ParameterError, match="every gamma"):
         degree_of_polarization_gedanken_grid([0.0, math.pi], [0.5])
-    with pytest.raises(ParameterError, match="erasure angle"):
+    with pytest.raises(ParameterError, match="every gamma"):
         degree_of_polarization_gedanken_grid([math.nan], [0.5])
     for gamma in (math.inf, -math.inf):
-        with pytest.raises(ParameterError, match="erasure angle"):
+        with pytest.raises(ParameterError, match="every gamma"):
             degree_of_polarization_gedanken_grid([0.0, gamma], [0.5])

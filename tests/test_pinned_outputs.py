@@ -106,9 +106,7 @@ NUMERIC_CSV = ANALYTIC_CSV.replace(",analytic,", ",numeric,").replace(
     "90,0,numeric,6.12323399574e-17,0", "90,0,numeric,2.77880903236e-16,0")
 
 # equal gain magnitudes with different phases, a complex T, idler loss and
-# all three path phases: beta and |T_eff| depend on the phase of T at each
-# |T|, and a beta taken once from the configured T misprints the last digit
-# of the 0.584 and 0.688 rows at gamma = 12.045, 61.013 and 85.534
+# all three path phases, so beta takes every phase of the config
 NONIDEAL_CONFIG = (
     "g1_phase_rad = 0.2\n"
     "g2_phase_rad = 1.1\n"
