@@ -2,7 +2,7 @@
 
 Subcommands:
   sweep     evaluate P over a (gamma, |T|) grid in one of five modes
-  selftest  closed-form vs pipeline consistency checks
+  selftest  estimator agreement, dark-corner and endpoint checks on the sweep grid path
   tomo      reconstruct a coherence matrix from a counts table
 
 Exit codes: 0 success, 4 selftest failure, and for an error its class's exit_code:
@@ -16,6 +16,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,13 +24,7 @@ from .config import format_config, load_config
 from .errors import PolsimError, ZeroTraceError
 from .sweep import DEFAULT_MC_SAMPLES, MODES, SweepSpec, format_rows, sweep_grid
 from .tomography import reconstruct_run, read_counts_table
-from .zwm import (
-    ImperfectionConfig,
-    ZwmConfig,
-    analytic_p_general,
-    numeric_degree_of_polarization,
-    stokes_parameters,
-)
+from .zwm import ImperfectionConfig, stokes_parameters
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -149,39 +144,34 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _selftest_checks():
-    # biphoton-matrix pipeline against the general closed form, at three phases
-    # and with unequal gains and every imperfection; both sides must find the
-    # corner |T| = 1, gamma = 0, beta = pi dark (zero intensity, P undefined)
-    imperfect = dict(g1=0.008j, g2=0.01 - 0.006j, phi_i=0.3, imperfections=ImperfectionConfig(
-        eta_idler=0.8, bs_tx=0.9, bs_ty=0.8, mu_overlap=0.7))
-    worst_pipe = 0.0
-    for t in np.linspace(0.0, 1.0, 11):
-        for deg in range(0, 91, 15):
-            for fields in ({}, {"phi_s2": math.pi / 3.0}, {"phi_s2": math.pi}, imperfect):
-                cfg = ZwmConfig(t=t, gamma=math.radians(deg), **fields)
-                try:
-                    p_closed = analytic_p_general(cfg)
-                except ZeroTraceError:
-                    try:
-                        numeric_degree_of_polarization(cfg)
-                    except ZeroTraceError:
-                        continue
-                    worst_pipe = math.inf
-                    continue
-                worst_pipe = max(worst_pipe, abs(
-                    numeric_degree_of_polarization(cfg) - p_closed))
-    yield ("pipeline vs closed form, 11x7x4 grid", worst_pipe, 1e-10)
+    # each check runs the sweep_grid call of `polsim sweep` on one 7x11 (gamma, |T|) grid
+    ideal, detector, _ = load_config(None)
+    t_values = np.linspace(0.0, 1.0, 11)
 
-    # endpoint identities
-    worst_end = 0.0
-    for deg in range(0, 91, 15):
-        gamma = math.radians(deg)
-        worst_end = max(worst_end, abs(
-            numeric_degree_of_polarization(ZwmConfig(t=1.0, gamma=gamma)) - 1.0))
-    for t in np.linspace(0.0, 1.0, 11):
-        cfg = ZwmConfig(t=t, gamma=math.pi / 2.0)
-        worst_end = max(worst_end, abs(numeric_degree_of_polarization(cfg) - t))
-    yield ("endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|", worst_end, 1e-10)
+    def grid(mode, cfg=ideal):
+        spec = SweepSpec(tuple(range(0, 91, 15)), tuple(t_values), mode)
+        return sweep_grid(spec, cfg, detector)[0][..., 0]
+
+    # analytic at two phases and with every imperfection; gedanken models the ideal only
+    imperfect = replace(ideal, g1=0.008j, g2=0.01 - 0.006j, phi_i=0.3, imperfections=(
+        ImperfectionConfig(eta_idler=0.8, bs_tx=0.9, bs_ty=0.8, mu_overlap=0.7)))
+    numeric = grid("numeric")
+    pairs = [(grid("gedanken"), numeric)] + [(grid("analytic", cfg), grid("numeric", cfg))
+             for cfg in (ideal, replace(ideal, phi_s2=math.pi / 3.0), imperfect)]
+    yield ("analytic and gedanken vs numeric, 7x11 grid",
+           max(float(np.max(np.abs(a - b))) for a, b in pairs), 1e-10)
+
+    def lit(mode):  # inf if mode returns a P at the dark corner |T| = 1, gamma = 0, beta = pi
+        try:
+            grid(mode, replace(ideal, phi_s2=math.pi))
+        except ZeroTraceError:
+            return 0.0
+        return math.inf
+    yield ("dark corner at beta=pi: ZeroTraceError in analytic and numeric",
+           max(map(lit, ("analytic", "numeric"))), 0.0)
+
+    ends = np.concatenate([numeric[:, -1] - 1.0, numeric[-1] - t_values])
+    yield ("endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|", float(np.max(np.abs(ends))), 1e-10)
 
 
 def _cmd_selftest(args) -> int:

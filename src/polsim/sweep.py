@@ -37,8 +37,9 @@ from .zwm import (ZwmConfig, _check_grid, analytic_p_grid, coherence_grid,
 MODES = ("analytic", "numeric", "tomography", "gedanken", "montecarlo")
 CSV_HEADER = "gamma_deg,t_abs,mode,p_value,p_stderr"
 DEFAULT_MC_SAMPLES = 100_000
-# rows a sweep may write; their P and stderr arrays take 16 bytes a row, but at
-# its peak a numeric sweep holds about 210 bytes a row and a closed-form one 185
+# rows a sweep may write; their P and stderr arrays take 16 bytes a row, but the peak RSS
+# of a 1000x1000 CLI sweep exceeds a 1x1 one's by about 222 bytes a row in numeric mode,
+# 209 in analytic and 201 in gedanken (x86-64, CPython 3.11, numpy 2.4, commit 92cd010)
 MAX_ROWS = 10**7
 
 

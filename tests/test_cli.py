@@ -19,13 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polsim import cli
+from polsim import cli, sweep, zwm
 from polsim.config import DEFAULTS, format_config, parse_config_text
-from polsim.errors import ZeroTraceError
 from polsim.gedanken import degree_of_polarization_gedanken
 from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, simulate_counts
 from polsim.sweep import MODES
-from polsim.zwm import CoherenceMatrix
+from polsim.zwm import CoherenceMatrix, degree_of_polarization_grid, field_map
 
 
 def run_cli(*argv):
@@ -482,11 +481,17 @@ def test_replicates_below_one_exit_3_without_output(tmp_path, capsys, mode, repl
     assert not out.exists()
 
 
+SELFTEST_CHECKS = ["analytic and gedanken vs numeric, 7x11 grid",
+                   "dark corner at beta=pi: ZeroTraceError in analytic and numeric",
+                   "endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|"]
+
+
 def test_selftest_passes(capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
-    assert out.count("ok:") == 2
-    assert "all checks passed" in out
+    assert [line.split(": max |delta|")[0] for line in out.splitlines()[:-1]] == [
+        f"ok: {name}" for name in SELFTEST_CHECKS]
+    assert out.endswith("selftest: all checks passed\n")
 
 
 def test_selftest_failure_exits_4(monkeypatch, capsys):
@@ -501,21 +506,28 @@ def test_selftest_failure_exits_4(monkeypatch, capsys):
 
 
 def test_selftest_exits_4_where_only_the_closed_form_sees_a_dark_corner(monkeypatch, capsys):
-    """A pipeline that reads P = 0 where the closed form finds zero intensity
-    fails the pipeline check: selftest exits 4 and names it."""
-    numeric = cli.numeric_degree_of_polarization
+    """A pipeline that reads P = 0 where tr G = 0 finds no dark corner, where the
+    closed form raises ZeroTraceError: selftest exits 4 and names the dark-corner check."""
+    def lit(g):
+        dark = (g[..., 0, 0].real + g[..., 1, 1].real <= 0.0)[..., None, None]
+        return degree_of_polarization_grid(np.where(dark, np.eye(2), g)) * ~dark[..., 0, 0]
 
-    def lit(cfg):
-        try:
-            return numeric(cfg)
-        except ZeroTraceError:
-            return 0.0
-
-    monkeypatch.setattr(cli, "numeric_degree_of_polarization", lit)
+    monkeypatch.setattr(sweep, "degree_of_polarization_grid", lit)
     assert run_cli("selftest") == 4
     captured = capsys.readouterr()
-    assert "FAIL: pipeline vs closed form, 11x7x4 grid: max |delta| = inf" in captured.out
+    assert f"FAIL: {SELFTEST_CHECKS[1]}: max |delta| = inf" in captured.out
     assert "1 check(s) failed" in captured.err
+
+
+def test_selftest_exits_4_where_the_pipeline_reverses_the_gamma_axis(monkeypatch, capsys):
+    """A detector field map that reverses its gamma axis writes every numeric P
+    against the wrong angle: the grid checks see it, where 1x1 grids cannot."""
+    monkeypatch.setattr(zwm, "field_map", lambda cfg, gammas: field_map(cfg, np.flip(gammas)))
+    assert run_cli("selftest") == 4
+    captured = capsys.readouterr()
+    assert f"FAIL: {SELFTEST_CHECKS[0]}" in captured.out
+    assert f"FAIL: {SELFTEST_CHECKS[2]}" in captured.out
+    assert "2 check(s) failed" in captured.err
 
 
 def write_counts(path, counts):
