@@ -106,8 +106,9 @@ def monte_carlo_detection(
 
     Only the total hit count of the N i.i.d. samples is used, so it is drawn
     as nested binomial branch counts, with exactly the law of the per-sample
-    draw, in time and memory independent of N.  Deterministic given
-    (seed, samples).
+    draw, in time and memory independent of N.  seed is what np.random.default_rng
+    takes: the same seed and samples give the same estimate, and a Generator is
+    advanced, so successive calls on one Generator draw successive estimates.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ParameterError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")

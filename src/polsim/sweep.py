@@ -1,17 +1,17 @@
 """Parameter sweeps over (gamma, |T|) producing a flat CSV table.
 
-The analytic, gedanken and numeric modes evaluate the whole grid as one
-array expression.  The tomography mode computes the coherence matrix and
-the expected counts of every grid point at once, then draws each row and
-reconstructs it with reconstruct_run, the call behind `polsim tomo`.  The
-montecarlo mode samples the two extrema of each row with gedanken's scalar
-sampler, on the grid SweepSpec validated once.  Every stochastic row
-derives its generator from (seed; gamma index, t index, replicate), and a
-montecarlo extremum k from the child SeedSequence (seed; gamma index,
-t index, replicate, k), so a fixed seed reproduces the output byte for
-byte regardless of grid shape or replicate count.  `sweep_grid` returns
-(P, stderr) float arrays in every mode; `format_rows` writes the CSV from
-them in one pass, and `run_sweep` is their rows view for library callers.
+The analytic, gedanken and numeric modes evaluate the whole grid as one array
+expression.  The tomography mode computes the coherence matrix and the expected
+counts of every grid point at once, then draws each row and reconstructs it with
+reconstruct_run, the call behind `polsim tomo`.  The montecarlo mode samples the
+two extrema of each row with gedanken's scalar sampler, on the grid SweepSpec
+validated once.  A stochastic grid point draws its replicates in order from one
+generator keyed (seed; gamma index, t index): tomography all its Poisson counts in
+one call, a montecarlo replicate its max extremum, then its min.  So a fixed seed
+reproduces the output byte for byte, and a row does not change with the replicate
+count or with grid values appended above an axis's maximum.  `sweep_grid` returns
+(P, stderr) float arrays in every mode; `format_rows` writes the CSV from them in
+one pass, and `run_sweep` is their rows view for library callers.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ import numpy as np
 
 from .errors import ParameterError, ZeroTraceError
 from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_gedanken_grid
-from .tomography import (
-    DEFAULT_SETTINGS,
-    DetectorModel,
-    _poisson_draw,
-    expected_counts_grid,
-    reconstruct_run,
-)
+from .tomography import (DEFAULT_SETTINGS, DetectorModel, _poisson_draw, expected_counts_grid,
+                         reconstruct_run)
 from .zwm import (ZwmConfig, _check_grid, analytic_p_grid, coherence_grid,
                   degree_of_polarization_grid)
 
@@ -75,13 +70,11 @@ class SweepSpec:
 
 
 def _mc_p_estimate(cfg: ZwmConfig, spec: SweepSpec, ig: int, it: int,
-                   rep: int) -> tuple[float, float]:
+                   rng: np.random.Generator) -> tuple[float, float]:
     gamma, m = math.radians(spec.gammas_deg[ig]), spec.t_values[it]
-    # extremum k draws from the child k that spawn(2) of the row's SeedSequence gives
     (p_max, se_max), (p_min, se_min) = (
-        _sample_detection(gamma, m, cfg.phi_s1, cfg.phi_s2, theta, spec.mc_samples,
-                          np.random.SeedSequence(entropy=spec.seed, spawn_key=(ig, it, rep, k)))
-        for k, theta in enumerate((gamma / 2.0, gamma / 2.0 + math.pi / 2.0)))
+        _sample_detection(gamma, m, cfg.phi_s1, cfg.phi_s2, theta, spec.mc_samples, rng)
+        for theta in (gamma / 2.0, gamma / 2.0 + math.pi / 2.0))
     total = p_max + p_min
     if total == 0.0:
         raise ZeroTraceError(
@@ -95,8 +88,8 @@ def _mc_p_estimate(cfg: ZwmConfig, spec: SweepSpec, ig: int, it: int,
 
 def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     """(p, se): each row's P as a float array indexed [gamma, t, replicate], one
-    replicate in the exact modes, and its stderr, None where that is 0 (every
-    mode but montecarlo)."""
+    replicate in the exact modes, and its stderr, None where that is 0 (every mode but
+    montecarlo).  A stochastic mode seeds one generator per grid point, not per row."""
     gammas = np.radians(spec.gammas_deg)
     if spec.mode == "analytic":
         return analytic_p_grid(cfg, gammas, spec.t_values)[..., None], None
@@ -106,9 +99,12 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         g = coherence_grid(cfg, gammas, spec.t_values)
         return degree_of_polarization_grid(g)[..., None], None
     p, se = np.zeros((2, len(spec.gammas_deg), len(spec.t_values), spec.replicates))
+    rngs = ((key, np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=key)))
+            for key in product(*map(range, p.shape[:2])))
     if spec.mode == "montecarlo":
-        for ig, it, rep in product(*map(range, p.shape)):
-            p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rep)
+        for (ig, it), rng in rngs:
+            for rep in range(spec.replicates):
+                p[ig, it, rep], se[ig, it, rep] = _mc_p_estimate(cfg, spec, ig, it, rng)
         return p, se
     g = coherence_grid(cfg, gammas, spec.t_values)
     trace = g[..., 0, 0].real + g[..., 1, 1].real
@@ -116,10 +112,9 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
-    for ig, it, rep in product(*map(range, p.shape)):
-        raw = _poisson_draw(mu[ig, it], np.random.SeedSequence(
-            entropy=spec.seed, spawn_key=(ig, it, rep)))
-        p[ig, it, rep] = reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+    for (ig, it), rng in rngs:
+        raw = _poisson_draw(np.broadcast_to(mu[ig, it], (spec.replicates, mu.shape[-1])), rng)
+        p[ig, it] = [reconstruct_run(DEFAULT_SETTINGS, row, detector).p_estimate for row in raw]
     return p, None
 
 

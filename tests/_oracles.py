@@ -33,13 +33,15 @@ carry the needs_scipy marker, and the rest run where scipy is not installed.
 The Newton fit must be at least as likely on every table.  SIX_SETTINGS
 (H V D A R L) is the overcomplete set the fit tests use.
 
-tomography_point_matrix, setting_means and tomography_row_oracle are one
-tomography sweep row computed on its own, as the sweep did before it evaluated the whole
-grid at once: the config moved to the point, a normalized CoherenceMatrix,
-one a_k . S(G) per setting, then the draw and the fit.  montecarlo_row_oracle is
-one montecarlo sweep row the same way: the row's SeedSequence spawns one
-child per extremum, each sampled through a GedankenConfig and
-monte_carlo_detection, and the two estimates combine into P and its stderr.
+tomography_point_matrix, setting_means and tomography_point_oracle are the
+rows of one tomography sweep grid point computed on their own, as the sweep did
+before it evaluated the whole grid at once: the config moved to the point, a
+normalized CoherenceMatrix, one a_k . S(G) per setting, then for each replicate
+in turn a draw from the point's generator and the fit.  montecarlo_point_oracle
+is the rows of one montecarlo grid point the same way: each replicate in turn
+samples its two extrema, max then min, from the point's generator, each through
+a GedankenConfig and monte_carlo_detection, and the two estimates combine into
+P and its stderr.
 
 decimal_p is P of the two-branch coherence matrix in stdlib decimal
 arithmetic at 45 digits, on the exact double inputs: the reference both exact
@@ -390,28 +392,34 @@ def setting_means(g: CoherenceMatrix, settings, detector) -> list[float]:
             + detector.dark_rate * detector.integration_time for s in settings]
 
 
-def tomography_row_oracle(cfg, gamma_deg, t_abs, detector, seed_seq) -> float:
-    """P of one tomography sweep row drawn from seed_seq (NaN if no counts survive)."""
+def tomography_point_oracle(cfg, gamma_deg, t_abs, detector, replicates, rng) -> list[float]:
+    """P of each of a tomography grid point's rows, drawn one replicate at a
+    time from the point's generator rng."""
     g = tomography_point_matrix(cfg, gamma_deg, t_abs)
-    raw = np.random.default_rng(seed_seq).poisson(setting_means(g, DEFAULT_SETTINGS, detector))
-    return reconstruct_run(DEFAULT_SETTINGS, raw, detector).p_estimate
+    means = setting_means(g, DEFAULT_SETTINGS, detector)
+    return [reconstruct_run(DEFAULT_SETTINGS, rng.poisson(means), detector).p_estimate
+            for _ in range(replicates)]
 
 
-def montecarlo_row_oracle(cfg, gamma_deg, t_abs, samples, seed_seq) -> tuple[float, float]:
-    """(P, stderr) of one montecarlo sweep row drawn from seed_seq: the
-    extrema at theta = gamma/2 and gamma/2 + pi/2 with marker quality |T|,
-    P = max(p_max - p_min, 0) / (p_max + p_min) and its first-order stderr."""
+def montecarlo_point_oracle(cfg, gamma_deg, t_abs, samples, replicates,
+                            rng) -> list[tuple[float, float]]:
+    """(P, stderr) of each of a montecarlo grid point's rows: each replicate in
+    turn samples, from the point's generator rng, the extremum at theta = gamma/2
+    and then the one at gamma/2 + pi/2, with marker quality |T|;
+    P = max(p_max - p_min, 0) / (p_max + p_min) with its first-order stderr."""
     gamma = math.radians(gamma_deg)
     common = dict(gamma=gamma, m=t_abs, phi1=cfg.phi_s1, phi2=cfg.phi_s2)
-    (p_max, se_max), (p_min, se_min) = (
-        monte_carlo_detection(GedankenConfig(theta=theta, **common), samples, child)
-        for theta, child in zip((gamma / 2.0, gamma / 2.0 + math.pi / 2.0),
-                                seed_seq.spawn(2)))
-    total = p_max + p_min
-    if total == 0.0:
-        raise ZeroTraceError("no detection at either extremum")
-    return (max(p_max - p_min, 0.0) / total,
-            2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2)
+    rows = []
+    for _ in range(replicates):
+        (p_max, se_max), (p_min, se_min) = (
+            monte_carlo_detection(GedankenConfig(theta=theta, **common), samples, rng)
+            for theta in (gamma / 2.0, gamma / 2.0 + math.pi / 2.0))
+        total = p_max + p_min
+        if total == 0.0:
+            raise ZeroTraceError("no detection at either extremum")
+        rows.append((max(p_max - p_min, 0.0) / total,
+                     2.0 * math.hypot(p_min * se_max, p_max * se_min) / total**2))
+    return rows
 
 
 def _cos_sin(x):

@@ -373,7 +373,7 @@ def test_tomography_counts_beyond_the_poisson_limit_exit_3(tmp_path, capsys, cfg
 @pytest.mark.parametrize("cfg_text, mode, argv, message", [
     ("kappa_cps = 0\n", "tomography", (),
      "all background-corrected counts are zero"),
-    ("", "montecarlo", ("--samples", "1", "--seed", "1"),
+    ("", "montecarlo", ("--samples", "1", "--seed", "4"),
      "no detection at either extremum in 1 samples each"),
 ], ids=["tomography-kappa-0", "montecarlo-one-sample"])
 def test_sweep_without_detections_exits_2(tmp_path, capsys, cfg_text, mode,
@@ -422,12 +422,22 @@ def test_montecarlo_memory_and_time_do_not_grow_with_samples(capsys):
     assert abs(p - degree_of_polarization_gedanken(math.radians(45.0), 0.5)) <= 5 * se
 
 
-def test_montecarlo_p_is_bounded_at_zero(capsys):
+def test_montecarlo_p_is_bounded_at_zero(monkeypatch, capsys):
     """Near P = 0 the two sampled extrema can cross; the row still holds a P
-    in [0, 1] (it used to read -0.0100200400802) with the same stderr."""
+    in [0, 1], not (p_max - p_min) / (p_max + p_min) < 0, with the same stderr."""
+    extrema, sample_detection = [], sweep._sample_detection
+
+    def sample(*args):  # the sampler, recording each extremum's estimate
+        p_hat, stderr = sample_detection(*args)
+        extrema.append(p_hat)
+        return p_hat, stderr
+
+    monkeypatch.setattr(sweep, "_sample_detection", sample)
     assert run_cli("sweep", "--mode", "montecarlo", "--gamma", "90", "--t", "0",
                    "--seed", "7", "--samples", "2000") == 0
-    assert capsys.readouterr().out.splitlines()[1] == "90,0,montecarlo,0,0.0274217724389"
+    p_max, p_min = extrema
+    assert p_min > p_max  # the seed reaches the crossed extrema
+    assert capsys.readouterr().out.splitlines()[1] == "90,0,montecarlo,0,0.0278503226678"
 
 
 def float_list(lo, hi):
