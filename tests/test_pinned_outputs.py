@@ -23,16 +23,16 @@ MONTECARLO_CSV = (
     "0,0.5,montecarlo,1,0\n"
     "0,1,montecarlo,1,0\n"
     "0,1,montecarlo,1,0\n"
-    "45,0,montecarlo,0.707414829659,0.0209326127704\n"
-    "45,0,montecarlo,0.753564154786,0.0198337013439\n"
-    "45,0.5,montecarlo,0.906202723147,0.0112807362466\n"
-    "45,0.5,montecarlo,0.883738042678,0.0122131929589\n"
+    "45,0,montecarlo,0.702044790652,0.0207244903474\n"
+    "45,0,montecarlo,0.709644670051,0.0210323455231\n"
+    "45,0.5,montecarlo,0.900223380491,0.0114973059193\n"
+    "45,0.5,montecarlo,0.893274853801,0.0117259387628\n"
     "45,1,montecarlo,1,0\n"
     "45,1,montecarlo,1,0\n"
-    "90,0,montecarlo,0,0.027699289406\n"
-    "90,0,montecarlo,0.0269266480966,0.0260421636992\n"
-    "90,0.5,montecarlo,0.512195121951,0.0235786129032\n"
-    "90,0.5,montecarlo,0.467479674797,0.0253278198086\n"
+    "90,0,montecarlo,0.0350194552529,0.0268734532888\n"
+    "90,0,montecarlo,0.00495540138751,0.0272225681813\n"
+    "90,0.5,montecarlo,0.496531219029,0.0245929228731\n"
+    "90,0.5,montecarlo,0.523523523524,0.0243907498026\n"
     "90,1,montecarlo,1,0\n"
     "90,1,montecarlo,1,0\n"
 )
@@ -41,14 +41,14 @@ TOMOGRAPHY_ARGV = ("sweep", "--mode", "tomography", "--gamma", "30,60",
                    "--t", "0.5,1", "--replicates", "2", "--seed", "9")
 TOMOGRAPHY_CSV = (
     "gamma_deg,t_abs,mode,p_value,p_stderr\n"
-    "30,0.5,tomography,0.9471523149,0\n"
-    "30,0.5,tomography,0.946965864892,0\n"
-    "30,1,tomography,0.990647431449,0\n"
-    "30,1,tomography,0.987486851614,0\n"
-    "60,0.5,tomography,0.790626429687,0\n"
-    "60,0.5,tomography,0.786447090286,0\n"
-    "60,1,tomography,0.999447074286,0\n"
-    "60,1,tomography,0.995939059228,0\n"
+    "30,0.5,tomography,0.956615469012,0\n"
+    "30,0.5,tomography,0.953642643718,0\n"
+    "30,1,tomography,0.993268105533,0\n"
+    "30,1,tomography,1,0\n"
+    "60,0.5,tomography,0.809246615539,0\n"
+    "60,0.5,tomography,0.798320430057,0\n"
+    "60,1,tomography,1,0\n"
+    "60,1,tomography,1,0\n"
 )
 
 CLOSED_FORM_ARGV = ("--gamma", "0,12.5,30,45,60,77.25,90", "--t", "0,0.25,0.3,0.5,0.9,1")
