@@ -2,7 +2,7 @@
 
 Subcommands:
   sweep     evaluate P over a (gamma, |T|) grid in one of five modes
-  selftest  estimator agreement, dark-corner and endpoint checks on the sweep grid path
+  selftest  estimator agreement, dark-corner, endpoint and sampler checks on the sweep grid
   tomo      reconstruct a coherence matrix from a counts table
 
 Exit codes: 0 success, 4 selftest failure, and for an error its class's exit_code:
@@ -148,9 +148,9 @@ def _selftest_checks():
     ideal, detector, _ = load_config(None)
     t_values = np.linspace(0.0, 1.0, 11)
 
-    def grid(mode, cfg=ideal):
-        spec = SweepSpec(tuple(range(0, 91, 15)), tuple(t_values), mode)
-        return sweep_grid(spec, cfg, detector)[0][..., 0]
+    def grid(mode, cfg=ideal):  # P, or in montecarlo (P, stderr), of the one replicate
+        p, se = sweep_grid(SweepSpec(tuple(range(0, 91, 15)), tuple(t_values), mode), cfg, detector)
+        return p[..., 0] if se is None else (p[..., 0], se[..., 0])
 
     # analytic at two phases and with every imperfection; gedanken models the ideal only
     imperfect = replace(ideal, g1=0.008j, g2=0.01 - 0.006j, phi_i=0.3, imperfections=(
@@ -172,6 +172,10 @@ def _selftest_checks():
 
     ends = np.concatenate([numeric[:, -1] - 1.0, numeric[-1] - t_values])
     yield ("endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|", float(np.max(np.abs(ends))), 1e-10)
+
+    mc_p, mc_se = grid("montecarlo")  # 77 rows: each lies within 5 stderr of numeric
+    yield ("montecarlo vs numeric beyond 5 stderr, 7x11 grid",
+           float(np.max(np.abs(mc_p - numeric) - 5.0 * mc_se, initial=0.0)), 1e-10)
 
 
 def _cmd_selftest(args) -> int:

@@ -493,7 +493,8 @@ def test_replicates_below_one_exit_3_without_output(tmp_path, capsys, mode, repl
 
 SELFTEST_CHECKS = ["analytic and gedanken vs numeric, 7x11 grid",
                    "dark corner at beta=pi: ZeroTraceError in analytic and numeric",
-                   "endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|"]
+                   "endpoints P(|T|=1)=1 and P(gamma=90deg)=|T|",
+                   "montecarlo vs numeric beyond 5 stderr, 7x11 grid"]
 
 
 def test_selftest_passes(capsys):
@@ -537,7 +538,28 @@ def test_selftest_exits_4_where_the_pipeline_reverses_the_gamma_axis(monkeypatch
     captured = capsys.readouterr()
     assert f"FAIL: {SELFTEST_CHECKS[0]}" in captured.out
     assert f"FAIL: {SELFTEST_CHECKS[2]}" in captured.out
-    assert "2 check(s) failed" in captured.err
+    assert f"FAIL: {SELFTEST_CHECKS[3]}" in captured.out
+    assert "3 check(s) failed" in captured.err
+
+
+def test_selftest_exits_4_where_the_sampler_ignores_the_marker(monkeypatch, capsys):
+    """A montecarlo sampler that draws every extremum at marker quality m = 0
+    gives P = cos gamma at every |T|: the sampler check sees it, and no other."""
+    sample_detection = sweep._sample_detection
+    monkeypatch.setattr(sweep, "_sample_detection",
+                        lambda gamma, m, *rest: sample_detection(gamma, 0.0, *rest))
+    assert run_cli("selftest") == 4
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["ok"] * 3 + ["FAIL"]
+    assert f"FAIL: {SELFTEST_CHECKS[3]}" in captured.out
+    assert "1 check(s) failed" in captured.err
+
+
+def test_selftest_takes_under_two_seconds():
+    assert run_cli("selftest") == 0  # first-call imports and caches stay out of the timing
+    start = time.perf_counter()
+    assert run_cli("selftest") == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def write_counts(path, counts):
