@@ -174,15 +174,17 @@ def stochastic_grid(spec):
 
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda spec: spec.mode)
 def test_more_replicates_keep_the_first_rows(spec):
-    """A sweep's R replicates of a point are the first R of any longer sweep's."""
-    rows = stochastic_grid(spec)
-    for replicates in (1, 2, 7):
-        more = stochastic_grid(replace(spec, replicates=replicates))
-        assert more[..., :3].tolist() == rows[..., :replicates].tolist()
+    """A sweep's R replicates of a point are the first R of any sweep with more."""
+    rows = stochastic_grid(spec)  # 3 replicates
+    for replicates in (1, 2):
+        fewer = stochastic_grid(replace(spec, replicates=replicates))
+        assert fewer.tolist() == rows[..., :replicates].tolist()
+    assert stochastic_grid(replace(spec, replicates=7))[..., :3].tolist() == rows.tolist()
 
 
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=lambda spec: spec.mode)
 def test_grid_values_appended_above_an_axis_keep_the_earlier_rows(spec):
+    """The grid points keep their indices, and so their generators and rows."""
     rows = stochastic_grid(spec).tolist()
     for gammas, ts in [((20.0, 45.0, 90.0), (0.3, 0.6)), ((20.0, 45.0), (0.3, 0.6, 0.61, 1.0)),
                        ((20.0, 45.0, 60.0, 75.0), (0.3, 0.6, 0.9))]:
