@@ -8,6 +8,9 @@ expected text only for a change that is meant to alter these outputs, and
 say so in the change log.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from polsim import cli
@@ -50,6 +53,16 @@ TOMOGRAPHY_CSV = (
     "60,1,tomography,1,0\n"
     "60,1,tomography,1,0\n"
 )
+
+# CI's 20x11 tomography grid, 4400 rows.  %.12g hides a change in the last bits
+# of P, so the whole text is pinned by its sha256 digest, and CI checks the
+# console script's output against the same file; each digest's name is the text's
+GRID_ARGV = ("sweep", "--mode", "tomography",
+             "--gamma", ",".join(f"{4.5 * k:.1f}" for k in range(20)),
+             "--t", ",".join(f"{0.1 * k:.1f}" for k in range(11)),
+             "--replicates", "20", "--seed", "900")
+GRID_DIGESTS = {name: digest for digest, name in map(str.split, (
+    Path(__file__).with_name("tomography_grid.sha256").read_text(encoding="ascii").splitlines()))}
 
 CLOSED_FORM_ARGV = ("--gamma", "0,12.5,30,45,60,77.25,90", "--t", "0,0.25,0.3,0.5,0.9,1")
 ANALYTIC_CSV = (
@@ -198,6 +211,18 @@ def test_seeded_sweep_csv_is_pinned(tmp_path, argv, expected):
     out = tmp_path / "rows.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert out.read_text(encoding="ascii") == expected
+
+
+@pytest.mark.parametrize("name, config", [
+    ("tomography-default.csv", ""),
+    ("tomography-dark.csv", "dark_cps = 7.3\n"),
+])
+def test_tomography_grid_csv_digest_is_pinned(tmp_path, name, config):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(config, encoding="ascii")
+    out = tmp_path / name
+    assert cli.main([*GRID_ARGV, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_DIGESTS[name]
 
 
 @pytest.mark.parametrize("mode, expected", [
