@@ -2,16 +2,16 @@
 
 The analytic, gedanken and numeric modes evaluate the whole grid as one array
 expression.  The tomography mode computes the coherence matrix and the expected
-counts of every grid point at once, then draws each row and reconstructs it with
-reconstruct_run, the call behind `polsim tomo`.  The montecarlo mode samples the
-two extrema of each row with gedanken's scalar sampler, on the grid SweepSpec
-validated once.  A stochastic grid point draws its replicates in order from one
-generator keyed (seed; gamma index, t index): tomography all its Poisson counts in
-one call, a montecarlo replicate its max extremum, then its min.  So a fixed seed
-reproduces the output byte for byte, and a row does not change with the replicate
-count or with grid values appended above an axis's maximum.  `sweep_grid` returns
-(P, stderr) float arrays in every mode; `format_rows` writes the CSV from them in
-one pass, and `run_sweep` is their rows view for library callers.
+counts of every grid point at once, then draws a point's rows and takes the P of
+`polsim tomo`'s fit to each in one array pass, four_setting_p.  The montecarlo
+mode samples the two extrema of each row with gedanken's scalar sampler, on the
+grid SweepSpec validated once.  A stochastic grid point draws its replicates in
+order from one generator keyed (seed; gamma index, t index): tomography all its
+Poisson counts in one call, a montecarlo replicate its max extremum, then its min.
+So a fixed seed reproduces the output byte for byte, and a row does not change
+with the replicate count or with grid values appended above an axis's maximum.
+`sweep_grid` returns (P, stderr) float arrays in every mode; `format_rows` writes
+the CSV from them in one pass, and `run_sweep` is their rows view for callers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, ZeroTraceError
 from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_gedanken_grid
 from .tomography import (DEFAULT_SETTINGS, DetectorModel, _poisson_draw, expected_counts_grid,
-                         reconstruct_run)
+                         four_setting_p)
 from .zwm import (ZwmConfig, _check_grid, analytic_p_grid, coherence_grid,
                   degree_of_polarization_grid)
 
@@ -114,7 +114,7 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
     mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
     for (ig, it), rng in rngs:
         raw = _poisson_draw(np.broadcast_to(mu[ig, it], (spec.replicates, mu.shape[-1])), rng)
-        p[ig, it] = [reconstruct_run(DEFAULT_SETTINGS, row, detector).p_estimate for row in raw]
+        p[ig, it] = four_setting_p(raw, detector)
     return p, None
 
 

@@ -23,6 +23,8 @@ from .zwm import CoherenceMatrix, _stokes_grid, degree_of_polarization
 
 # largest mean numpy's Poisson sampler accepts (its check in Generator.poisson)
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+_ZERO_COUNTS = ("degree of polarization undefined at zero intensity: all "
+                "background-corrected counts are zero")
 
 
 @dataclass(frozen=True)
@@ -265,10 +267,33 @@ def reconstruct_run(settings, raw_counts, detector: DetectorModel) -> Tomography
     """
     matrix, diagnostics = _fit_values(*_corrected(raw_counts, detector), settings)
     if diagnostics.path == "zero":
-        raise ZeroTraceError("degree of polarization undefined at zero intensity: all "
-                             "background-corrected counts are zero")
+        raise ZeroTraceError(_ZERO_COUNTS)
     recon = CoherenceMatrix(matrix)
     return TomographyRun(recon, degree_of_polarization(recon), diagnostics)
+
+
+def four_setting_p(raw, detector: DetectorModel) -> np.ndarray:
+    """reconstruct_run's P of each row of an (R, 4) array of raw DEFAULT_SETTINGS
+    counts, bit for bit, by array arithmetic in _fit_values' order.  Where the
+    inversion is not PSD the MLE is pure and P = 1: each Stokes row lies in the
+    cone, so an interior optimum would fit mu = n, the inversion itself.  Row
+    totals must be finite and normal."""
+    data = _scalars(tuple(map(_angle_key, DEFAULT_SETTINGS)))
+    inverse, rows = np.array(data.inverse), np.array(data.rows)
+    c = np.reshape(_corrected(raw, detector)[1], (-1, 4))
+    totals = [math.fsum(row) for row in c.tolist()]
+    if not min(totals) > 0.0:
+        raise ZeroTraceError(_ZERO_COUNTS)
+    exp = np.frexp(totals)[1]
+    n = np.ldexp(c, -exp[:, None])  # exact: a power of two
+    x = sum(inverse[:, k] * n[:, k, None] for k in range(4))
+    residual = n - sum(rows[:, k] * x[:, k, None] for k in range(4))
+    x = x + sum(inverse[:, k] * residual[:, k, None] for k in range(4))
+    g = np.ldexp(np.stack([x[:, 0] + x[:, 1], x[:, 0] - x[:, 1], x[:, 2], -x[:, 3]], -1) / 2.0,
+                 exp[:, None])
+    return np.array([min(math.hypot(xx - yy, 2.0 * abs(complex(re, im))) / (xx + yy), 1.0)
+                     if x0 >= math.hypot(x1, x2, x3) else 1.0
+                     for (x0, x1, x2, x3), (xx, yy, re, im) in zip(x.tolist(), g.tolist())])
 
 
 # ---------------------------------------------------------------------------

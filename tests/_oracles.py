@@ -37,7 +37,9 @@ tomography_point_matrix, setting_means and tomography_point_oracle are the
 rows of one tomography sweep grid point computed on their own, as the sweep did
 before it evaluated the whole grid at once: the config moved to the point, a
 normalized CoherenceMatrix, one a_k . S(G) per setting, then for each replicate
-in turn a draw from the point's generator and the fit.  montecarlo_point_oracle
+in turn a draw from the point's generator and the fit.  Where the fit is pure
+(path "boundary") the oracle's P is 1, the exact optimum, which the Newton fit
+reaches to within a few ulp.  montecarlo_point_oracle
 is the rows of one montecarlo grid point the same way: each replicate in turn
 samples its two extrema, max then min, from the point's generator, each through
 a GedankenConfig and monte_carlo_detection, and the two estimates combine into
@@ -394,11 +396,13 @@ def setting_means(g: CoherenceMatrix, settings, detector) -> list[float]:
 
 def tomography_point_oracle(cfg, gamma_deg, t_abs, detector, replicates, rng) -> list[float]:
     """P of each of a tomography grid point's rows, drawn one replicate at a
-    time from the point's generator rng."""
+    time from the point's generator rng: 1 where the fit is pure, else the
+    exact fit's P."""
     g = tomography_point_matrix(cfg, gamma_deg, t_abs)
     means = setting_means(g, DEFAULT_SETTINGS, detector)
-    return [reconstruct_run(DEFAULT_SETTINGS, rng.poisson(means), detector).p_estimate
+    runs = [reconstruct_run(DEFAULT_SETTINGS, rng.poisson(means), detector)
             for _ in range(replicates)]
+    return [1.0 if run.diagnostics.path == "boundary" else run.p_estimate for run in runs]
 
 
 def montecarlo_point_oracle(cfg, gamma_deg, t_abs, samples, replicates,

@@ -3,6 +3,7 @@ counts, for the four default settings and a six-setting set."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from polsim.errors import IllPosedError, ParameterError
 from polsim.tomography import (
     DEFAULT_SETTINGS,
     MeasurementSetting,
+    _angle_key,
     _fit,
+    _scalars,
     mle_reconstruct,
 )
-from polsim.zwm import degree_of_polarization
+from polsim.zwm import CoherenceMatrix, degree_of_polarization
 
 count = st.one_of(st.integers(0, 10**6).map(float), st.floats(0.0, 1e9))
 tables = st.one_of(
@@ -149,3 +152,43 @@ def test_random_analyzer_sets_reach_a_certified_optimum():
             newton += 1
             assert diag.kkt_residual <= CERTIFICATE_BOUND, (counts, settings, diag)
     assert newton >= 500
+
+
+def exact_inversion(counts) -> list[Fraction]:
+    """The Stokes vector x with a_k . x = n_k for the H V D R counts, solved by
+    Gauss-Jordan elimination in exact rational arithmetic on the Stokes rows
+    a_k that the fit uses."""
+    rows = _scalars(tuple(map(_angle_key, DEFAULT_SETTINGS))).rows
+    m = [[*map(Fraction, row), Fraction(c)] for row, c in zip(rows, counts)]
+    for i in range(4):
+        pivot = max(range(i, 4), key=lambda r: abs(m[r][i]))
+        m[i], m[pivot] = m[pivot], m[i]
+        m = [row if r == i else [a - row[i] / m[i][i] * b for a, b in zip(row, m[i])]
+             for r, row in enumerate(m)]
+    return [m[i][4] / m[i][i] for i in range(4)]
+
+
+# H V D R counts with zeros, whose positive counts span at most SPAN
+four_counts = st.lists(st.one_of(st.just(0.0), st.integers(1, int(SPAN)).map(float),
+                                 st.floats(1.0, SPAN)), min_size=4, max_size=4).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(four_counts)
+@example([1.0, 0.0, 0.5, 0.5])  # a pure inversion, on the cone up to the rows' rounding
+@example([0.0, 0.0, 1.0, 0.0])  # D alone, far outside: a pure fit an ulp below 1
+@example([58.0, 0.0, 4907223.0, 766861.0])  # a pure fit 4 ulp below 1
+def test_a_four_setting_fit_is_pure_wherever_the_inversion_is_not_psd(counts):
+    """The theorem the tomography sweep's four_setting_p relies on: every H V D R
+    Stokes row lies in the cone, so the fit's optimum is the inversion where
+    that is PSD, and else on the sphere, P = 1, and never a mixed interior
+    point.  PSD is decided on the exact inversion; within 1e-12 of the cone,
+    where rounding may tip the fit's own test, either path may be taken."""
+    matrix, diag = _fit(np.array(counts), DEFAULT_SETTINGS)
+    x0, *v = exact_inversion(counts)
+    cone = x0 * x0 - sum(c * c for c in v)  # >= 0 with x0 >= 0 on the PSD cone
+    if abs(cone) > 1e-12 * (x0 * x0 + sum(c * c for c in v)):
+        assert diag.path == ("exact" if x0 >= 0 and cone > 0 else "boundary")
+    assert diag.path in ("exact", "boundary")
+    if diag.path == "boundary":
+        assert degree_of_polarization(CoherenceMatrix(matrix)) >= 1.0 - 1e-15

@@ -9,6 +9,7 @@ import pytest
 from _oracles import (SIX_SETTINGS, floor_gain_config, fresh_projector, montecarlo_point_oracle,
                       random_config, setting_means, setting_signal, tomography_point_matrix,
                       tomography_point_oracle)
+from polsim import newton, tomography
 from polsim import sweep as sweep_module
 from polsim.config import build_configs, parse_config_text
 from polsim.errors import ParameterError, ZeroTraceError
@@ -321,21 +322,21 @@ def test_expected_counts_grid_equals_per_setting_traces():
     assert np.diagonal(got).tolist() == [0.0] * 6
 
 
-def test_tomography_sweep_checks_each_coherence_matrix_once(monkeypatch):
-    """The grid's coherence matrices are Gram matrices and get no run-time
-    check; each row's reconstruction is checked exactly once, when it
-    becomes a CoherenceMatrix."""
-    checked, runs = [], []
-    check = CoherenceMatrix.__post_init__
+def test_tomography_sweep_runs_no_scalar_fit(monkeypatch):
+    """A tomography sweep takes each grid point's P from one four_setting_p
+    array pass: it calls neither reconstruct_run nor ball_newton and builds no
+    CoherenceMatrix, also where a row's fit would be pure."""
+    calls = []
+    for module, name in [(sweep_module, "reconstruct_run"), (tomography, "reconstruct_run"),
+                         (tomography, "ball_newton"), (newton, "ball_newton")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name),
+                            raising=False)
     monkeypatch.setattr(CoherenceMatrix, "__post_init__",
-                        lambda self: checked.append(self.matrix) or check(self))
-    fit = sweep_module.reconstruct_run
-    monkeypatch.setattr(sweep_module, "reconstruct_run",
-                        lambda *args: runs.append(fit(*args)) or runs[-1])
-    rows = sweep(make_spec(mode="tomography", t_values=(0.5, 1.0), replicates=2))
-    assert len(rows) == len(runs) == 12
-    assert len(checked) == 12
-    assert all(m is run.reconstruction.matrix for m, run in zip(checked, runs))
+                        lambda self: calls.append("CoherenceMatrix"))
+    p, se = sweep_grid(make_spec(mode="tomography", t_values=(0.5, 1.0), replicates=4),
+                       ZwmConfig(), DETECTOR)
+    assert calls == [] and se is None
+    assert p.shape == (3, 2, 4) and 0 < np.count_nonzero(p == 1.0) < p.size
 
 
 def test_format_rows_layout():

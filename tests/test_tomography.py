@@ -2,12 +2,13 @@
 
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from _oracles import SIX_SETTINGS, fresh_projector, jones_stokes_row, mle_reconstruct_optimizer
-from polsim import newton
+from polsim import newton, tomography
 from polsim.errors import (
     ConfigError,
     IllPosedError,
@@ -26,6 +27,7 @@ from polsim.tomography import (
     _scalars,
     _stokes_row,
     expected_counts_grid,
+    four_setting_p,
     mle_reconstruct,
     read_counts_table,
     reconstruct_run,
@@ -765,6 +767,88 @@ def test_reconstruct_run_flags_zero_trace():
     with pytest.raises(ZeroTraceError, match="all background-corrected counts are zero"):
         reconstruct_run(DEFAULT_SETTINGS, [300.0] * 4, det)
     assert _fit(_corrected([300.0] * 4, det)[1], DEFAULT_SETTINGS)[1] == FitDiagnostics("zero")
+
+
+# ---------------------------------------------------------------------------
+# the sweep's array pass
+# ---------------------------------------------------------------------------
+
+class PsdDecision(float):
+    """A three-argument hypot |v| that logs every x0 >= |v| test made against
+    it: Python asks the float subclass on the right first, as |v| <= x0."""
+
+    log = []
+
+    def __le__(self, x0):
+        self.log.append(float(self) <= x0)
+        return self.log[-1]
+
+
+def logging_math():
+    """The math module with a hypot whose three-argument results log the PSD tests."""
+    def hypot(*args):
+        return PsdDecision(math.hypot(*args)) if len(args) == 3 else math.hypot(*args)
+    return types.SimpleNamespace(**{**vars(math), "hypot": hypot})
+
+
+def four_setting_corpus(rng):
+    """(raw H V D R counts, detector) tables: Poisson draws from pure, near-pure
+    and mixed states at 1e1 to 1e9 counts, without and with dark counts, half
+    of them along an analyzer axis, each also with one to three counts zeroed,
+    less those that count nothing above the dark level; then pure-state means
+    1 to 4 ulps off the cone, without dark counts."""
+    tables = []
+    for scale in 10.0 ** np.arange(1, 10):
+        for p in (1.0, 1.0 - 1e-6, 0.999, 0.9, 0.5, 0.0):
+            for dark_rate in (0.0, rng.uniform(0.01, 0.1) * scale):
+                det = DetectorModel(kappa=1.0, dark_rate=dark_rate, integration_time=1.0)
+                for axis in (rng.normal(size=3), np.eye(3)[rng.integers(3)] * rng.choice([-1, 1])):
+                    g = scale * bloch_matrix(p, axis) / 2.0
+                    raw = rng.poisson(expected_counts_grid(g, DEFAULT_SETTINGS, det))
+                    zeroed = raw * (rng.permutation(4) >= rng.integers(1, 4))
+                    tables += [(c, det) for c in (raw, zeroed) if np.any(c > dark_rate)]
+    for _ in range(20):
+        tables += [(counts, UNIT) for counts in near_cone_tables(rng, DEFAULT_SETTINGS)]
+    return tables
+
+
+def test_four_setting_p_is_the_fits_p_bit_for_bit(monkeypatch):
+    """On a seeded corpus, four_setting_p makes the fit's path decision on
+    every table, logged at its x0 >= |v| test: exact exactly where the fit's
+    path is exact, which is never interior.  Its P equals reconstruct_run's
+    bit for bit on every exact table and is exactly 1 on every boundary one,
+    where the Newton fit lands within a few ulp of 1.  Each row gives the same
+    P alone as in its batch of one detector's rows."""
+    monkeypatch.setattr(tomography, "math", logging_math())
+    tables = four_setting_corpus(np.random.default_rng(35))
+    fits, batched = [], []
+    for det in {id(det): det for _, det in tables}.values():
+        rows = [raw for raw, d in tables if d is det]
+        runs = [reconstruct_run(DEFAULT_SETTINGS, raw, det) for raw in rows]
+        PsdDecision.log.clear()
+        p = four_setting_p(np.array(rows, dtype=float), det)
+        assert PsdDecision.log == [run.diagnostics.path == "exact" for run in runs]
+        assert p.tolist() == [four_setting_p(raw[None], det)[0] for raw in rows]
+        fits += runs
+        batched += p.tolist()
+    paths = [run.diagnostics.path for run in fits]
+    assert set(paths) == {"exact", "boundary"}
+    assert min(paths.count("exact"), paths.count("boundary")) >= 300
+    for run, p in zip(fits, batched):
+        assert p == (run.p_estimate if run.diagnostics.path == "exact" else 1.0)
+        assert run.diagnostics.path == "exact" or 1.0 - run.p_estimate <= 1e-15
+
+
+def test_four_setting_p_refuses_zero_counts_as_reconstruct_run():
+    """A row whose corrected counts are all zero raises reconstruct_run's
+    ZeroTraceError, message and all, whatever rows come before it."""
+    det = DetectorModel(kappa=3333.0, dark_rate=20.0, integration_time=15.0)
+    raw = np.array([[900.0, 320.0, 700.0, 500.0], [300.0, 12.0, 290.0, 299.0]])
+    with pytest.raises(ZeroTraceError) as want:
+        reconstruct_run(DEFAULT_SETTINGS, raw[1], det)
+    with pytest.raises(ZeroTraceError) as got:
+        four_setting_p(raw, det)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
