@@ -822,8 +822,8 @@ def test_four_setting_p_is_the_fits_p_bit_for_bit(monkeypatch):
     monkeypatch.setattr(tomography, "math", logging_math())
     tables = four_setting_corpus(np.random.default_rng(35))
     fits, batched = [], []
-    for det in {id(det): det for _, det in tables}.values():
-        rows = [raw for raw, d in tables if d is det]
+    for det in dict.fromkeys(det for _, det in tables):
+        rows = [raw for raw, d in tables if d == det]
         runs = [reconstruct_run(DEFAULT_SETTINGS, raw, det) for raw in rows]
         PsdDecision.log.clear()
         p = four_setting_p(np.array(rows, dtype=float), det)
