@@ -2,10 +2,11 @@
 
 Setting k of a settings tuple expects mu_k = a_k . x counts from the Stokes
 vector x = (S0, S1, S2, S3) of the coherence matrix G, which is PSD exactly
-when S0 >= |S|.  tomography._fit_values scales the counts n to a total near 1 and
-calls ball_newton for the optimum over the Bloch ball, x = s0 (1, v) with
-|v| <= 1, whether it is mixed (inside) or pure (on the sphere);
-kkt_residual certifies it.  Each step is scalar arithmetic over the
+when S0 >= |S|.  tomography._fit_values scales the counts n to a total near 1;
+where neither the four-setting inversion nor the closed form on three
+antipodal pairs applies, it calls ball_newton for the optimum over the Bloch
+ball, x = s0 (1, v) with |v| <= 1, mixed (inside) or pure (on the sphere).
+kkt_residual certifies every path.  Each step is scalar arithmetic over the
 settings with one small LAPACK eigen-decomposition.
 """
 
@@ -22,8 +23,9 @@ class SettingRows(NamedTuple):
     """The Stokes rows of a settings tuple as Python floats, for the Newton
     fit: the rows a_k, their four columns, the columns of a_i a_j for
     1 <= i <= j, the column sums, the rows of the pseudo-inverse, which maps
-    counts to the least-squares Stokes vector, and each setting's a_0 and
-    pass direction a_vec / a_0."""
+    counts to the least-squares Stokes vector, each setting's a_0 and pass
+    direction a_vec / a_0, and for three antipodal pairs with one a_0 on the
+    Stokes axes the (plus, minus) settings of each axis, else ()."""
 
     rows: tuple
     columns: tuple
@@ -31,6 +33,7 @@ class SettingRows(NamedTuple):
     sigma: tuple
     inverse: tuple
     passes: tuple
+    pairs: tuple
 
 
 _NEWTON_STEPS = 100

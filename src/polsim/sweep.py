@@ -2,12 +2,13 @@
 
 The analytic, gedanken and numeric modes evaluate the whole grid as one array
 expression.  The tomography mode computes the coherence matrix and the expected
-counts of every grid point at once, then draws a point's rows and takes the P of
-`polsim tomo`'s fit to each in one array pass, four_setting_p.  The montecarlo
-mode samples the two extrema of each row with gedanken's scalar sampler, on the
-grid SweepSpec validated once.  A stochastic grid point draws its replicates in
-order from one generator keyed (seed; gamma index, t index): tomography all its
-Poisson counts in one call, a montecarlo replicate its max extremum, then its min.
+counts of every grid point at once, then draws the rows into blocks of at most
+_BLOCK_ROWS and takes the P of `polsim tomo`'s fit to each row of a block in one
+array pass, four_setting_p.  The montecarlo mode samples the two extrema of each
+row with gedanken's scalar sampler, on the grid SweepSpec validated once.  A
+stochastic grid point draws its replicates in order from one generator keyed
+(seed; gamma index, t index): tomography its Poisson counts, a montecarlo
+replicate its max extremum, then its min.
 So a fixed seed reproduces the output byte for byte, and a row does not change
 with the replicate count or with grid values appended above an axis's maximum.
 `sweep_grid` returns (P, stderr) float arrays in every mode; `format_rows` writes
@@ -24,8 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, ZeroTraceError
 from .gedanken import MAX_SAMPLES, _sample_detection, degree_of_polarization_gedanken_grid
-from .tomography import (DEFAULT_SETTINGS, DetectorModel, _poisson_draw, expected_counts_grid,
-                         four_setting_p)
+from .tomography import DEFAULT_SETTINGS, DetectorModel, expected_counts_grid, four_setting_p
 from .zwm import (ZwmConfig, _check_grid, analytic_p_grid, coherence_grid,
                   degree_of_polarization_grid)
 
@@ -36,6 +36,9 @@ DEFAULT_MC_SAMPLES = 100_000
 # of a 1000x1000 CLI sweep exceeds a 1x1 one's by about 222 bytes a row in numeric mode,
 # 209 in analytic and 201 in gedanken (x86-64, CPython 3.11, numpy 2.4, commit 92cd010)
 MAX_ROWS = 10**7
+# the rows of counts a tomography sweep holds at once (128 kB), where a whole grid's
+# could take MAX_ROWS rows; four_setting_p takes their P in one array pass
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,16 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         raise ZeroTraceError("degree of polarization undefined at zero intensity")
     # kappa is counts per unit intensity; normalize the arbitrary g^2 scale
     mu = expected_counts_grid(g / trace[..., None, None], DEFAULT_SETTINGS, detector)
+    rows, block, done, filled = p.reshape(-1), np.empty((min(p.size, _BLOCK_ROWS), 4)), 0, 0
     for (ig, it), rng in rngs:
-        raw = _poisson_draw(np.broadcast_to(mu[ig, it], (spec.replicates, mu.shape[-1])), rng)
-        p[ig, it] = four_setting_p(raw, detector)
+        left = spec.replicates
+        while left:  # a point's replicates, drawn in order, may span blocks
+            take = min(left, len(block) - filled)
+            block[filled:filled + take] = rng.poisson(np.broadcast_to(mu[ig, it], (take, 4)))
+            filled, left = filled + take, left - take
+            if filled == len(block) or done + filled == rows.size:
+                rows[done:done + filled] = four_setting_p(block[:filled], detector)
+                done, filled = done + filled, 0
     return p, None
 
 

@@ -101,9 +101,16 @@ def _scalars(keys) -> SettingRows:
     rows = tuple(map(tuple, stokes.tolist()))
     columns = tuple(zip(*rows))
     outer = tuple(tuple(a[i] * a[j] for a in rows) for i in range(1, 4) for j in range(i, 4))
+    passes = tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows)
+    # three antipodal pairs: pass directions +-e_i to rounding, as D's, whose S1
+    # entry is 6e-17 (every a_0 is 1/2)
+    where = {tuple(map(round, s)): k for k, (_, s) in enumerate(passes)
+             if max(abs(x - round(x)) for x in s) <= 1e-15}
+    pairs = tuple((where.get(e), where.get(tuple(-x for x in e)))
+                  for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     return SettingRows(rows, columns, outer, tuple(map(sum, columns)),
-                       tuple(map(tuple, np.linalg.pinv(stokes).tolist())),
-                       tuple((a[0], (a[1] / a[0], a[2] / a[0], a[3] / a[0])) for a in rows))
+                       tuple(map(tuple, np.linalg.pinv(stokes).tolist())), passes,
+                       pairs if len(rows) == 6 and None not in sum(pairs, ()) else ())
 
 
 def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np.ndarray:
@@ -112,28 +119,26 @@ def expected_counts_grid(g: np.ndarray, settings, detector: DetectorModel) -> np
 
     The signal is a_k . S(G), the setting's Stokes row against the beam's
     Stokes vector, summed in the same order for every matrix and setting.
+    Every caller draws counts from these means, so a mean beyond the Poisson
+    sampler's limit, NaN and infinity included, raises ParameterError.
     """
     a = np.array([_stokes_row(x.qwp_angle, x.polarizer_angle) for x in settings]).T
-    # an infinite or NaN mean fails the Poisson limit check
     with np.errstate(over="ignore", invalid="ignore"):
         s0, s1, s2, s3 = (x[..., None] for x in _stokes_grid(np.asarray(g)))
         signal = s0 * a[0] + s1 * a[1] + s2 * a[2] + s3 * a[3]
-        return detector.kappa * np.maximum(signal, 0.0) * detector.integration_time \
+        mu = detector.kappa * np.maximum(signal, 0.0) * detector.integration_time \
             + detector.dark_rate * detector.integration_time
-
-
-def _poisson_draw(mu: np.ndarray, seed) -> np.ndarray:
     if not np.all(mu <= _POISSON_LAM_MAX):
         raise ParameterError(f"expected counts {np.max(mu):g} exceed the Poisson "
                              f"sampler's limit {_POISSON_LAM_MAX:g}")
-    return np.random.default_rng(seed).poisson(mu)
+    return mu
 
 
 def simulate_counts(
     g: CoherenceMatrix, settings, detector: DetectorModel, seed
 ) -> np.ndarray:
     """Poisson draw of raw counts for every setting; deterministic per seed."""
-    return _poisson_draw(expected_counts_grid(g.matrix, settings, detector), seed)
+    return np.random.default_rng(seed).poisson(expected_counts_grid(g.matrix, settings, detector))
 
 
 def _checked_counts(counts, what: str) -> tuple[tuple, list[float]]:
@@ -164,7 +169,7 @@ class FitDiagnostics:
       inversion, which is the MLE), "interior" (a mixed optimum, more than
       four settings) or "boundary" (a pure optimum).
     newton_steps: steps of the Newton fit over the Bloch ball that built a
-      model of the likelihood.
+      model of the likelihood; 0 for an exact path or three antipodal pairs.
     kkt_residual: a bound on the excess of the negative log-likelihood over
       its minimum, per count: the smaller of the conic KKT certificate and
       the gap to the saturated model mu = n.
@@ -181,14 +186,12 @@ def mle_reconstruct(corrected_counts, settings) -> CoherenceMatrix:
     The expected counts are linear in the Stokes vector of G, so the Poisson
     negative log-likelihood is convex over the PSD cone; its minimum is found
     exactly.  All-zero counts give the zero matrix.  With four settings the
-    least-squares Stokes vector, from the cached pseudo-inverse and refined
-    once by its residual, reproduces every count, and inside the cone it is
-    the answer.  Else s0 is closed form for each Bloch vector v, |v| <= 1,
-    and second-order steps over the Bloch ball find the optimum, mixed or
-    pure: from the unpolarized state, or with four settings on the sphere
-    from the least-squares direction.  Counts are scaled by a power of two
-    for the fit; a subnormal total, or a total or a fit beyond float range,
-    raises ParameterError.
+    least-squares Stokes vector, refined once by its residual, is the answer
+    inside the cone.  Three antipodal pairs, such as H V D A R L, have a closed
+    form (_pair_fit).  Else Newton steps over the Bloch ball find the optimum
+    (newton.ball_newton).  Counts are scaled by a power of two for the fit; a
+    subnormal total, or a total or a fit beyond float range, raises
+    ParameterError.
     """
     return CoherenceMatrix(_fit(corrected_counts, settings)[0])
 
@@ -205,8 +208,56 @@ def _fit(corrected_counts, settings) -> tuple[np.ndarray, FitDiagnostics]:
     return _fit_values(*_checked_counts(corrected_counts, "corrected counts"), settings)
 
 
+def _pair_fit(data: SettingRows, n) -> tuple[tuple, list, int, bool]:
+    """The optimum on three antipodal pairs, data.pairs, in closed form.  The pair
+    (k, m) of Stokes axis i expects a0 s0 (1 +- r_i), so s0 = N / (6 a0) at every
+    Bloch vector r and the likelihood splits into a convex term in each r_i.
+    Inside the ball r_i = (n_k - n_m) / (n_k + n_m), or 0 where both are 0.  Else
+    r_i is the root in [-1, 1] of 2 lam r^3 - (2 lam + N_i) r + D_i at the lam > 0
+    where |r| = 1.  Each r_i is carried as its gap t = 1 - |r_i|, the root of the
+    convex t b / (2 - t) - s - 2 lam t (1 - t), b >= s the pair's counts, which
+    Newton reaches from t = 1, so a count expected opposite r keeps its
+    precision.  Returns what ball_newton returns, with 0 steps."""
+    sides = [(max(n[k], n[m]), min(n[k], n[m])) for k, m in data.pairs]
+
+    def gap(lam, big, small):  # t, and -d (1 - t)^2 / d lam there
+        t = 1.0 if lam else 2.0 * small / (big + small) if big else 1.0
+        for _ in range(200):  # from above, Newton on a convex function stays above the root
+            h = t * big / (2.0 - t) - small - 2.0 * lam * t * (1.0 - t)
+            slope = 2.0 * big / (2.0 - t) ** 2 - 2.0 * lam * (1.0 - 2.0 * t)
+            if not (lam and slope > 0.0 and h > 2.0**-52 * t * slope):
+                break
+            t = max(t - h / slope, 0.5 * t)  # halved where a rounded step passes 0
+        return t, 4.0 * t * (1.0 - t) ** 2 / slope if t and slope > 0.0 else 0.0
+
+    lam, lo, hi, last = 0.0, 0.0, 0.5 * math.hypot(*map(sum, sides)), math.inf
+    for _ in range(100):
+        ts, rates = zip(*(gap(lam, *side) for side in sides))
+        i = ts.index(min(ts))  # |r|^2 - 1 = minor - q without cancellation
+        minor, q = sum([(1.0 - t) ** 2 for t in ts[:i] + ts[i + 1:]]), ts[i] * (2.0 - ts[i])
+        if abs(minor - q) <= 2.0**-50 or not lam and minor < q:
+            break
+        lo, hi = (lam, hi) if minor > q else (lo, lam)
+        # Newton on 1 / sqrt(minor) - 1 / sqrt(q), near linear in lam
+        ratio = math.sqrt(minor / q) if minor and q else 0.0
+        slope = sum(rates) - rates[i] + rates[i] * ratio * ratio * ratio
+        step = 2.0 * minor * (ratio - 1.0) / slope if ratio and slope else math.inf
+        # bisection where the step leaves the bracket or does not halve the last one
+        kept = lo < lam + step < hi and abs(step) <= 0.5 * last
+        lam, last = (lam + step, abs(step)) if kept else (0.5 * (lo + hi), last)
+        if not lo < lam < hi:  # the bracket holds no float but its ends
+            break
+    a0, s0, mu = data.passes[0][0], sum(n) / data.sigma[0], [0.0] * len(n)
+    for (k, m), t in zip(data.pairs, ts):
+        mu[k], mu[m] = (a0 * s0 * (2.0 - t), a0 * s0 * t)[::1 if n[k] >= n[m] else -1]
+    (k1, m1), (k2, m2), (k3, m3) = data.pairs  # the settings along +S_i and -S_i
+    return ((mu[k1] / (2.0 * a0), mu[m1] / (2.0 * a0), (mu[k2] - mu[m2]) / (4.0 * a0),
+             (mu[m3] - mu[k3]) / (4.0 * a0)), mu, 0, lam > 0.0 or minor >= q)
+
+
 def _fit_values(shape, values, settings) -> tuple[np.ndarray, FitDiagnostics]:
-    """The fit to corrected counts, given as the values of an array of that shape."""
+    """mle_reconstruct's fit to corrected counts, given as the values of an array
+    of that shape, and its diagnostics."""
     if len(settings) < 4 or shape != (len(settings),):
         raise IllPosedError(
             f"need >= 4 settings with matching counts, got {len(settings)} "
@@ -231,6 +282,9 @@ def _fit_values(shape, values, settings) -> tuple[np.ndarray, FitDiagnostics]:
     if x is not None and x[0] >= math.hypot(x[1], x[2], x[3]):
         path, steps, mu = "exact", 0, [dot(a, x) for a in data.rows]
         entries = ((x[0] + x[1]) / 2.0, (x[0] - x[1]) / 2.0, x[2] / 2.0, -x[3] / 2.0)
+    elif data.pairs:
+        entries, mu, steps, pure = _pair_fit(data, n)
+        path = "boundary" if pure else "interior"
     else:
         # four settings start on the sphere from the inversion's direction,
         # where every c_k >= mu_k / |S| > 0; more from the unpolarized state

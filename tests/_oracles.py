@@ -496,3 +496,73 @@ def decimal_p(cfg, gamma, t_abs, digits=45):
             return None, ratio
         gap = ((gxx - gyy) ** 2 + 4 * (gxy[0] ** 2 + gxy[1] ** 2)).sqrt()
         return +(gap / tr), ratio
+
+
+def _decimal_root(f, lo, hi, digits):
+    """The sign change in [lo, hi] of f, which returns its value and slope, with
+    f(lo) >= 0 >= f(hi) in the limit: Newton's method kept inside the
+    bracket, with bisection where it leaves."""
+    x, tol = (lo + hi) / 2, (hi - lo).scaleb(-digits + 3)
+    for _ in range(10 * digits):
+        fx, slope = f(x)
+        if fx == 0 or hi - lo <= tol:
+            break
+        lo, hi = (x, hi) if fx > 0 else (lo, x)
+        after = x - fx / slope if slope else lo
+        x = after if lo < after < hi else (lo + hi) / 2
+    return x
+
+
+def six_setting_mle(counts, digits=50):
+    """(r, nll): the Poisson MLE of H V D A R L counts, in SIX_SETTINGS order,
+    in stdlib decimal arithmetic at `digits` digits on the exact double counts.
+    r = (S1, S2, -S3) / S0 is its Bloch vector, one entry for each antipodal
+    pair (n+, n-) = (H, V), (D, A), (R, L), whose settings expect
+    S0 (1 +- r_i) / 2 counts, so the total sum mu = 3 S0 is the count total N at
+    the optimum; nll is six_setting_nll there.  Each pair's term is convex in
+    r_i: inside the ball r_i = (n+ - n-) / (n+ + n-), 0 where the pair counts
+    nothing.  Otherwise r lies on the sphere, with each r_i the root in [-1, 1]
+    of the cubic 2 lam r^3 - (2 lam + N_i) r + (n+ - n-), whose sign is that of
+    the pair's stationarity condition, and lam in [0, |(N_1, N_2, N_3)| / 2],
+    since |r_i| <= N_i / (2 lam), the root of 1 - 1 / |r(lam)|."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        n = [D(c) for c in counts]
+        pairs = [(n[k] + n[k + 1], n[k] - n[k + 1]) for k in (0, 2, 4)]
+        r = [d / total if total else D(0) for total, d in pairs]
+
+        def bloch(lam):
+            return [_decimal_root(lambda x: (2 * lam * x**3 - (2 * lam + total) * x + d,
+                                             6 * lam * x**2 - 2 * lam - total),
+                                  D(-1), D(1), digits) if total else D(0)
+                    for total, d in pairs]
+
+        def secular(lam):  # 1 - 1 / |r| and its slope, each dr_i / d lam from its cubic
+            r = bloch(lam)
+            norm = sum(x * x for x in r).sqrt()
+            slope = sum(4 * x * x * (1 - x * x) / (6 * lam * x * x - 2 * lam - total)
+                        for x, (total, _) in zip(r, pairs) if 0 < x * x < 1)
+            return 1 - 1 / norm, slope / (2 * norm**3)
+
+        if sum(x * x for x in r) > 1:
+            hi = sum(total * total for total, _ in pairs).sqrt() / 2
+            r = bloch(_decimal_root(secular, D(0), hi, digits))
+        s0 = sum(n) / 3
+        return r, six_setting_nll(counts, [s0 * (1 + sign * x) / 2 for x in r
+                                           for sign in (1, -1)])
+
+
+def six_setting_nll(counts, mu) -> decimal.Decimal:
+    """sum mu - n log mu over H V D A R L counts, in decimal, with n log mu = 0
+    where n = 0.  mu is the settings' expected counts, or a fit's 2x2 coherence
+    matrix, whose expected counts follow from its exact double entries:
+    gxx, gyy, and (gxx + gyy) / 2 +- Re gxy, +- Im gxy."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        if isinstance(mu, np.ndarray):
+            gxx, gyy, gxy = D(mu[0, 0].real), D(mu[1, 1].real), mu[0, 1]
+            half, re, im = (gxx + gyy) / 2, D(gxy.real), D(gxy.imag)
+            mu = [gxx, gyy, half + re, half - re, half + im, half - im]
+        return sum(m - (D(c) * m.ln() if c else 0) for c, m in zip(counts, mu))

@@ -3,6 +3,7 @@ counts, for the four default settings and a six-setting set."""
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,14 @@ CERTIFICATE_BOUND = 1e-9
 SPAN = 1e8
 
 
+def turned(k, angle):
+    """SIX_SETTINGS with setting k's polarizer turned by angle (rad): three
+    pairs that are no longer antipodal, which the Newton fit solves."""
+    setting = SIX_SETTINGS[k]
+    return (*SIX_SETTINGS[:k], replace(setting, polarizer_angle=setting.polarizer_angle + angle),
+            *SIX_SETTINGS[k + 1:])
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables)
 @example((DEFAULT_SETTINGS, [5e-324, 0.0, 0.0, 0.0]))
@@ -52,6 +61,15 @@ SPAN = 1e8
 @example((SIX_SETTINGS, [5.086671366274852e-292, 1.0, 0.0, 0.0, 25165825.0, 25165825.0]))
 # a hard-case sphere step whose 1 - |w|^2 rounds an ulp below 0
 @example((SIX_SETTINGS, [378581126.0, 378581133.0, 0.0, 0.0, 0.0, 543498538.0]))
+# the Newton fit on six settings that are not antipodal pairs: a hard-case
+# sphere step, a trial step that leaves a counted setting no counts, a step
+# below float resolution, and a mixed optimum that v's rounding leaves just
+# outside the sphere
+@example((turned(5, 1e-3), [378581126.0, 378581133.0, 0.0, 0.0, 0.0, 543498538.0]))
+@example((turned(1, 1e-8), [5.086671366274852e-292, 1.0, 0.0, 0.0, 25165825.0, 25165825.0]))
+@example((turned(1, 1e-6), [0.0, 14019469025300819e18, 0.0, 147759927936737e63,
+                            4643794223666853e118, 5496642835068205e94]))
+@example((turned(0, -1e-6), [0.0, 0.0, 0.0, 0.0, 53624.0, 0.0008166347420547318]))
 def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
     setting_set, counts = table
     counts = np.array(counts)
@@ -78,11 +96,34 @@ def test_fit_is_psd_deterministic_and_p_is_a_fraction(table):
         mu = [np.trace(fresh_projector(s) @ rec.matrix).real for s in setting_set]
         np.testing.assert_allclose(mu, counts, rtol=1e-12, atol=1e-12 * counts.sum())
     else:
-        assert diag.path in ("interior", "boundary") and diag.newton_steps >= 1
+        # H V D A R L fits are closed form and take no Newton step
+        assert diag.path in ("interior", "boundary")
+        assert diag.newton_steps >= (len(setting_set) == 4)
         assert diag.path == "boundary" or len(setting_set) > 4
         positive = counts[counts > 0]
         if positive.min() * SPAN >= positive.max():
             assert diag.kkt_residual <= CERTIFICATE_BOUND
+
+
+@pytest.mark.parametrize("counts", [
+    [0.0, 0.0, 827671.0, 0.01171875, 0.0, 0.01171875],
+    [0.0, 2.0, 2.0, 126489935.0, 126363040.0, 126426455.0],
+    [0.0, 0.0, 0.007045222337816123, 550122.0, 0.007311406992633522, 0.0],
+    [3549.0, 3550.0, 3861.0, 6.103515625e-05, 6.103515625e-05, 0.0],
+    [0.0, 9.0, 9.0, 569209749.0, 822950712.0, 823362003.0],
+    [0.0, 0.0, 0.0, 4.0, 4.0, 316649113.0],
+    # positive counts that span 1e133, far beyond SPAN
+    [0.0, 14019469025300819e18, 0.0, 147759927936737e63, 4643794223666853e118,
+     5496642835068205e94],
+])
+def test_six_setting_tables_with_a_pure_optimum_end_on_the_sphere(counts):
+    """H V D A R L tables whose optimum lies on the sphere, with P = 1 to
+    2.2e-16 by a decimal oracle.  Newton fits over the ball ended the first six
+    inside it, with certificates of 4e-9 to 1.4e-8, and the last on the sphere
+    with one of 1.1.  The closed form ends each on the sphere and certifies it."""
+    matrix, diag = _fit(np.array(counts), SIX_SETTINGS)
+    assert diag.path == "boundary" and diag.kkt_residual <= CERTIFICATE_BOUND
+    assert degree_of_polarization(CoherenceMatrix(matrix)) >= 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("angles, counts", [

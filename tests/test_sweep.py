@@ -1,6 +1,8 @@
 """Parameter sweeps across the five estimation modes."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,9 @@ from polsim.sweep import (
     run_sweep,
     sweep_grid,
 )
-from polsim.tomography import DEFAULT_SETTINGS, DetectorModel, expected_counts_grid
-from polsim.zwm import CoherenceMatrix, ZwmConfig, analytic_p_general
+from polsim.tomography import (DEFAULT_SETTINGS, DetectorModel, expected_counts_grid,
+                               four_setting_p)
+from polsim.zwm import CoherenceMatrix, ZwmConfig, analytic_p_general, coherence_grid
 
 DETECTOR = DetectorModel(kappa=3333.0, dark_rate=0.0, integration_time=15.0)
 
@@ -323,8 +326,8 @@ def test_expected_counts_grid_equals_per_setting_traces():
 
 
 def test_tomography_sweep_runs_no_scalar_fit(monkeypatch):
-    """A tomography sweep takes each grid point's P from one four_setting_p
-    array pass: it calls neither reconstruct_run nor ball_newton and builds no
+    """A tomography sweep takes its P from four_setting_p array passes over
+    blocks of rows: it calls neither reconstruct_run nor ball_newton and builds no
     CoherenceMatrix, also where a row's fit would be pure."""
     calls = []
     for module, name in [(sweep_module, "reconstruct_run"), (tomography, "reconstruct_run"),
@@ -337,6 +340,64 @@ def test_tomography_sweep_runs_no_scalar_fit(monkeypatch):
                        ZwmConfig(), DETECTOR)
     assert calls == [] and se is None
     assert p.shape == (3, 2, 4) and 0 < np.count_nonzero(p == 1.0) < p.size
+
+
+def block_oracle(spec, cfg, detector):
+    """A tomography sweep's P grid, one four_setting_p pass per grid point over
+    its replicates, drawn at once from the point's generator."""
+    g = coherence_grid(cfg, np.radians(spec.gammas_deg), spec.t_values)
+    mu = expected_counts_grid(g / np.trace(g, axis1=-2, axis2=-1).real[..., None, None],
+                              DEFAULT_SETTINGS, detector)
+    return np.array([[four_setting_p(point_rng(spec.seed, ig, it).poisson(
+        np.broadcast_to(mu[ig, it], (spec.replicates, 4))), detector)
+        for it in range(len(spec.t_values))] for ig in range(len(spec.gammas_deg))])
+
+
+@pytest.mark.parametrize("shape, calls", [
+    ((1, 2, 1), 1), ((2, 2, 4), 1),  # the benchmark's grids, smoke and full size
+    ((20, 11, 20), 2),  # CI's, 4400 rows
+    ((1, 1, 9000), 3), ((3, 1, 4095), 3),  # replicates that span blocks
+])
+def test_tomography_sweep_takes_p_one_block_of_rows_at_a_time(monkeypatch, shape, calls):
+    """A tomography sweep draws every point's replicates in turn into blocks of
+    at most _BLOCK_ROWS rows and makes one four_setting_p pass per block, so
+    ceil(rows / _BLOCK_ROWS) passes; its rows equal one pass per grid point's."""
+    n_g, n_t, replicates = shape
+    spec = make_spec(mode="tomography", gammas_deg=tuple(np.linspace(5.0, 85.0, n_g)),
+                     t_values=tuple(np.linspace(0.1, 1.0, n_t)), replicates=replicates, seed=3)
+    sizes = []
+    monkeypatch.setattr(sweep_module, "four_setting_p",
+                        lambda raw, det: sizes.append(len(raw)) or four_setting_p(raw, det))
+    p, _ = sweep_grid(spec, ZwmConfig(), DETECTOR)
+    assert len(sizes) == calls == math.ceil(p.size / sweep_module._BLOCK_ROWS)
+    assert max(sizes) <= sweep_module._BLOCK_ROWS and sum(sizes) == p.size
+    assert np.array_equal(p, block_oracle(spec, ZwmConfig(), DETECTOR))
+
+
+def test_a_tomography_sweep_of_half_a_million_rows_peaks_below_80_mb():
+    """A 500x100 grid with 10 replicates holds its P array, 4 MB, and one
+    block of counts at a time, so its process stays under 80 MB at its peak;
+    counts for the whole grid at once would take it past 400 MB.  On Linux
+    ru_maxrss also counts the pages of the process that spawned the child, at
+    its exec, so there the child reads its own high-water mark, VmHWM."""
+    code = ("import resource, sys\n"
+            "import numpy as np\n"
+            "from polsim.sweep import SweepSpec, sweep_grid\n"
+            "from polsim.tomography import DetectorModel\n"
+            "from polsim.zwm import ZwmConfig\n"
+            "spec = SweepSpec(tuple(np.linspace(0.5, 89.5, 500)), tuple(np.linspace(0.01, 1, 100)),\n"
+            "                 'tomography', replicates=10, seed=1)\n"
+            "p, _ = sweep_grid(spec, ZwmConfig(), DetectorModel())\n"
+            "assert p.shape == (500, 100, 10) and 0.0 <= p.min() and p.max() <= 1.0\n"
+            "if sys.platform == 'linux':\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        peak = next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+            "else:\n"
+            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(peak * (1 if sys.platform == 'darwin' else 1024))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 80 * 2**20
 
 
 def test_format_rows_layout():

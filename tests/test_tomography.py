@@ -3,11 +3,13 @@
 import math
 import sys
 import types
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from _oracles import SIX_SETTINGS, fresh_projector, jones_stokes_row, mle_reconstruct_optimizer
+from _oracles import (SIX_SETTINGS, fresh_projector, jones_stokes_row, mle_reconstruct_optimizer,
+                      six_setting_mle, six_setting_nll)
 from polsim import newton, tomography
 from polsim.errors import (
     ConfigError,
@@ -498,7 +500,8 @@ def test_pure_non_psd_and_six_setting_fits_take_a_newton_path():
                                for s in SIX_SETTINGS])
             assert inversion_is_psd(counts, SIX_SETTINGS)
         matrix, diag = _fit(counts, SIX_SETTINGS)
-        assert diag.path in ("interior", "boundary") and diag.newton_steps >= 1
+        # H V D A R L fits are closed form and take no Newton step
+        assert diag.path in ("interior", "boundary") and diag.newton_steps == 0
         assert diag.kkt_residual <= CERTIFICATE_BOUND
         oracle = mle_reconstruct_optimizer(counts, SIX_SETTINGS).matrix
         assert_at_least_as_likely(matrix, oracle, counts, SIX_SETTINGS)
@@ -601,6 +604,64 @@ def test_newton_fits_are_at_least_as_likely_as_the_optimizer():
         oracle = mle_reconstruct_optimizer(counts, setting_set).matrix
         assert_at_least_as_likely(matrix, oracle, counts, setting_set)
     assert sum(paths.values()) >= 2000 and min(paths.values()) >= 300
+
+
+def test_six_setting_fits_meet_the_exact_oracle():
+    """2100 seeded H V D A R L tables, pure, near-pure (1 - P down to 1e-6)
+    and mixed targets at 1 to 1e8 counts per unit trace, a count zeroed in
+    every seventh, then six tables with a pure optimum that a Newton fit over
+    the ball left inside it, their positive counts within SPAN.  Against the
+    decimal oracle, every fit's negative log-likelihood exceeds the optimum's
+    by at most 1e-12 per count, and every fit whose optimum lies on the sphere
+    is pure."""
+    rng = np.random.default_rng(36)
+    tables = []
+    for trial in range(2100):
+        p = (1.0, 1.0 - 10 ** rng.uniform(-6, -1), rng.uniform(0.0, 1.0))[trial % 3]
+        tables.append(poisson_table(rng, SIX_SETTINGS, p, 10 ** rng.uniform(0, 8), (36, trial)))
+        if trial % 7 == 0:
+            tables[-1][rng.integers(6)] = 0.0
+    tables += map(np.array, [[0.0, 0.0, 827671.0, 0.01171875, 0.0, 0.01171875],
+                             [0.0, 2.0, 2.0, 126489935.0, 126363040.0, 126426455.0],
+                             [0.0, 0.0, 0.007045222337816123, 550122.0, 0.007311406992633522, 0.0],
+                             [3549.0, 3550.0, 3861.0, 6.103515625e-05, 6.103515625e-05, 0.0],
+                             [0.0, 9.0, 9.0, 569209749.0, 822950712.0, 823362003.0],
+                             [0.0, 0.0, 0.0, 4.0, 4.0, 316649113.0]])
+    paths, spans = {"interior": 0, "boundary": 0}, []
+    for counts in tables:
+        if not np.any(counts > 0):
+            continue
+        matrix, diag = _fit(counts, SIX_SETTINGS)
+        r, nll = six_setting_mle(counts.tolist())
+        excess = (six_setting_nll(counts.tolist(), matrix) - nll) / Decimal(counts.sum())
+        assert excess <= Decimal(1e-12), (counts, excess)
+        assert diag.path == "boundary" or sum(x * x for x in r) < 1, (counts, diag)
+        paths[diag.path] += 1
+        spans.append(counts.max() / counts[counts > 0].min())
+    assert min(paths.values()) >= 500 and max(spans) > 1e7
+
+
+def test_six_setting_fits_take_the_closed_form(monkeypatch):
+    """A six-setting reconstruct_run runs no Newton fit, on a mixed and a pure
+    optimum, and neither does the same table listed in another order under
+    other labels, with its angles in degrees as a counts table gives them.
+    Both give the same G to 4 ulp of its trace."""
+    calls, newton_fit = [], tomography.ball_newton
+    monkeypatch.setattr(tomography, "ball_newton",
+                        lambda *args: calls.append(args) or newton_fit(*args))
+    degrees = [(0.0, 0.0), (0.0, 90.0), (45.0, 45.0), (45.0, -45.0), (0.0, 45.0), (0.0, -45.0)]
+    order = [4, 1, 5, 0, 3, 2]
+    shuffled = tuple(MeasurementSetting(f"s{k}", *map(math.radians, degrees[j]))
+                     for k, j in enumerate(order))
+    for counts in ([39872.0, 10131.0, 34990.0, 15006.0, 25114.0, 24903.0],
+                   [49821.0, 2.0, 25406.0, 24580.0, 24390.0, 25611.0]):
+        run = reconstruct_run(SIX_SETTINGS, counts, UNIT)
+        again = reconstruct_run(shuffled, [counts[j] for j in order], UNIT)
+        trace = np.trace(run.reconstruction.matrix).real
+        assert np.abs(again.reconstruction.matrix - run.reconstruction.matrix).max() <= (
+            4 * np.spacing(trace))
+        assert run.diagnostics.newton_steps == again.diagnostics.newton_steps == 0
+    assert calls == [] and run.diagnostics.path == "boundary"
 
 
 def random_four_settings(rng, crowded):
