@@ -237,14 +237,18 @@ def _pair_fit(data: SettingRows, n) -> tuple[tuple, list, int, bool]:
         minor, q = sum([(1.0 - t) ** 2 for t in ts[:i] + ts[i + 1:]]), ts[i] * (2.0 - ts[i])
         if abs(minor - q) <= 2.0**-50 or not lam and minor < q:
             break
-        lo, hi = (lam, hi) if minor > q else (lo, lam)
+        # lam below 2^-1000, which only counts below about 1e-300 of the total
+        # set, is not resolved: the bracket starts there
+        lo, hi = (max(lam, 2.0**-1000), hi) if minor > q else (lo, lam)
         # Newton on 1 / sqrt(minor) - 1 / sqrt(q), near linear in lam
         ratio = math.sqrt(minor / q) if minor and q else 0.0
         slope = sum(rates) - rates[i] + rates[i] * ratio * ratio * ratio
         step = 2.0 * minor * (ratio - 1.0) / slope if ratio and slope else math.inf
-        # bisection where the step leaves the bracket or does not halve the last one
+        # bisection of log lam, at most 20 binades at a time, where the step
+        # leaves the bracket or does not halve the last one
         kept = lo < lam + step < hi and abs(step) <= 0.5 * last
-        lam, last = (lam + step, abs(step)) if kept else (0.5 * (lo + hi), last)
+        middle = max(2.0**-20 * hi, math.sqrt(lo) * math.sqrt(hi))
+        lam, last = (lam + step, abs(step)) if kept else (middle, last)
         if not lo < lam < hi:  # the bracket holds no float but its ends
             break
     a0, s0, mu = data.passes[0][0], sum(n) / data.sigma[0], [0.0] * len(n)
@@ -252,7 +256,8 @@ def _pair_fit(data: SettingRows, n) -> tuple[tuple, list, int, bool]:
         mu[k], mu[m] = (a0 * s0 * (2.0 - t), a0 * s0 * t)[::1 if n[k] >= n[m] else -1]
     (k1, m1), (k2, m2), (k3, m3) = data.pairs  # the settings along +S_i and -S_i
     return ((mu[k1] / (2.0 * a0), mu[m1] / (2.0 * a0), (mu[k2] - mu[m2]) / (4.0 * a0),
-             (mu[m3] - mu[k3]) / (4.0 * a0)), mu, 0, lam > 0.0 or minor >= q)
+             (mu[m3] - mu[k3]) / (4.0 * a0)), mu, 0,
+            minor >= q or lam > 0.0 and abs(minor - q) <= 2.0**-50)
 
 
 def _fit_values(shape, values, settings) -> tuple[np.ndarray, FitDiagnostics]:

@@ -61,6 +61,9 @@ def turned(k, angle):
 @example((SIX_SETTINGS, [5.086671366274852e-292, 1.0, 0.0, 0.0, 25165825.0, 25165825.0]))
 # a hard-case sphere step whose 1 - |w|^2 rounds an ulp below 0
 @example((SIX_SETTINGS, [378581126.0, 378581133.0, 0.0, 0.0, 0.0, 543498538.0]))
+# an optimum on the sphere whose multiplier lam, 1e-313, only a count 2e-312 of
+# the total sets: the closed form stops at lam = 2^-1000, inside the ball
+@example((SIX_SETTINGS, [0.0, 0.0, 0.0, 2.225073858507e-311, 10.0, 33.0]))
 # the Newton fit on six settings that are not antipodal pairs: a hard-case
 # sphere step, a trial step that leaves a counted setting no counts, a step
 # below float resolution, and a mixed optimum that v's rounding leaves just
