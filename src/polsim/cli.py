@@ -136,9 +136,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_out(path: str, text: str) -> None:
+    """Write text to path as ASCII bytes through an unbuffered descriptor, in one write
+    call unless the system takes fewer bytes; a new file gets mode 0o666 less the umask."""
+    data = memoryview(text.encode("ascii"))
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(path, "wb", buffering=0) as fh:
+            while data:
+                data = data[fh.write(data):]
     except OSError as exc:
         raise PolsimError(f"cannot write {path}: {exc}") from None
 

@@ -12,7 +12,7 @@ import cmath
 import functools
 import math
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, read_ascii
 from .tomography import DetectorModel
 from .zwm import ImperfectionConfig, ZwmConfig
 
@@ -35,10 +35,20 @@ DEFAULTS = {
 }
 
 
+_MEMO_SIZE = 8  # distinct config texts whose parse a process keeps
+
+
 def parse_config_text(text: str) -> dict[str, float]:
     """Parse `key = value` lines ('#' comments allowed) into a full value map.  The
     dataclasses of build_configs hold the range rules; a value they refuse is named
-    with its line."""
+    with its line.  Each call returns a fresh map, which the caller may change."""
+    return dict(_parsed(text)[2])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _parsed(text: str) -> tuple[ZwmConfig, DetectorModel, tuple[tuple[str, float], ...]]:
+    """The pair of the one build_configs call that checks a text, and its value items;
+    lru_cache keeps no refusal, so a refused text raises again on every call."""
     values = dict(DEFAULTS)
     seen_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -68,7 +78,7 @@ def parse_config_text(text: str) -> dict[str, float]:
         seen_lines[key] = line_no
         values[key] = value
     try:
-        build_configs(values)
+        return (*build_configs(values), tuple(values.items()))
     except ParameterError:
         # adding the keys in file order reaches the refused values, so some key raises
         trial = dict(DEFAULTS)
@@ -78,7 +88,6 @@ def parse_config_text(text: str) -> dict[str, float]:
                 build_configs(trial)
             except ParameterError as exc:
                 raise ParameterError(f"{key}: {exc}", line=line_no) from None
-    return values
 
 
 def build_configs(values: dict[str, float]) -> tuple[ZwmConfig, DetectorModel]:
@@ -106,22 +115,12 @@ def build_configs(values: dict[str, float]) -> tuple[ZwmConfig, DetectorModel]:
     return zwm, detector
 
 
-@functools.cache  # the pair is frozen: build the default instrument once per process
-def _default_configs() -> tuple[ZwmConfig, DetectorModel]:
-    return build_configs(DEFAULTS)
-
-
 def load_config(path: str | None) -> tuple[ZwmConfig, DetectorModel, dict[str, float]]:
-    """Read and validate a config file; None means all defaults."""
-    if path is None:
-        return (*_default_configs(), dict(DEFAULTS))
-    try:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    values = parse_config_text(text)
-    return (*build_configs(values), values)
+    """Read and validate a config file; None means all defaults.  The file is read whole,
+    as ASCII, on every call, so an edit is always seen; the parse of its text is reused
+    while it is one of the _MEMO_SIZE texts parsed most recently."""
+    text = "" if path is None else read_ascii(path, "config")
+    return (*_parsed(text)[:2], parse_config_text(text))
 
 
 def format_config(values: dict[str, float]) -> str:

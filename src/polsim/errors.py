@@ -1,5 +1,5 @@
-"""Exception types shared across the package; each class carries the exit code
-the command line returns for it."""
+"""Exception types shared across the package, each carrying the exit code the command
+line returns for it, and the reader of input files, which raises ConfigError."""
 
 
 class PolsimError(Exception):
@@ -32,3 +32,13 @@ class ZeroTraceError(PolsimError, ValueError):
 
 class ConfigError(PolsimError, ValueError):
     """A config or data file failed to parse."""
+
+
+def read_ascii(path, what: str) -> str:
+    """The whole file at path, read in binary through one descriptor and decoded as
+    ASCII; a file that cannot be read, or is not ASCII, raises ConfigError."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.readall().decode("ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None

@@ -17,7 +17,7 @@ from operator import attrgetter, mul
 
 import numpy as np
 
-from .errors import ConfigError, IllPosedError, ParameterError, ZeroTraceError
+from .errors import ConfigError, IllPosedError, ParameterError, ZeroTraceError, read_ascii
 from .newton import SettingRows, ball_newton, dot, kkt_residual
 from .zwm import CoherenceMatrix, _stokes_grid, degree_of_polarization
 
@@ -365,14 +365,11 @@ _COUNTS_HEADER = ("label", "qwp_angle_deg", "polarizer_angle_deg", "raw_count")
 def read_counts_table(path) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
     """Parse a counts table; returns (settings, raw counts).
 
-    The header row must name the four columns exactly; each data row is
-    label, QWP angle (deg), polarizer angle (deg), non-negative integer count.
+    The file is read whole, in binary, and decoded as ASCII (errors.read_ascii).  The
+    header row must name the four columns exactly; each data row is label, QWP angle
+    (deg), polarizer angle (deg), non-negative integer count.
     """
-    try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read counts file {path}: {exc}") from None
+    lines = read_ascii(path, "counts").splitlines()
     rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise ConfigError("counts file is empty")

@@ -64,12 +64,18 @@ def test_analytic_sweep_to_stdout(capsys):
 
 
 def test_sweep_out_file_matches_stdout(tmp_path, capsys):
-    argv = ("sweep", "--mode", "gedanken", "--gamma", "0,30,60", "--t", "0.3,0.9")
-    assert run_cli(*argv) == 0
-    stdout_text = capsys.readouterr().out
-    out = tmp_path / "rows.csv"
-    assert run_cli(*argv, "--out", str(out)) == 0
-    assert out.read_text() == stdout_text
+    """Byte for byte, for a numeric sweep of a non-ideal config, and then for a
+    shorter sweep over the same file."""
+    config = tmp_path / "run.cfg"
+    config.write_text("eta_idler = 0.8\nbs_tx = 0.9\nphi_s2_rad = 1.0471975511965976\n")
+    for argv in [("sweep", "--config", str(config), "--mode", "numeric",
+                  "--gamma", ",".join(map(str, range(0, 91, 10))), "--t", "0,0.25,0.5,0.75,1"),
+                 ("sweep", "--mode", "gedanken", "--gamma", "0,30,60", "--t", "0.3,0.9")]:
+        assert run_cli(*argv) == 0
+        stdout_text = capsys.readouterr().out
+        out = tmp_path / "rows.csv"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == stdout_text.encode("ascii")
 
 
 @pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
@@ -198,6 +204,55 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
                    "--gamma", "0", "--t", "1") == 2
     assert f"error: cannot read config file {path}" in capsys.readouterr().err
+
+
+def test_an_edited_config_is_read_again_in_the_same_process(tmp_path, capsys):
+    """load_config reads the file on every call and reuses only the parse of a text
+    it has seen: an edit that keeps the file's length still changes the CSV, and
+    the first text, seen again, gives its first CSV again."""
+    path = tmp_path / "run.cfg"
+    argv = ("sweep", "--config", str(path), "--mode", "numeric", "--gamma", "30,60", "--t", "0.5")
+    texts = ["eta_idler = 0.8\n", "eta_idler = 0.9\n", "eta_idler = 0.9\nbs_tx = 0.7\n",
+             "eta_idler = 0.8\n"]
+    rows = []
+    for text in texts:
+        path.write_text(text)
+        assert run_cli(*argv) == 0
+        rows.append(capsys.readouterr().out)
+    assert len(texts[0]) == len(texts[1])
+    assert len(set(rows[:3])) == 3
+    assert rows[3] == rows[0]
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("eta_idler = 1.2\n", 3, "range error: line 1: eta_idler: eta_idler = 1.2 outside [0, 1]\n"),
+    ("bogus = 1\n", 2, "error: line 1: unknown key 'bogus'\n"),
+])
+def test_a_refused_config_is_refused_alike_on_every_call(tmp_path, capsys, text, code, message):
+    """No refusal is memoized: the same text exits with the same code and line twice."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    for _ in range(2):
+        assert run_cli("sweep", "--config", str(path), "--mode", "analytic",
+                       "--gamma", "0", "--t", "1") == code
+        assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("option", ["--config", "--counts"])
+def test_a_directory_as_input_exits_2(tmp_path, capsys, option):
+    """A directory opens on some systems and fails only at the read; either way it
+    exits 2 with one `cannot read` line and no traceback."""
+    if option == "--config":
+        argv = ["sweep", "--config", str(tmp_path), "--mode", "analytic", "--gamma", "0",
+                "--t", "1"]
+    else:
+        argv = ["tomo", "--counts", str(tmp_path), "--out", str(tmp_path / "recon.csv")]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {option[2:]} file {tmp_path}: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "recon.csv").exists()
 
 
 def test_out_of_range_gamma_argument_exits_3(capsys):
@@ -724,6 +779,39 @@ def test_tomo_to_an_unwritable_out_exits_2(tmp_path, capsys, where):
     assert "written to" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["sweep", "tomo"])
+def test_out_to_a_full_device_exits_2(tmp_path, capsys, command):
+    """The write itself fails, after the open: exit 2, and no `written to` line."""
+    if not Path("/dev/full").exists():
+        pytest.skip("/dev/full does not exist here")
+    if command == "sweep":
+        argv = ["sweep", "--mode", "numeric", "--gamma", "0,30", "--t", "0.5"]
+    else:
+        argv = ["tomo", "--counts", str(tomo_fixture_counts(tmp_path, dark_rate=0.0)[0])]
+    assert run_cli(*argv, "--out", "/dev/full") == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+    assert captured.err.count("\n") == 1
+    assert "written to" not in captured.out
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_out_file_gets_the_mode_open_gives(tmp_path, umask):
+    """0o666 less the umask, as open(path, "w") creates a file."""
+    out = tmp_path / "rows.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli("sweep", "--mode", "analytic", "--gamma", "0", "--t", "1",
+                       "--out", str(out)) == 0
+        with open(tmp_path / "reference.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert (tmp_path / "reference.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 @pytest.mark.parametrize("stdout", ["dev-full", "closed-pipe"])
 def test_unwritable_stdout_exits_2_with_one_line(tmp_path, stdout):
     """Each command that prints ends in exit 2 and one `error: cannot write`
@@ -906,14 +994,20 @@ def test_tomo_runs_without_importing_scipy(tmp_path):
 
 def test_numeric_sweep_of_a_million_rows_peaks_below_400_mb(tmp_path):
     """The pipeline's amplitude arrays have two idler columns, so a 1000x1000
-    numeric sweep, interpreter included, stays well under 400 MB at its peak."""
+    numeric sweep, interpreter included, stays well under 400 MB at its peak.  On
+    Linux ru_maxrss also counts the pages of the process that spawned the child, at
+    its exec, so there the child reads its own high-water mark, VmHWM."""
     axis = ",".join(repr(i / 999) for i in range(1000))
     argv = ["sweep", "--mode", "numeric", "--gamma", axis, "--t", axis,
             "--out", str(tmp_path / "sweep.csv")]
     code = ("import resource, sys\n"
             "import polsim.cli\n"
             f"assert polsim.cli.main({argv!r}) == 0\n"
-            "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "if sys.platform == 'linux':\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        peak = next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+            "else:\n"
+            "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(peak * (1 if sys.platform == 'darwin' else 1024))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

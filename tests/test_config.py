@@ -158,6 +158,23 @@ def test_default_config_is_equal_on_every_call_with_a_fresh_value_map():
     assert again_values == DEFAULTS
 
 
+def test_the_value_map_of_a_file_is_fresh_on_every_call(tmp_path):
+    """The parse of a text is reused, never the map handed out: changing one call's
+    map changes neither the next call's map nor its configs."""
+    path = tmp_path / "run.cfg"
+    path.write_text("eta_idler = 0.8\n")
+    cfg, detector, values = load_config(path)
+    values["eta_idler"] = 0.5
+    values["bogus"] = 1.0
+    del values["dark_cps"]
+    again_cfg, again_detector, again_values = load_config(path)
+    assert again_values == parse_config_text(path.read_text()) == {**DEFAULTS, "eta_idler": 0.8}
+    assert (again_cfg, again_detector) == (cfg, detector)
+    assert again_cfg.imperfections.eta_idler == 0.8
+    parse_config_text(path.read_text())["eta_idler"] = 0.1
+    assert load_config(path)[2]["eta_idler"] == 0.8
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("t_phase_rad = 0.25\nbs_tx = 0.5\n")
