@@ -136,13 +136,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write text to path as ASCII bytes through an unbuffered descriptor, in one write
-    call unless the system takes fewer bytes; a new file gets mode 0o666 less the umask."""
-    data = memoryview(text.encode("ascii"))
+    """Write text to path as ASCII in text mode, so the file holds the bytes stdout
+    gets; a new file gets mode 0o666 less the umask."""
     try:
-        with open(path, "wb", buffering=0) as fh:
-            while data:
-                data = data[fh.write(data):]
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
     except OSError as exc:
         raise PolsimError(f"cannot write {path}: {exc}") from None
 

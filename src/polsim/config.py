@@ -120,7 +120,8 @@ def load_config(path: str | None) -> tuple[ZwmConfig, DetectorModel, dict[str, f
     as ASCII, on every call, so an edit is always seen; the parse of its text is reused
     while it is one of the _MEMO_SIZE texts parsed most recently."""
     text = "" if path is None else read_ascii(path, "config")
-    return (*_parsed(text)[:2], parse_config_text(text))
+    zwm, detector, items = _parsed(text)
+    return zwm, detector, dict(items)
 
 
 def format_config(values: dict[str, float]) -> str:

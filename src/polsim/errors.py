@@ -1,5 +1,6 @@
 """Exception types shared across the package, each carrying the exit code the command
-line returns for it, and the reader of input files, which raises ConfigError."""
+line returns for it.  The reader of input files, which raises ConfigError, lives here
+too: config and tomography both import this module, and config imports tomography."""
 
 
 class PolsimError(Exception):

@@ -75,7 +75,7 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
         stdout_text = capsys.readouterr().out
         out = tmp_path / "rows.csv"
         assert run_cli(*argv, "--out", str(out)) == 0
-        assert out.read_bytes() == stdout_text.encode("ascii")
+        assert out.read_bytes() == stdout_text.replace("\n", os.linesep).encode("ascii")
 
 
 @pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
