@@ -136,11 +136,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _write_out(path: str, text: str) -> None:
-    """Write text to path as ASCII in text mode, so the file holds the bytes stdout
-    gets; a new file gets mode 0o666 less the umask."""
+    """Write text's ASCII bytes to path in one binary write, with "\n" made os.linesep
+    where that differs, so the file holds the bytes stdout gets. A short write goes on
+    and one that takes no byte fails. A new file gets mode 0o666 less the umask."""
+    data = memoryview((text if os.linesep == "\n" else text.replace("\n", os.linesep))
+                      .encode("ascii"))
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        fd = os.open(path, flags, 0o666)
+        try:
+            while data:
+                written = os.write(fd, data)
+                if not written:
+                    raise PolsimError(f"cannot write {path}: the write took no bytes")
+                data = data[written:]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise PolsimError(f"cannot write {path}: {exc}") from None
 

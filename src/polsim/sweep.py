@@ -120,7 +120,7 @@ def sweep_grid(spec: SweepSpec, cfg: ZwmConfig, detector: DetectorModel):
         left = spec.replicates
         while left:  # a point's replicates, drawn in order, may span blocks
             take = min(left, len(block) - filled)
-            block[filled:filled + take] = rng.poisson(np.broadcast_to(mu[ig, it], (take, 4)))
+            block[filled:filled + take] = rng.poisson(mu[ig, it], (take, 4))
             filled, left = filled + take, left - take
             if filled == len(block) or done + filled == rows.size:
                 rows[done:done + filled] = four_setting_p(block[:filled], detector)

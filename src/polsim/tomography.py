@@ -36,11 +36,11 @@ class MeasurementSetting:
     polarizer_angle: float
 
     def __post_init__(self):
-        angles = float(self.qwp_angle), float(self.polarizer_angle)
-        if not all(math.isfinite(2.0 * x) for x in angles):
+        q, p = float(self.qwp_angle), float(self.polarizer_angle)
+        if not (math.isfinite(2.0 * q) and math.isfinite(2.0 * p)):
             raise ParameterError("analyzer angles must be finite, and so must their doubles")
         # the fit data's key, the angles' exact bits: 0.0 == -0.0, but their rows differ
-        object.__setattr__(self, "_key", tuple(x.hex() for x in angles))
+        object.__setattr__(self, "_key", (q.hex(), p.hex()))
 
 
 DEFAULT_SETTINGS = (

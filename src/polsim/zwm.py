@@ -275,9 +275,12 @@ def stokes_parameters(g: CoherenceMatrix) -> tuple[float, float, float, float]:
 
     S0 = tr G, S1 = Gxx - Gyy, S2 = 2 Re Gxy, S3 = 2 Im Gyx.  The S3 sign
     pairs with the tomography quarter-wave-plate convention: the R setting's
-    Stokes row is (1, 0, 0, -1) / 2, so it measures (S0 - S3)/2.
+    Stokes row is (1, 0, 0, -1) / 2, so it measures (S0 - S3)/2.  Computed on
+    Python floats with _stokes_grid's IEEE operations, so the bits, signed zeros
+    included, are the same.
     """
-    return tuple(map(float, _stokes_grid(g.matrix)))
+    (gxx, gxy), (gyx, gyy) = g.matrix.tolist()
+    return gxx.real + gyy.real, gxx.real - gyy.real, 2.0 * gxy.real, 2.0 * gyx.imag
 
 
 def analytic_p_grid(cfg: ZwmConfig, gammas, t_abs) -> np.ndarray:

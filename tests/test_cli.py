@@ -78,6 +78,18 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
         assert out.read_bytes() == stdout_text.replace("\n", os.linesep).encode("ascii")
 
 
+@pytest.mark.parametrize("mode", ["tomography", "montecarlo"])
+def test_stochastic_sweep_out_file_matches_stdout(tmp_path, capsys, mode):
+    """Byte for byte, for the stochastic modes with replicates and a seed."""
+    argv = ("sweep", "--mode", mode, "--gamma", "0,30,60,90", "--t", "0.25,0.75",
+            "--replicates", "3", "--seed", "7", "--samples", "20000")
+    assert run_cli(*argv) == 0
+    stdout_text = capsys.readouterr().out
+    out = tmp_path / "rows.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == stdout_text.replace("\n", os.linesep).encode("ascii")
+
+
 @pytest.mark.parametrize("mode", ["numeric", "analytic", "tomography"])
 def test_sweep_applies_the_phase_of_t_at_every_grid_point(tmp_path, mode):
     """The grid sets |T| and the config T's phase: t_phase_rad changes every
@@ -793,6 +805,34 @@ def test_out_to_a_full_device_exits_2(tmp_path, capsys, command):
     assert captured.err.startswith("error: cannot write /dev/full: ")
     assert captured.err.count("\n") == 1
     assert "written to" not in captured.out
+
+
+def test_out_is_whole_after_short_writes(tmp_path, capsys, monkeypatch):
+    """A write that takes at most 7 bytes a call still leaves stdout's bytes in --out."""
+    argv = ("sweep", "--mode", "numeric", "--gamma", "0,30,60,90", "--t", "0,0.5,1")
+    assert run_cli(*argv) == 0
+    stdout_text = capsys.readouterr().out
+    write, calls = os.write, []
+
+    def short_write(fd, data):
+        calls.append(fd)
+        return write(fd, data[:7])
+    monkeypatch.setattr(os, "write", short_write)
+    out = tmp_path / "rows.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == stdout_text.replace("\n", os.linesep).encode("ascii")
+    assert len(calls) == -(-out.stat().st_size // 7)
+
+
+def test_out_write_that_takes_no_byte_exits_2(tmp_path, capsys, monkeypatch):
+    """A write that returns 0 fails at once, with one error line, instead of spinning."""
+    monkeypatch.setattr(os, "write", lambda fd, data: 0)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--mode", "numeric", "--gamma", "0,30", "--t", "0.5",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")

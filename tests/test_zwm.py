@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polsim.config import build_configs, parse_config_text
 from polsim.errors import ParameterError, ZeroTraceError
@@ -31,6 +33,7 @@ from polsim.zwm import (
     field_map,
     numeric_degree_of_polarization,
     signal_amplitudes,
+    _stokes_grid,
     stokes_parameters,
 )
 
@@ -548,6 +551,37 @@ def test_degree_of_polarization_zero_trace_raises():
 def test_stokes_parameters_pinned(matrix, expected):
     got = stokes_parameters(CoherenceMatrix(matrix))
     np.testing.assert_allclose(got, expected, atol=1e-15)
+
+
+_DIAGONAL = st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+_FRACTION = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_DIAGONAL, _DIAGONAL, _FRACTION, _FRACTION)
+@example(-0.0, 0.0, -0.0, 0.0)
+@example(0.0, -0.0, 0.0, -0.0)
+@example(5e-324, 1e-310, -0.25, 0.5)
+@example(1e300, 3e299, 0.5, -0.4)
+@example(1e300, 1e300, -0.7, 0.7)
+def test_stokes_parameters_are_the_grid_form_bit_for_bit(gxx, gyy, re_frac, im_frac):
+    """Python floats with the bits of _stokes_grid's float64s, signed zeros included.
+    |Gxy| <= sqrt(Gxx Gyy) / sqrt(2) keeps G well inside positive semidefinite."""
+    half_root = math.sqrt(gxx) * math.sqrt(gyy) / 2.0
+    gxy = complex(re_frac * half_root, im_frac * half_root)
+    g = CoherenceMatrix(np.array([[gxx, gxy], [gxy.conjugate(), gyy]]))
+    got = stokes_parameters(g)
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [float(x).hex() for x in _stokes_grid(g.matrix)]
+
+
+def test_stokes_parameters_overflow_to_inf_without_a_warning():
+    """At 1.7e308 S0 = Gxx + Gyy overflows: the array form gives numpy's overflow
+    warning (an error under this suite's filters), the float form returns S0 = inf."""
+    g = CoherenceMatrix(np.array([[1.7e308, 0.0], [0.0, 1.7e308]]))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        _stokes_grid(g.matrix)
+    assert stokes_parameters(g) == (math.inf, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
