@@ -139,8 +139,9 @@ def _write_out(path: str, text: str) -> None:
     """Write text's ASCII bytes to path in one binary write, with "\n" made os.linesep
     where that differs, so the file holds the bytes stdout gets. A short write goes on
     and one that takes no byte fails. A new file gets mode 0o666 less the umask."""
-    data = memoryview((text if os.linesep == "\n" else text.replace("\n", os.linesep))
-                      .encode("ascii"))
+    if os.linesep != "\n":  # a replace copies the whole text, so only where it changes it
+        text = text.replace("\n", os.linesep)
+    data = memoryview(text.encode("ascii"))
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
     try:
         fd = os.open(path, flags, 0o666)
